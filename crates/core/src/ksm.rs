@@ -146,20 +146,16 @@ impl Ksm {
 
         // Physmap: map the whole delegated segment kernel-only at
         // PHYSMAP_BASE. Data pages key 0; switched to KEY_PTP on declare.
-        let mut pa = seg.start;
-        while pa < seg.end {
-            let va = PHYSMAP_BASE + (pa - seg.start);
-            PageTables::map(
-                mem,
-                template_root,
-                va,
-                pa,
-                MapFlags::kernel_rw(),
-                &mut || frames.alloc(),
-            )
-            .expect("physmap mapping");
-            pa += PAGE_SIZE;
-        }
+        PageTables::map_range(
+            mem,
+            template_root,
+            PHYSMAP_BASE,
+            seg.start,
+            seg.len() / PAGE_SIZE,
+            MapFlags::kernel_rw(),
+            &mut || frames.alloc(),
+        )
+        .expect("physmap mapping");
 
         // IDT + TSS in KSM-private pages, mapped (key KSM) for completeness.
         let idt_pa = frames.alloc().expect("IDT page");
@@ -608,17 +604,16 @@ impl Ksm {
         // Physmap leaves: same VAs, shifted targets. The per-vCPU root
         // copies share the physmap subtree frames, so rewriting through
         // the template covers every root.
-        let mut pa = old.start;
-        while pa < old.end {
-            let va = PHYSMAP_BASE + (pa - old.start);
-            let leaf = PageTables::walk(&mut m.mem, self.template_root, va)
-                .expect("physmap covers the segment")
-                .leaf;
-            let new_leaf = (leaf & !pte::ADDR_MASK) | shift(pte::addr(leaf));
-            PageTables::update_leaf(&mut m.mem, self.template_root, va, new_leaf);
-            rewrites += 1;
-            pa += PAGE_SIZE;
-        }
+        let pages = old.len() / PAGE_SIZE;
+        PageTables::update_leaves(
+            &mut m.mem,
+            self.template_root,
+            PHYSMAP_BASE,
+            pages,
+            |leaf| (leaf & !pte::ADDR_MASK) | shift(pte::addr(leaf)),
+        )
+        .unwrap_or_else(|va| panic!("physmap covers the segment: {va:#x} unmapped"));
+        rewrites += pages;
 
         // Shift the descriptor map, then rewrite the guest-owned entries
         // of every PTP at its *new* location (contents were copied by the
@@ -955,6 +950,95 @@ mod tests {
         assert!(m.cpu.cr0 & CR0_TS != 0);
         ksm.set_cr0_ts(&mut m, false).unwrap();
         assert!(m.cpu.cr0 & CR0_TS == 0);
+    }
+
+    /// Every physmap leaf of `ksm`, in segment order.
+    fn physmap_leaves(m: &mut Machine, ksm: &Ksm) -> Vec<u64> {
+        (0..ksm.seg.len() / PAGE_SIZE)
+            .map(|i| {
+                PageTables::walk(
+                    &mut m.mem,
+                    ksm.template_root(),
+                    PHYSMAP_BASE + i * PAGE_SIZE,
+                )
+                .expect("physmap covers the segment")
+                .leaf
+            })
+            .collect()
+    }
+
+    #[test]
+    fn new_maps_every_segment_page_kernel_only() {
+        let (mut m, ksm, _ga) = setup();
+        let want = MapFlags::kernel_rw().encode();
+        for (i, leaf) in physmap_leaves(&mut m, &ksm).into_iter().enumerate() {
+            assert_eq!(pte::addr(leaf), ksm.seg.start + i as u64 * PAGE_SIZE);
+            assert_eq!(leaf & !pte::ADDR_MASK, want, "page {i}");
+        }
+    }
+
+    #[test]
+    fn rebase_shifts_every_translation_and_counts_each_rewrite() {
+        let (mut m, mut ksm, mut ga) = setup();
+        // A guest address space: root → pt3 → pt2 → pt1 → 5 data pages.
+        let root = ga.alloc().unwrap();
+        ksm.declare_ptp(&mut m, root, 4).unwrap();
+        let mut table = root;
+        for level in [3, 2, 1] {
+            let next = ga.alloc().unwrap();
+            ksm.declare_ptp(&mut m, next, level).unwrap();
+            ksm.update_pte(
+                &mut m,
+                table,
+                pt_index(0x40_0000, level + 1),
+                pte::make(next, pte::P | pte::W | pte::U),
+            )
+            .unwrap();
+            table = next;
+        }
+        for i in 0..5 {
+            let data = ga.alloc().unwrap();
+            let leaf = pte::make(data, pte::P | pte::W | pte::U | pte::NX);
+            ksm.update_pte(&mut m, table, i, leaf).unwrap();
+        }
+        let old = ksm.seg;
+        let before = physmap_leaves(&mut m, &ksm);
+        assert_eq!(
+            before.iter().filter(|&&l| pte::pkey(l) == KEY_PTP).count(),
+            4,
+            "declared PTPs carry KEY_PTP"
+        );
+
+        let len = old.len();
+        let base = m.frames.alloc_contiguous(len / PAGE_SIZE).expect("segment");
+        let new = Segment {
+            start: base,
+            end: base + len,
+        };
+        m.mem.copy_range(old.start, new.start, len);
+        let rewrites = ksm.rebase(&mut m, new);
+        // Physmap pages + guest PTP entries (3 interior + 5 leaves) + the
+        // user-half entry of each of the 2 per-vCPU root copies.
+        assert_eq!(rewrites, len / PAGE_SIZE + 3 + 5 + 2);
+
+        let after = physmap_leaves(&mut m, &ksm);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(
+                pte::addr(*a),
+                pte::addr(*b) - old.start + new.start,
+                "page {i}"
+            );
+            assert_eq!(
+                a & !pte::ADDR_MASK,
+                b & !pte::ADDR_MASK,
+                "page {i} flags/pkey"
+            );
+        }
+        // The guest mapping resolves to the shifted data page through the
+        // shifted root's per-vCPU copy.
+        let copy = ksm.root_copy(root - old.start + new.start, 1).unwrap();
+        let w = PageTables::walk(&mut m.mem, copy, 0x40_0000 + 4 * PAGE_SIZE).unwrap();
+        assert!(new.contains(w.pa));
     }
 
     #[test]

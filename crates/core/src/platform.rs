@@ -206,12 +206,7 @@ impl CkiPlatform {
         // Exact page image: resident template pages are copied, everything
         // else is dropped (a recycled pool range may hold a previous
         // tenant's frames).
-        let pages_copied = m.mem.resident_range(old.start, old.end).len() as u64;
-        let mut pa = old.start;
-        while pa < old.end {
-            m.mem.copy_frame(pa, shift(pa));
-            pa += PAGE_SIZE;
-        }
+        let pages_copied = m.mem.copy_range(old.start, new.start, old.len());
 
         // Rebase the guest-owned entries of every copied PTP in place,
         // *before* adopting roots (per-vCPU copies snapshot root contents).

@@ -1,11 +1,39 @@
 //! Sparse simulated physical memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{page_offset, pfn, Phys, PAGE_SIZE};
 
 /// One 4 KiB physical frame of simulated memory.
 type Frame = Box<[u8; PAGE_SIZE as usize]>;
+
+/// Hasher for frame numbers: one multiply by an odd constant (a bijection,
+/// so distinct frames never share a hash), rotated so the well-mixed high
+/// product bits pick the bucket. Frame numbers are bounded by the machine
+/// size and chosen by the simulator's own allocators, so the collision
+/// resistance of the default SipHash buys nothing here, while every
+/// simulated memory access pays for it.
+#[derive(Default)]
+struct PfnHasher(u64);
+
+impl Hasher for PfnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Sparse simulated physical memory.
 ///
@@ -25,7 +53,7 @@ type Frame = Box<[u8; PAGE_SIZE as usize]>;
 /// assert_eq!(mem.read_u64(0x2000), 0); // untouched memory reads as zero
 /// ```
 pub struct PhysMem {
-    frames: HashMap<u64, Frame>,
+    frames: HashMap<u64, Frame, BuildHasherDefault<PfnHasher>>,
     size: u64,
     reads: u64,
     writes: u64,
@@ -40,7 +68,7 @@ impl PhysMem {
     pub fn new(size: u64) -> Self {
         assert!(size > 0, "physical memory must be non-empty");
         Self {
-            frames: HashMap::new(),
+            frames: HashMap::default(),
             size: crate::addr::page_align_up(size),
             reads: 0,
             writes: 0,
@@ -236,42 +264,55 @@ impl PhysMem {
         // An absent frame already reads as zero.
     }
 
-    /// Copies the whole frame at `src` onto the frame at `dst`.
+    /// Copies the `len`-byte page range at `src` onto the range at `dst`,
+    /// frame by frame in ascending order, and returns how many resident
+    /// source frames it copied.
     ///
-    /// A non-resident source (all zeros) drops the destination frame
-    /// instead of materializing a zero page, preserving sparsity. Both
-    /// addresses must be page-aligned.
-    pub fn copy_frame(&mut self, src: Phys, dst: Phys) {
-        self.check(src, PAGE_SIZE);
-        self.check(dst, PAGE_SIZE);
-        assert_eq!(src % PAGE_SIZE, 0, "unaligned frame copy source");
-        assert_eq!(dst % PAGE_SIZE, 0, "unaligned frame copy destination");
+    /// Destination frames become clones of their source frames; a
+    /// non-resident source (all zeros) drops its destination frame instead
+    /// of materializing a zero page, preserving sparsity. The source range
+    /// is left as it was, except where the ranges overlap. Overlap is
+    /// allowed only as a slide toward lower addresses (`dst < src`, the
+    /// compaction case), where the ascending order reads every source
+    /// frame before it is overwritten.
+    ///
+    /// Only resident frames are copied or dropped: the cost is one map
+    /// probe per page plus one frame copy per resident source frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an argument is not page-aligned, a range is out of
+    /// bounds, or `dst` lies inside `(src, src + len)`.
+    pub fn copy_range(&mut self, src: Phys, dst: Phys, len: u64) -> u64 {
+        assert_eq!(src % PAGE_SIZE, 0, "unaligned range copy source");
+        assert_eq!(dst % PAGE_SIZE, 0, "unaligned range copy destination");
+        assert_eq!(len % PAGE_SIZE, 0, "unaligned range copy length");
+        self.check(src, len);
+        self.check(dst, len);
+        assert!(
+            dst <= src || dst >= src + len,
+            "range copy slides right over its source: src={src:#x} dst={dst:#x} len={len:#x}"
+        );
+        let (src, dst, pages) = (pfn(src), pfn(dst), pfn(len));
         if src == dst {
-            return;
+            return (src..src + pages)
+                .filter(|n| self.frames.contains_key(n))
+                .count() as u64;
         }
-        match self.frames.get(&pfn(src)).cloned() {
-            Some(f) => {
-                self.writes += 1;
-                self.frames.insert(pfn(dst), f);
-            }
-            None => {
-                self.frames.remove(&pfn(dst));
+        let mut copied = 0;
+        for i in 0..pages {
+            match self.frames.get(&(src + i)).cloned() {
+                Some(f) => {
+                    copied += 1;
+                    self.frames.insert(dst + i, f);
+                }
+                None => {
+                    self.frames.remove(&(dst + i));
+                }
             }
         }
-    }
-
-    /// Page-aligned addresses of the resident (materialized) frames inside
-    /// `[start, end)`, in ascending order. Used to copy or migrate a
-    /// delegated segment without touching its untouched (zero) pages.
-    pub fn resident_range(&self, start: Phys, end: Phys) -> Vec<Phys> {
-        let mut out: Vec<Phys> = self
-            .frames
-            .keys()
-            .map(|&n| n * PAGE_SIZE)
-            .filter(|&pa| pa >= start && pa < end)
-            .collect();
-        out.sort_unstable();
-        out
+        self.writes += copied;
+        copied
     }
 
     fn frame_mut(&mut self, pa: Phys) -> &mut Frame {
@@ -345,18 +386,136 @@ mod tests {
         assert_eq!(m.read_u64(0x3000), 0);
     }
 
+    /// The semantics `copy_range` must keep: an ascending loop of
+    /// whole-frame copies, where a non-resident source drops the
+    /// destination frame. Returns the resident source frames it read.
+    fn copy_frames_reference(m: &mut PhysMem, src: Phys, dst: Phys, len: u64) -> u64 {
+        let mut copied = 0;
+        for off in (0..len).step_by(PAGE_SIZE as usize) {
+            let (s, d) = (pfn(src + off), pfn(dst + off));
+            match m.frames.get(&s).cloned() {
+                Some(f) => {
+                    copied += 1;
+                    if s != d {
+                        m.frames.insert(d, f);
+                    }
+                }
+                None => {
+                    m.frames.remove(&d);
+                }
+            }
+        }
+        copied
+    }
+
+    /// A memory with a seeded random resident set over its first 64
+    /// frames, each resident frame filled with bytes unique to it.
+    fn random_mem(seed: u64) -> PhysMem {
+        let mut rng = obs::rng::SmallRng::seed_from_u64(seed);
+        let mut m = PhysMem::new(64 * PAGE_SIZE);
+        for n in 0..64u64 {
+            if rng.gen_bool(0.4) {
+                let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i ^ n ^ seed) as u8).collect();
+                m.write_bytes(n * PAGE_SIZE, &fill);
+            }
+        }
+        m
+    }
+
+    fn assert_same_image(a: &mut PhysMem, b: &mut PhysMem, what: &str) {
+        assert_eq!(
+            a.resident_frames(),
+            b.resident_frames(),
+            "{what}: residency"
+        );
+        let (mut fa, mut fb) = (vec![0u8; PAGE_SIZE as usize], vec![0u8; PAGE_SIZE as usize]);
+        for n in 0..a.size() / PAGE_SIZE {
+            assert_eq!(
+                a.frames.contains_key(&n),
+                b.frames.contains_key(&n),
+                "{what}: frame {n} residency"
+            );
+            a.read_bytes(n * PAGE_SIZE, &mut fa);
+            b.read_bytes(n * PAGE_SIZE, &mut fb);
+            assert_eq!(fa, fb, "{what}: frame {n} bytes");
+        }
+    }
+
     #[test]
-    fn copy_frame_and_residency() {
+    fn copy_range_matches_ascending_frame_copies() {
+        let p = PAGE_SIZE;
+        // (src, dst, len): disjoint both ways, slide-left overlaps that
+        // shift by one page (29 pages overlap) and by 28 pages (6 pages
+        // overlap), src == dst, and len == 0.
+        let cases = [
+            (0, 32 * p, 16 * p),
+            (40 * p, 4 * p, 20 * p),
+            (10 * p, 9 * p, 30 * p),
+            (30 * p, 2 * p, 34 * p),
+            (12 * p, 12 * p, 20 * p),
+            (5 * p, 50 * p, 0),
+            (0, 0, 64 * p),
+        ];
+        for seed in 0..20 {
+            for &(src, dst, len) in &cases {
+                let what = format!("seed {seed} src {src:#x} dst {dst:#x} len {len:#x}");
+                let mut fast = random_mem(seed);
+                let mut reference = random_mem(seed);
+                let copied = fast.copy_range(src, dst, len);
+                let expected = copy_frames_reference(&mut reference, src, dst, len);
+                assert_eq!(copied, expected, "{what}: copied count");
+                assert_same_image(&mut fast, &mut reference, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn copy_range_drops_stale_destination_frames() {
         let mut m = PhysMem::new(1 << 20);
         m.write_u64(0x3008, 7);
-        m.write_u64(0x5000, 9);
-        assert_eq!(m.resident_range(0x0, 0x10000), vec![0x3000, 0x5000]);
-        m.copy_frame(0x3000, 0x8000);
-        assert_eq!(m.read_u64(0x8008), 7);
-        // Copying a non-resident source zeroes (drops) the destination.
-        m.copy_frame(0x4000, 0x8000);
-        assert_eq!(m.read_u64(0x8008), 0);
-        assert_eq!(m.resident_range(0x0, 0x10000), vec![0x3000, 0x5000]);
+        m.write_u64(0x9000, 9); // stale: its source 0x4000 is not resident
+        assert_eq!(m.copy_range(0x2000, 0x8000, 0x2000), 1);
+        assert_eq!(m.read_u64(0x9008), 7);
+        assert_eq!(m.read_u64(0x9000), 0);
+        // Source untouched, stale destination dropped, copy materialized.
+        assert_eq!(m.read_u64(0x3008), 7);
+        assert_eq!(m.resident_frames(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "slides right")]
+    fn copy_range_rejects_slide_right_overlap() {
+        PhysMem::new(1 << 20).copy_range(0x2000, 0x3000, 0x2000);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned range copy source")]
+    fn copy_range_rejects_unaligned_source() {
+        PhysMem::new(1 << 20).copy_range(0x2008, 0x8000, 0x1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned range copy destination")]
+    fn copy_range_rejects_unaligned_destination() {
+        PhysMem::new(1 << 20).copy_range(0x2000, 0x8010, 0x1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned range copy length")]
+    fn copy_range_rejects_unaligned_length() {
+        PhysMem::new(1 << 20).copy_range(0x2000, 0x8000, 0x800);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn copy_range_rejects_out_of_range_destination() {
+        PhysMem::new(1 << 20).copy_range(0x0, (1 << 20) - 0x1000, 0x2000);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn copy_range_rejects_out_of_range_source() {
+        PhysMem::new(1 << 20).copy_range((1 << 20) - 0x1000, 0x0, 0x2000);
     }
 
     #[test]

@@ -153,6 +153,88 @@ impl PageTables {
         Ok(())
     }
 
+    /// Maps the `pages` 4 KiB pages from `va` to the frames from `pa`, as
+    /// a loop of [`PageTables::map`] calls in ascending order would:
+    /// missing intermediate tables are allocated in the same order, and
+    /// the first already-present leaf stops the loop with
+    /// [`MapError::AlreadyMapped`], leaving the pages before it mapped.
+    ///
+    /// The path to each leaf table is walked once, not once per page.
+    pub fn map_range(
+        mem: &mut PhysMem,
+        root: Phys,
+        va: Virt,
+        pa: Phys,
+        pages: u64,
+        flags: MapFlags,
+        alloc: &mut dyn FnMut() -> Option<Phys>,
+    ) -> Result<(), MapError> {
+        let bits = flags.encode() & !pte::ADDR_MASK;
+        let mut done = 0;
+        while done < pages {
+            let va = va + done * PAGE_SIZE;
+            let mut slot = Self::ensure_table_path(mem, root, va, 1, alloc)?;
+            for _ in 0..Self::pages_left_in_table(va).min(pages - done) {
+                if pte::present(mem.read_u64(slot)) {
+                    return Err(MapError::AlreadyMapped);
+                }
+                mem.write_u64(slot, pte::make(pa + done * PAGE_SIZE, bits));
+                slot += 8;
+                done += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Replaces each present 4 KiB leaf PTE of the `pages` pages from `va`
+    /// with `f(old)`, walking the path to each leaf table once.
+    ///
+    /// Stops at the first page without a present 4 KiB leaf (a missing
+    /// table, a huge mapping, or a non-present PTE) and returns its VA as
+    /// the error; the pages before it have been rewritten.
+    pub fn update_leaves(
+        mem: &mut PhysMem,
+        root: Phys,
+        start: Virt,
+        pages: u64,
+        mut f: impl FnMut(u64) -> u64,
+    ) -> Result<(), Virt> {
+        let mut done = 0;
+        while done < pages {
+            let va = start + done * PAGE_SIZE;
+            let mut slot = Self::leaf_table(mem, root, va).ok_or(va)? + 8 * pt_index(va, 1) as u64;
+            for _ in 0..Self::pages_left_in_table(va).min(pages - done) {
+                let old = mem.read_u64(slot);
+                if !pte::present(old) {
+                    return Err(start + done * PAGE_SIZE);
+                }
+                mem.write_u64(slot, f(old));
+                slot += 8;
+                done += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of 4 KiB pages from `va` to the end of its leaf table.
+    fn pages_left_in_table(va: Virt) -> u64 {
+        512 - pt_index(va, 1) as u64
+    }
+
+    /// The level-1 table translating `va`, if the path to it exists and
+    /// ends in a table rather than a huge mapping.
+    fn leaf_table(mem: &mut PhysMem, root: Phys, va: Virt) -> Option<Phys> {
+        let mut table = root;
+        for level in (2..=4u8).rev() {
+            let entry = mem.read_u64(table + 8 * pt_index(va, level) as u64);
+            if !pte::present(entry) || pte::huge(entry) {
+                return None;
+            }
+            table = pte::addr(entry);
+        }
+        Some(table)
+    }
+
     /// Maps a 2 MiB huge page at `va` (both `va` and `pa` 2 MiB-aligned).
     ///
     /// # Panics
@@ -341,6 +423,138 @@ mod tests {
         assert_eq!(r.leaf_level, 1);
         assert_eq!(r.loads, 4);
         assert!(r.writable && r.user);
+    }
+
+    /// Frame source that logs every frame it hands out.
+    struct LoggedFrames {
+        next: Phys,
+        log: Vec<Phys>,
+    }
+
+    impl LoggedFrames {
+        fn f(&mut self) -> Option<Phys> {
+            let p = self.next;
+            self.next += PAGE_SIZE;
+            self.log.push(p);
+            Some(p)
+        }
+    }
+
+    /// A root plus a frame log, with `premapped` VAs already mapped.
+    fn logged_setup(premapped: &[Virt]) -> (PhysMem, Phys, LoggedFrames) {
+        let mut mem = PhysMem::new(1 << 26);
+        let mut fs = LoggedFrames {
+            next: 0x10_0000,
+            log: Vec::new(),
+        };
+        let root = PageTables::new_root(&mut mem, &mut || fs.f()).unwrap();
+        for &va in premapped {
+            PageTables::map(
+                &mut mem,
+                root,
+                va,
+                0x3f0_0000,
+                MapFlags::user_rw(),
+                &mut || fs.f(),
+            )
+            .unwrap();
+        }
+        (mem, root, fs)
+    }
+
+    /// Every leaf of the range, as raw PTEs (0 where unmapped).
+    fn leaves(mem: &mut PhysMem, root: Phys, va: Virt, pages: u64) -> Vec<u64> {
+        (0..pages)
+            .map(|i| {
+                PageTables::walk(mem, root, va + i * PAGE_SIZE)
+                    .map(|r| r.leaf)
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn map_range_matches_per_page_map_loop() {
+        // Starts 700 pages below a 1 GiB boundary (not 2 MiB-aligned) and
+        // runs 1300 pages (not a multiple of 512): crosses leaf tables and
+        // needs a fresh page directory half-way.
+        let va = (3u64 << 30) - 700 * PAGE_SIZE;
+        let pages = 1300;
+        let flags = MapFlags::kernel_rw().with_pkey(5);
+        let (mut m1, r1, mut f1) = logged_setup(&[]);
+        PageTables::map_range(&mut m1, r1, va, 0x80_0000, pages, flags, &mut || f1.f()).unwrap();
+        let (mut m2, r2, mut f2) = logged_setup(&[]);
+        for i in 0..pages {
+            let off = i * PAGE_SIZE;
+            PageTables::map(&mut m2, r2, va + off, 0x80_0000 + off, flags, &mut || {
+                f2.f()
+            })
+            .unwrap();
+        }
+        assert_eq!(f1.log, f2.log, "table frames allocated in the same order");
+        assert_eq!(
+            f1.log.len(),
+            1 + 1 + 2 + 4,
+            "root, PDPT, 2 PDs, 4 leaf tables"
+        );
+        for &t in &f1.log {
+            for i in 0..512 {
+                assert_eq!(m1.read_u64(t + 8 * i), m2.read_u64(t + 8 * i));
+            }
+        }
+        assert_eq!(
+            leaves(&mut m1, r1, va - PAGE_SIZE, pages + 2),
+            leaves(&mut m2, r2, va - PAGE_SIZE, pages + 2)
+        );
+        let r = PageTables::walk(&mut m1, r1, va + 1299 * PAGE_SIZE).unwrap();
+        assert_eq!(r.pa, 0x80_0000 + 1299 * PAGE_SIZE);
+        assert_eq!(pte::pkey(r.leaf), 5);
+    }
+
+    #[test]
+    fn map_range_reports_already_mapped_like_the_loop() {
+        let va = 0x4000_0000 + 100 * PAGE_SIZE;
+        let taken = va + 600 * PAGE_SIZE;
+        let flags = MapFlags::kernel_rw();
+        let (mut m1, r1, mut f1) = logged_setup(&[taken]);
+        let got = PageTables::map_range(&mut m1, r1, va, 0x80_0000, 900, flags, &mut || f1.f());
+        let (mut m2, r2, mut f2) = logged_setup(&[taken]);
+        let want = (0..900).try_for_each(|i| {
+            let off = i * PAGE_SIZE;
+            PageTables::map(&mut m2, r2, va + off, 0x80_0000 + off, flags, &mut || {
+                f2.f()
+            })
+        });
+        assert_eq!(got, Err(MapError::AlreadyMapped));
+        assert_eq!(got, want);
+        assert_eq!(f1.log, f2.log);
+        assert_eq!(leaves(&mut m1, r1, va, 900), leaves(&mut m2, r2, va, 900));
+    }
+
+    #[test]
+    fn update_leaves_rewrites_each_leaf_and_stops_at_a_hole() {
+        let va = 0x4000_0000 + 200 * PAGE_SIZE;
+        let (mut mem, root, mut fs) = logged_setup(&[]);
+        let flags = MapFlags::kernel_rw().with_pkey(2);
+        PageTables::map_range(&mut mem, root, va, 0x80_0000, 700, flags, &mut || fs.f()).unwrap();
+        let shift = |e: u64| (e & !pte::ADDR_MASK) | (pte::addr(e) + 0x100_0000);
+        PageTables::update_leaves(&mut mem, root, va, 700, shift).unwrap();
+        for i in [0, 311, 312, 699] {
+            let r = PageTables::walk(&mut mem, root, va + i * PAGE_SIZE).unwrap();
+            assert_eq!(r.pa, 0x180_0000 + i * PAGE_SIZE);
+            assert_eq!(pte::pkey(r.leaf), 2);
+        }
+        let hole = va + 400 * PAGE_SIZE;
+        PageTables::unmap(&mut mem, root, hole).unwrap();
+        assert_eq!(
+            PageTables::update_leaves(&mut mem, root, va, 700, |e| e),
+            Err(hole)
+        );
+        // A range whose leaf table does not exist fails at its first page.
+        assert_eq!(
+            PageTables::update_leaves(&mut mem, root, 0x8000_0000, 1, |e| e),
+            Err(0x8000_0000)
+        );
     }
 
     #[test]

@@ -981,16 +981,9 @@ impl CloudHost {
         let pte_write = self.machine.cpu.clock.model().pte_write;
         for (old, new) in moves {
             let owner = by_start.get(&old.start).expect("planned segment");
-            // Migrate the page image first (ascending copy handles the
+            // Migrate the page image first (the ascending copy handles the
             // overlapping slide-left case), then rebase translations.
-            let resident = self.machine.mem.resident_range(old.start, old.end).len() as u64;
-            let mut pa = old.start;
-            while pa < old.end {
-                self.machine
-                    .mem
-                    .copy_frame(pa, new.start + (pa - old.start));
-                pa += PAGE_SIZE;
-            }
+            let resident = self.machine.mem.copy_range(old.start, new.start, old.len());
             let c = match owner {
                 (Some(id), _) => self.containers.get_mut(id).expect("live container"),
                 (None, key) => self.templates.get_mut(key).expect("live template"),

@@ -169,6 +169,70 @@ fn cloned_container_is_equivalent_to_cold_booted() {
     );
 }
 
+/// Simulated-memory accesses (`PhysMem` 8-byte reads plus writes) so far:
+/// a measure of host work that, unlike wall time, repeats exactly.
+fn mem_accesses(h: &CloudHost) -> u64 {
+    h.machine.mem.read_count() + h.machine.mem.write_count()
+}
+
+/// Host work of a segment migration or a clone start grows with the
+/// segment's resident frames and leaf tables, not with its size: at most
+/// 3 accesses per segment page (one read and one write rewrite a physmap
+/// leaf; walking to its leaf table is shared by 512 pages), plus a fixed
+/// allowance per resident frame (a page-table page's entries are each
+/// read and possibly rewritten, in the segment and in the per-vCPU root
+/// copies). A physmap rewrite that walks the tables once per page does
+/// ~9 accesses per page and fails this bound.
+#[test]
+fn segment_host_work_scales_with_resident_frames() {
+    const SEG: u64 = 64 * MIB;
+    const PER_RESIDENT: u64 = 1536;
+    let seg_pages = SEG / 4096;
+    let mut h = CloudHost::new(2048 * MIB, 256 * MIB);
+    let spec = StartSpec::new(SEG).with_warmup_pages(8).cloned();
+    let mut ids = Vec::new();
+    while let Ok(id) = h.start(spec) {
+        ids.push(id);
+    }
+    assert!(ids.len() >= 8, "pool holds {} clones", ids.len());
+    for &id in ids.iter().step_by(2) {
+        h.stop_container(id).unwrap();
+    }
+
+    let before = mem_accesses(&h);
+    let report = h.compact();
+    let compact = mem_accesses(&h) - before;
+    assert!(report.moved >= 3, "fixed pool must fragment: {report:?}");
+    let bound = 3 * report.moved * seg_pages + PER_RESIDENT * report.pages_migrated;
+    assert!(
+        compact <= bound,
+        "compaction did {compact} accesses for {} segments of {seg_pages} pages \
+         with {} resident frames (bound {bound})",
+        report.moved,
+        report.pages_migrated
+    );
+
+    let copied = |h: &CloudHost| {
+        h.machine
+            .cpu
+            .metrics
+            .snapshot()
+            .get("cloud.clone_pages_copied")
+    };
+    let copied0 = copied(&h);
+    let before = mem_accesses(&h);
+    h.start(spec).unwrap();
+    let start = mem_accesses(&h) - before;
+    let resident = copied(&h) - copied0;
+    assert!(resident > 0);
+    let bound = 3 * seg_pages + PER_RESIDENT * resident;
+    assert!(
+        start <= bound,
+        "clone start did {start} accesses for a {seg_pages}-page segment \
+         with {resident} resident frames (bound {bound})"
+    );
+}
+
 #[test]
 fn host_try_new_validates_configuration() {
     // Reserve must leave room for the pool.
