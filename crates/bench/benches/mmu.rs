@@ -1,13 +1,15 @@
 //! Criterion benchmarks of the MMU model: TLB hits, 1-D walks, 2-D (EPT)
-//! walks, and PCID-tagged flushes — the substrate behind Table 4.
+//! walks, misses that evict, and PCID-tagged flushes — the substrate behind
+//! Table 4.
 
 use cki_bench::harness::Criterion;
 use cki_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
+use obs::rng::SmallRng;
 use sim_hw::cost::CostModel;
 use sim_hw::cpu::Stage2;
-use sim_hw::{Access, Cpu, HwExtensions, Instr, Machine, Mode};
+use sim_hw::{Access, Cpu, HwExtensions, Instr, Machine, Mode, Tlb};
 use sim_mem::{MapFlags, PageTables, PAGE_SIZE};
 use vmm::Ept;
 
@@ -60,6 +62,25 @@ fn bench_walk_1d(c: &mut Criterion) {
             let va = 0x100_0000 + (i % 1024) * PAGE_SIZE;
             i += 1;
             cpu.tlb.flush_va(va, cpu.pcid());
+            black_box(cpu.mem_access(&mut mem, va, Access::Read, None).unwrap())
+        })
+    });
+}
+
+fn bench_tlb_miss_evict(c: &mut Criterion) {
+    // Random accesses over ten times the TLB's capacity in pages, as GUPS
+    // makes them: nearly every access misses, walks and evicts the LRU
+    // entry of a full TLB.
+    let pages = 10 * Tlb::DEFAULT_CAPACITY as u64;
+    let (mut cpu, mut mem) = mapped_cpu(pages);
+    let mut rng = SmallRng::seed_from_u64(1);
+    for i in 0..pages {
+        cpu.mem_access(&mut mem, 0x100_0000 + i * PAGE_SIZE, Access::Read, None)
+            .unwrap();
+    }
+    c.bench_function("mmu/tlb_miss_evict", |b| {
+        b.iter(|| {
+            let va = 0x100_0000 + rng.gen_range(0..pages) * PAGE_SIZE;
             black_box(cpu.mem_access(&mut mem, va, Access::Read, None).unwrap())
         })
     });
@@ -149,6 +170,7 @@ criterion_group!(
     benches,
     bench_tlb_hit,
     bench_walk_1d,
+    bench_tlb_miss_evict,
     bench_walk_2d,
     bench_invlpg
 );

@@ -17,7 +17,7 @@
 //! constant virtual address on every vCPU without trusting `kernel_gs`
 //! (§4.2, Figure 8c), and it owns the IDT/TSS/IST memory (§4.4).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use sim_hw::idt::{self, IdtEntry};
 use sim_hw::{pkrs_deny_access, pkrs_deny_write, Machine};
@@ -118,8 +118,9 @@ pub struct Ksm {
     vcpu_areas: Vec<Phys>,
     /// Per-vCPU PDPT tables mapping the per-vCPU area (one per vCPU).
     vcpu_pdpts: Vec<Phys>,
-    /// Declared top-level roots → their per-vCPU copies.
-    root_copies: HashMap<Phys, Vec<Phys>>,
+    /// Declared top-level roots → their per-vCPU copies. Ordered, so that
+    /// teardown frees the copies in the same order in every process.
+    root_copies: BTreeMap<Phys, Vec<Phys>>,
     /// IDT physical base (KSM memory).
     pub idt_pa: Phys,
     /// TSS physical base (KSM memory; holds the IST pointers).
@@ -209,7 +210,7 @@ impl Ksm {
             template_root,
             vcpu_areas,
             vcpu_pdpts,
-            root_copies: HashMap::new(),
+            root_copies: BTreeMap::new(),
             idt_pa,
             tss_pa,
             pcid,
@@ -639,8 +640,7 @@ impl Ksm {
 
         // Root copies: shift the keys and rebase the user half of each
         // copy (host frames; kernel halves point at host table frames).
-        let copies: Vec<(Phys, Vec<Phys>)> = self.root_copies.drain().collect();
-        for (root, roots) in copies {
+        for (root, roots) in std::mem::take(&mut self.root_copies) {
             for &copy in &roots {
                 for i in 0..256 {
                     let slot = copy + 8 * i as u64;
@@ -671,7 +671,7 @@ impl Ksm {
         if self.template_root == 0 {
             return;
         }
-        for (_, copies) in self.root_copies.drain() {
+        for copies in std::mem::take(&mut self.root_copies).into_values() {
             for copy in copies {
                 m.mem.zero_frame(copy);
                 m.frames.free(copy);

@@ -2,13 +2,20 @@
 //!
 //! The paper isolates each secure container and the host in different PCID
 //! contexts so `invlpg` in one container cannot evict another container's
-//! entries (§4.1). The model is a finite, pseudo-LRU, unified TLB: enough
-//! fidelity to reproduce the 2-D-walk miss costs behind Table 4 (GUPS,
-//! BTree lookup) and the PCID isolation behaviour the security tests need.
+//! entries (§4.1). The model is a finite, fully associative, unified TLB
+//! with exact LRU replacement: enough fidelity to reproduce the 2-D-walk
+//! miss costs behind Table 4 (GUPS, BTree lookup) and the PCID isolation
+//! behaviour the security tests need.
+//!
+//! Replacement is deterministic. Which entry a full TLB evicts depends only
+//! on the sequence of lookups, inserts and flushes, never on hash seeds or
+//! table layout, so a workload that overflows the TLB gives the same hits,
+//! misses and cycles in every process.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use sim_mem::{Phys, Virt, PAGE_SIZE};
+use sim_mem::{PfnHasher, Phys, Virt, PAGE_SIZE};
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +41,61 @@ pub struct TlbEntry {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
-    vpn: u64,
-    pcid: u16,
+/// PCID under which global entries are stored; they match any context.
+const GLOBAL_PCID: u16 = 0xffff;
+
+/// Bits of a tag below the virtual page number: 16 of PCID, 1 of size.
+const VPN_SHIFT: u32 = 17;
+
+/// Packs `(vpn, page-size bit, pcid)` into one `u64` tag.
+///
+/// The VPN keeps 47 bits: all of a 2 MiB page number, and VA bits 12..=58
+/// of a 4 KiB one. Canonical addresses (4- and 5-level paging) only
+/// sign-extend into bits 59..=63, so [`Tlb::iter`] reconstructs them
+/// exactly; the page walk never reads bits above 47, so two VAs that share
+/// a tag also share a translation.
+#[inline]
+fn tag(va: Virt, huge: bool, pcid: u16) -> u64 {
+    let shift = if huge { 21 } else { 12 };
+    (va >> shift) << VPN_SHIFT | u64::from(huge) << 16 | u64::from(pcid)
 }
 
-/// Finite, PCID-tagged, pseudo-LRU TLB.
+/// Inverse of [`tag`]: the page-aligned VA and the PCID.
+fn untag(key: u64) -> (Virt, u16) {
+    let shift = if key & (1 << 16) != 0 { 21 } else { 12 };
+    let vpn = ((key as i64) >> VPN_SHIFT) as u64;
+    (vpn << shift, key as u16)
+}
+
+/// End-of-list marker for the recency links.
+const NIL: u32 = u32::MAX;
+
+/// One TLB slot, linked into the recency list (or the free list, through
+/// `next`).
+struct Slot {
+    key: u64,
+    entry: TlbEntry,
+    prev: u32,
+    next: u32,
+}
+
+/// Finite, PCID-tagged, fully associative TLB with exact LRU replacement.
+///
+/// Entries live in a slot array of at most `capacity` slots, doubly linked
+/// in recency order by `u32` indices; a tag-to-slot index finds them. A hit
+/// moves the entry to the most-recently-used end, and an insert into a full
+/// TLB evicts the least-recently-used one, both in O(1). Flushes by PCID
+/// walk only the occupied slots.
 pub struct Tlb {
-    entries: HashMap<Key, (TlbEntry, u64)>,
+    slots: Vec<Slot>,
+    index: HashMap<u64, u32, BuildHasherDefault<PfnHasher>>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the next victim.
+    tail: u32,
+    /// First slot of the free list (vacated by flushes).
+    free: u32,
     capacity: usize,
-    tick: u64,
 }
 
 impl Tlb {
@@ -56,117 +107,116 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the `u32` slot links.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
+        assert!(capacity < NIL as usize, "TLB capacity exceeds slot links");
         Self {
-            entries: HashMap::with_capacity(capacity),
+            slots: Vec::new(),
+            index: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             capacity,
-            tick: 0,
         }
     }
 
     /// Looks up `va` in context `pcid`. Global entries match any PCID.
+    /// A hit becomes the most recently used entry.
     pub fn lookup(&mut self, va: Virt, pcid: u16) -> Option<TlbEntry> {
-        self.tick += 1;
-        // 4 KiB then 2 MiB page key.
-        for shift in [12u64, 21u64] {
-            let key = Key {
-                vpn: va >> shift | (shift << 56),
-                pcid,
-            };
-            if let Some((e, stamp)) = self.entries.get_mut(&key) {
-                *stamp = self.tick;
-                return Some(*e);
-            }
-            // Global pages are stored under PCID 0xffff.
-            let gkey = Key {
-                vpn: va >> shift | (shift << 56),
-                pcid: 0xffff,
-            };
-            if let Some((e, stamp)) = self.entries.get_mut(&gkey) {
-                *stamp = self.tick;
-                return Some(*e);
-            }
-        }
-        None
+        let slot = self.find(va, pcid)?;
+        self.unlink(slot);
+        self.push_front(slot);
+        Some(self.slots[slot as usize].entry)
     }
 
-    /// Inserts a translation for `va` in context `pcid`.
+    /// Inserts a translation for `va` in context `pcid`, evicting the least
+    /// recently used entry if the TLB is full. Re-inserting a cached tag
+    /// updates it in place and evicts nothing.
     pub fn insert(&mut self, va: Virt, pcid: u16, entry: TlbEntry) {
-        let shift = if entry.page_size == PAGE_SIZE {
-            12u64
-        } else {
-            21u64
+        let pcid = if entry.global { GLOBAL_PCID } else { pcid };
+        let key = tag(va, entry.page_size != PAGE_SIZE, pcid);
+        let slot = match self.index.get(&key) {
+            Some(&slot) => {
+                self.unlink(slot);
+                slot
+            }
+            None => {
+                let slot = self.reuse_slot().unwrap_or_else(|| {
+                    self.slots.push(Slot {
+                        key,
+                        entry,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    (self.slots.len() - 1) as u32
+                });
+                self.index.insert(key, slot);
+                slot
+            }
         };
-        let pcid = if entry.global { 0xffff } else { pcid };
-        if self.entries.len() >= self.capacity {
-            self.evict_one();
-        }
-        self.tick += 1;
-        self.entries.insert(
-            Key {
-                vpn: va >> shift | (shift << 56),
-                pcid,
-            },
-            (entry, self.tick),
-        );
+        let s = &mut self.slots[slot as usize];
+        s.key = key;
+        s.entry = entry;
+        self.push_front(slot);
     }
 
     /// Marks the cached entry for `va`/`pcid` dirty (after a write hit).
+    /// Recency is unchanged: the access already counted as a hit.
     pub fn mark_dirty(&mut self, va: Virt, pcid: u16) {
-        for shift in [12u64, 21u64] {
-            for p in [pcid, 0xffff] {
-                if let Some((e, _)) = self.entries.get_mut(&Key {
-                    vpn: va >> shift | (shift << 56),
-                    pcid: p,
-                }) {
-                    e.dirty = true;
-                    return;
-                }
-            }
+        if let Some(slot) = self.find(va, pcid) {
+            self.slots[slot as usize].entry.dirty = true;
         }
     }
 
     /// `invlpg`: drops the entry for `va` in `pcid` only (both page sizes).
     /// Global entries are also dropped, per the SDM.
     pub fn flush_va(&mut self, va: Virt, pcid: u16) {
-        for shift in [12u64, 21u64] {
-            self.entries.remove(&Key {
-                vpn: va >> shift | (shift << 56),
-                pcid,
-            });
-            self.entries.remove(&Key {
-                vpn: va >> shift | (shift << 56),
-                pcid: 0xffff,
-            });
+        for huge in [false, true] {
+            for p in [pcid, GLOBAL_PCID] {
+                if let Some(slot) = self.index.remove(&tag(va, huge, p)) {
+                    self.release(slot);
+                }
+            }
         }
     }
 
     /// Drops every entry of one PCID (non-global), as a CR3 write without
     /// the preserve bit does.
     pub fn flush_pcid(&mut self, pcid: u16) {
-        self.entries.retain(|k, _| k.pcid != pcid);
+        let mut cur = self.head;
+        while cur != NIL {
+            let Slot { key, next, .. } = self.slots[cur as usize];
+            if key as u16 == pcid {
+                self.index.remove(&key);
+                self.release(cur);
+            }
+            cur = next;
+        }
     }
 
     /// Drops everything, including globals (`invpcid` all-contexts).
     pub fn flush_all(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.free = NIL;
     }
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if the TLB holds no translations.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Entries cached for a given PCID (diagnostics / isolation tests).
     pub fn count_pcid(&self, pcid: u16) -> usize {
-        self.entries.keys().filter(|k| k.pcid == pcid).count()
+        self.occupied().filter(|s| s.key as u16 == pcid).count()
     }
 
     /// Configured entry capacity.
@@ -174,32 +224,88 @@ impl Tlb {
         self.capacity
     }
 
-    /// Iterates over every cached translation as `(va, pcid, entry)`.
+    /// Iterates over every cached translation as `(va, pcid, entry)`, most
+    /// recently used first.
     ///
     /// The VA is reconstructed from the tag (page-aligned); global entries
     /// report PCID `0xffff`. Intended for coherence checkers that want to
     /// re-validate every cached entry against the live page tables.
     pub fn iter(&self) -> impl Iterator<Item = (Virt, u16, TlbEntry)> + '_ {
-        self.entries.iter().map(|(k, (e, _))| {
-            let shift = k.vpn >> 56;
-            let va = (k.vpn & ((1u64 << 56) - 1)) << shift;
-            (va, k.pcid, *e)
+        self.occupied().map(|s| {
+            let (va, pcid) = untag(s.key);
+            (va, pcid, s.entry)
         })
     }
 
-    fn evict_one(&mut self) {
-        // Approximate LRU: evict the stalest of a small sample. HashMap
-        // iteration order is effectively arbitrary, which matches the
-        // not-quite-LRU behaviour of real TLBs well enough.
-        if let Some(key) = self
-            .entries
-            .iter()
-            .take(8)
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(k, _)| *k)
-        {
-            self.entries.remove(&key);
+    /// Occupied slots in recency order, most recent first.
+    fn occupied(&self) -> impl Iterator<Item = &Slot> + '_ {
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            let s = self.slots.get(cur as usize)?;
+            cur = s.next;
+            Some(s)
+        })
+    }
+
+    /// Slot caching `va` for `pcid`: 4 KiB before 2 MiB, the context's own
+    /// entry before a global one.
+    #[inline]
+    fn find(&self, va: Virt, pcid: u16) -> Option<u32> {
+        [false, true].into_iter().find_map(|huge| {
+            self.index
+                .get(&tag(va, huge, pcid))
+                .or_else(|| self.index.get(&tag(va, huge, GLOBAL_PCID)))
+                .copied()
+        })
+    }
+
+    /// A reused slot for a new tag, unlinked: a flushed one, else the
+    /// evicted LRU tail once the array is full. `None` while it can grow.
+    fn reuse_slot(&mut self) -> Option<u32> {
+        if self.free != NIL {
+            let slot = self.free;
+            self.free = self.slots[slot as usize].next;
+            return Some(slot);
         }
+        if self.slots.len() < self.capacity {
+            return None;
+        }
+        let victim = self.tail;
+        self.index.remove(&self.slots[victim as usize].key);
+        self.unlink(victim);
+        Some(victim)
+    }
+
+    /// Unlinks an occupied slot whose tag is already out of the index and
+    /// puts it on the free list.
+    fn release(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old = self.head;
+        let s = &mut self.slots[slot as usize];
+        s.prev = NIL;
+        s.next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].prev = slot,
+        }
+        self.head = slot;
     }
 }
 
@@ -212,7 +318,7 @@ impl Default for Tlb {
 impl std::fmt::Debug for Tlb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tlb")
-            .field("entries", &self.entries.len())
+            .field("entries", &self.len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -375,7 +481,7 @@ mod tests {
             }
         }
 
-        fn rand_entry(rng: &mut SmallRng, va: Virt, pcid: u16) -> TlbEntry {
+        pub(super) fn rand_entry(rng: &mut SmallRng, va: Virt, pcid: u16) -> TlbEntry {
             let huge = rng.gen_bool(0.2);
             let global = rng.gen_bool(0.15);
             TlbEntry {
@@ -495,6 +601,159 @@ mod tests {
                 let probe = (rng.gen::<u64>() % 128) * PAGE_SIZE;
                 check_agree(&mut t, &model, probe, 1);
             }
+        }
+    }
+
+    // ---- Exactness: replacement is true LRU, not just safe -----------------
+    //
+    // A VecDeque reference keeps every tag in recency order (front = most
+    // recent) and evicts from the back. Driven by the same random sequence,
+    // the TLB must agree on every hit/miss and returned entry, and hold the
+    // same entries in the same order after every step.
+
+    mod lru {
+        use super::*;
+        use obs::rng::SmallRng;
+        use std::collections::VecDeque;
+
+        type RefTag = (u64, bool, u16);
+
+        fn ref_tag(va: Virt, huge: bool, pcid: u16) -> RefTag {
+            (va >> if huge { 21 } else { 12 }, huge, pcid)
+        }
+
+        /// Reference exact LRU over `(tag, entry)`, most recent first.
+        struct RefLru {
+            cap: usize,
+            q: VecDeque<(RefTag, TlbEntry)>,
+        }
+
+        impl RefLru {
+            fn find(&self, va: Virt, pcid: u16) -> Option<usize> {
+                [false, true].into_iter().find_map(|huge| {
+                    [pcid, GLOBAL_PCID].into_iter().find_map(|p| {
+                        let t = ref_tag(va, huge, p);
+                        self.q.iter().position(|(k, _)| *k == t)
+                    })
+                })
+            }
+
+            fn lookup(&mut self, va: Virt, pcid: u16) -> Option<TlbEntry> {
+                let i = self.find(va, pcid)?;
+                let hit = self.q.remove(i).unwrap();
+                self.q.push_front(hit);
+                Some(hit.1)
+            }
+
+            fn mark_dirty(&mut self, va: Virt, pcid: u16) {
+                if let Some(i) = self.find(va, pcid) {
+                    self.q[i].1.dirty = true;
+                }
+            }
+
+            fn insert(&mut self, va: Virt, pcid: u16, e: TlbEntry) {
+                let pcid = if e.global { GLOBAL_PCID } else { pcid };
+                let t = ref_tag(va, e.page_size != PAGE_SIZE, pcid);
+                if let Some(i) = self.q.iter().position(|(k, _)| *k == t) {
+                    self.q.remove(i);
+                } else if self.q.len() == self.cap {
+                    self.q.pop_back();
+                }
+                self.q.push_front((t, e));
+            }
+
+            fn flush_va(&mut self, va: Virt, pcid: u16) {
+                let flushed = |k: RefTag| {
+                    [false, true].into_iter().any(|huge| {
+                        k == ref_tag(va, huge, pcid) || k == ref_tag(va, huge, GLOBAL_PCID)
+                    })
+                };
+                self.q.retain(|&(k, _)| !flushed(k));
+            }
+
+            fn flush_pcid(&mut self, pcid: u16) {
+                self.q.retain(|&((_, _, p), _)| p != pcid);
+            }
+
+            /// Contents in `Tlb::iter` form.
+            fn entries(&self) -> Vec<(Virt, u16, TlbEntry)> {
+                self.q
+                    .iter()
+                    .map(|&((vpn, huge, p), e)| (vpn << if huge { 21 } else { 12 }, p, e))
+                    .collect()
+            }
+        }
+
+        #[test]
+        fn replacement_matches_a_reference_lru() {
+            for cap in [1usize, 8, 32] {
+                for seed in 0..4u64 {
+                    let mut rng = SmallRng::seed_from_u64(0x1e0_0000 + cap as u64 * 16 + seed);
+                    let mut t = Tlb::new(cap);
+                    let mut model = RefLru {
+                        cap,
+                        q: VecDeque::new(),
+                    };
+                    let pcids = [1u16, 2, 3];
+                    // Up to ~100 live tags: heavy eviction at every capacity.
+                    let va_of = |i: u64| (i % 48) * PAGE_SIZE + (i % 3) * 0x20_0000;
+                    for step in 0..3000u64 {
+                        let va = va_of(rng.gen::<u64>());
+                        let pcid = pcids[rng.gen_range(0usize..3)];
+                        match rng.gen_range(0u32..16) {
+                            0..=5 => {
+                                let e = prop::rand_entry(&mut rng, va, pcid);
+                                t.insert(va, pcid, e);
+                                model.insert(va, pcid, e);
+                            }
+                            6 => {
+                                t.mark_dirty(va, pcid);
+                                model.mark_dirty(va, pcid);
+                            }
+                            7 => {
+                                t.flush_va(va, pcid);
+                                model.flush_va(va, pcid);
+                            }
+                            8 => {
+                                t.flush_pcid(pcid);
+                                model.flush_pcid(pcid);
+                            }
+                            9 if step % 61 == 0 => {
+                                t.flush_all();
+                                model.q.clear();
+                            }
+                            _ => assert_eq!(
+                                t.lookup(va, pcid),
+                                model.lookup(va, pcid),
+                                "cap {cap} seed {seed} step {step}: lookup va={va:#x} pcid={pcid}"
+                            ),
+                        }
+                        assert_eq!(
+                            t.iter().collect::<Vec<_>>(),
+                            model.entries(),
+                            "cap {cap} seed {seed} step {step}: contents or recency order"
+                        );
+                        assert_eq!(t.len(), model.q.len());
+                        for p in pcids {
+                            assert_eq!(
+                                t.count_pcid(p),
+                                model.q.iter().filter(|(k, _)| k.2 == p).count()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn iter_reconstructs_high_half_vas() {
+            let mut t = Tlb::new(4);
+            let mut huge = entry(0x20_0000);
+            huge.page_size = 2 * 1024 * 1024;
+            t.insert(0xffff_8000_0000_1000, 1, entry(0xa000));
+            t.insert(0xffff_ffff_ffe0_0000, 1, huge);
+            let vas: Vec<_> = t.iter().map(|(va, _, _)| va).collect();
+            assert_eq!(vas, [0xffff_ffff_ffe0_0000, 0xffff_8000_0000_1000]);
         }
     }
 }

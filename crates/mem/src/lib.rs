@@ -23,6 +23,6 @@ pub mod segment;
 
 pub use addr::{Phys, Virt, PAGE_SHIFT, PAGE_SIZE};
 pub use frame::FrameAllocator;
-pub use phys::PhysMem;
+pub use phys::{PfnHasher, PhysMem};
 pub use ptedit::{MapFlags, PageTables, WalkError, WalkResult};
 pub use segment::{Segment, SegmentAllocator};

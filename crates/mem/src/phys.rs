@@ -8,14 +8,28 @@ use crate::addr::{page_offset, pfn, Phys, PAGE_SIZE};
 /// One 4 KiB physical frame of simulated memory.
 type Frame = Box<[u8; PAGE_SIZE as usize]>;
 
-/// Hasher for frame numbers: one multiply by an odd constant (a bijection,
-/// so distinct frames never share a hash), rotated so the well-mixed high
-/// product bits pick the bucket. Frame numbers are bounded by the machine
-/// size and chosen by the simulator's own allocators, so the collision
-/// resistance of the default SipHash buys nothing here, while every
-/// simulated memory access pays for it.
+/// Hasher for simulator-chosen integer keys: one multiply by an odd
+/// constant (a bijection, so distinct keys never share a hash), rotated so
+/// the well-mixed high product bits pick the bucket.
+///
+/// Frame numbers are bounded by the machine size and chosen by the
+/// simulator's own allocators, and TLB tags are packed from addresses the
+/// simulated CPU translates, so the collision resistance of the default
+/// SipHash buys nothing for either, while every simulated memory access
+/// pays for it. Unlike `RandomState`, it is unseeded: table iteration order
+/// is the same in every process.
+///
+/// ```
+/// use std::collections::HashMap;
+/// use std::hash::BuildHasherDefault;
+/// use sim_mem::PfnHasher;
+///
+/// let mut m: HashMap<u64, u32, BuildHasherDefault<PfnHasher>> = HashMap::default();
+/// m.insert(7, 1);
+/// assert_eq!(m[&7], 1);
+/// ```
 #[derive(Default)]
-struct PfnHasher(u64);
+pub struct PfnHasher(u64);
 
 impl Hasher for PfnHasher {
     fn write(&mut self, bytes: &[u8]) {

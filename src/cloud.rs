@@ -24,7 +24,7 @@
 //!   failing permanently. Compaction is never run implicitly: the §4.3
 //!   failure mode stays observable unless the operator opts in.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cki_core::CkiPlatform;
 use guest_os::costs::copy_cycles;
@@ -246,7 +246,7 @@ pub struct CloudHost {
     segments: SegmentAllocator,
     containers: HashMap<ContainerId, Container>,
     /// Booted template snapshots, keyed by configuration.
-    templates: HashMap<TemplateKey, Container>,
+    templates: BTreeMap<TemplateKey, Container>,
     next_id: ContainerId,
     pcids: PcidAllocator,
     ids: CloudIds,
@@ -329,7 +329,7 @@ impl CloudHost {
             machine,
             segments: SegmentAllocator::new(pool, pool + pool_frames * PAGE_SIZE),
             containers: HashMap::new(),
-            templates: HashMap::new(),
+            templates: BTreeMap::new(),
             next_id: 1,
             pcids: PcidAllocator::new(3),
             ids,
@@ -541,9 +541,9 @@ impl CloudHost {
     /// Drops all template snapshots, returning their segments and PCIDs
     /// to the pool (e.g. before a final compaction).
     pub fn retire_templates(&mut self) {
-        let keys: Vec<_> = self.templates.keys().copied().collect();
-        for key in keys {
-            let mut c = self.templates.remove(&key).expect("template");
+        // Ascending key order: the PCID and frame free lists are LIFO, so
+        // the release order decides later allocations.
+        for mut c in std::mem::take(&mut self.templates).into_values() {
             self.machine.cpu.tlb.flush_pcid(c.pcid);
             if let Some(p) = c.kernel.platform.as_any_mut().downcast_mut::<CkiPlatform>() {
                 p.teardown(&mut self.machine);

@@ -254,3 +254,55 @@ fn host_try_new_validates_configuration() {
     let pid = h.enter(id, |env| env.sys(Sys::Getpid).unwrap()).unwrap();
     assert_eq!(pid, 1);
 }
+
+/// Runs a fixed op sequence that leaves several templates registered (one
+/// per configuration), stops half of the forked, multi-vCPU clones (so
+/// their monitors free several roots' copies), retires the templates, and
+/// records what the host hands out next: host frames straight from the
+/// frame allocator, then the PCIDs of fresh starts.
+fn allocations_after_retire() -> (Vec<u64>, Vec<u16>) {
+    let mut h = CloudHost::new(512 * MIB, 64 * MIB);
+    let mut fleet = Vec::new();
+    for (i, seg) in [4 * MIB, 8 * MIB, 12 * MIB, 16 * MIB, 20 * MIB]
+        .into_iter()
+        .enumerate()
+    {
+        let mut spec = StartSpec::new(seg).with_warmup_pages(2).cloned();
+        spec.vcpus = 1 + i as u32 % 3;
+        let id = h.start(spec).unwrap();
+        // Forked processes give the monitor several roots with copies.
+        h.enter(id, |env| {
+            for _ in 0..3 {
+                env.sys(Sys::Fork).unwrap();
+            }
+        })
+        .unwrap();
+        fleet.push(id);
+    }
+    for id in fleet.drain(..).step_by(2) {
+        h.stop_container(id).unwrap();
+    }
+    h.retire_templates();
+    let frames = std::iter::from_fn(|| h.machine.frames.alloc())
+        .take(1024)
+        .collect();
+    let pcids = (0..6)
+        .map(|_| {
+            let id = h.start_container(4 * MIB).unwrap();
+            h.container(id).unwrap().pcid
+        })
+        .collect();
+    (frames, pcids)
+}
+
+/// Retiring templates (and the monitor teardown under it) releases frames
+/// and PCIDs onto LIFO free lists, so the release order decides the later
+/// physical layout. It must not depend on per-process hash seeds: two hosts
+/// driven identically allocate identically afterwards.
+#[test]
+fn retire_templates_releases_in_a_deterministic_order() {
+    let first = allocations_after_retire();
+    let second = allocations_after_retire();
+    assert_eq!(first.0, second.0, "next host frames differ");
+    assert_eq!(first.1, second.1, "next PCIDs differ");
+}
