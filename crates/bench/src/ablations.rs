@@ -7,19 +7,12 @@
 //! 3. contiguous-segment fragmentation (the §4.3 limitation);
 //! 4. the §9 future-work fast paths (in-kernel syscalls, driver sandbox).
 
-use cki::{Backend, Stack, StackConfig};
-use cki_bench::{Matrix, Scale};
+use cki::Backend;
 use sim_hw::{HwExtensions, Machine, Mode, Tag};
 use sim_mem::SegmentAllocator;
 
-fn pgfault_ns(backend: Backend, pages: u64) -> f64 {
-    let mut stack = Stack::new(backend, StackConfig::default());
-    let mut env = stack.env();
-    let base = env.mmap(pages * 4096).expect("mmap");
-    let t0 = env.now_ns();
-    env.touch_range(base, pages * 4096, true).expect("touch");
-    (env.now_ns() - t0) / pages as f64
-}
+use crate::experiments::pgfault_ns;
+use crate::{Matrix, Outcome, Scale};
 
 fn gate_sidechannel(scale: Scale) -> Matrix {
     let pages = scale.n(512);
@@ -180,22 +173,13 @@ fn pervcpu_cost(scale: Scale) -> Matrix {
     m
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let out = std::path::Path::new("results");
-    for matrix in [
+/// The four ablation matrices, in the order of their TSV stems.
+pub fn run(scale: Scale) -> Outcome {
+    [
         gate_sidechannel(scale),
         pervcpu_cost(scale),
         fragmentation(),
         future_work(),
-    ] {
-        print!("{}", matrix.render());
-        let name = matrix
-            .title
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .take(24)
-            .collect::<String>();
-        matrix.save_tsv(&out.join(format!("ablation_{name}.tsv")));
-    }
+    ]
+    .into()
 }

@@ -9,15 +9,14 @@
 //! accounting.
 //!
 //! ```sh
-//! CKI_BENCH_SCALE=quick cargo run --release --bin cloud_churn
+//! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin repro -- cloud_churn
 //! ```
 
-use std::fmt::Write as _;
-
 use cki::{CloudHost, HostError, SloWatchdog, StartSpec};
-use cki_bench::Scale;
 use guest_os::Sys;
 use obs::rng::SmallRng;
+
+use crate::{Outcome, Scale};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -32,8 +31,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn main() {
-    let scale = Scale::from_env();
+/// Runs the churn and returns its scalars (`BENCH_cloud_churn.json`).
+pub fn run(scale: Scale) -> Outcome {
     let cycles = scale.n(2500);
     // Pool ≈ 3 GiB: tight enough that a ~100-container mixed fleet runs
     // the pool near capacity, where churn fragments the free space.
@@ -125,9 +124,6 @@ fn main() {
     }
 
     invoke_cycles.sort_unstable();
-    let snap = host.machine.cpu.metrics.snapshot();
-    let freq_ghz = host.machine.cpu.clock.model().freq_ghz;
-    let to_us = |c: u64| c as f64 / freq_ghz / 1000.0;
 
     // Observability accounting: what the flight recorders + watchdog cost,
     // and how close the streaming sketch tail is to the exact offline one.
@@ -142,37 +138,8 @@ fn main() {
     let sketch_p99 = metrics.sketch_quantile(invoke_sketch, 0.99);
     let exact_p99 = percentile(&invoke_cycles, 0.99);
     let p99_err = (sketch_p99 as f64 - exact_p99 as f64).abs() / exact_p99.max(1) as f64;
-    let wd = host.watchdog().expect("watchdog enabled");
-    let (wd_ticks, wd_rules) = (wd.ticks(), wd.rules().len());
-    let incidents = host.incidents().len();
+    let wd_ticks = host.watchdog().expect("watchdog enabled").ticks();
 
-    println!("== Cloud churn ({cycles} cycles, fleet ~{fleet_target}, sizes {SIZES_MIB:?} MiB)");
-    println!(
-        "cold start : {boot_mean:>9} cycles ({:.1} us)",
-        to_us(boot_mean)
-    );
-    println!(
-        "clone start: {clone_mean:>9} cycles ({:.1} us)  — {ratio:.1}x cheaper",
-        to_us(clone_mean)
-    );
-    println!(
-        "invoke p50 : {:>9} cycles   p99: {} cycles",
-        percentile(&invoke_cycles, 0.50),
-        percentile(&invoke_cycles, 0.99)
-    );
-    println!(
-        "frag stalls: {recovered_stalls} (all recovered by compaction); {compactions} compactions, \
-         {pages_migrated} pages migrated, {compaction_cycles} cycles"
-    );
-    println!(
-        "obs        : {obs_cycles} cycles ({obs_pct:.3}% of run) for {} flight records, \
-         {wd_ticks} watchdog ticks ({wd_rules} rules), {incidents} incidents",
-        host.flight_records()
-    );
-    println!(
-        "sketch p99 : {sketch_p99} cycles vs exact {exact_p99} ({:.2}% error)",
-        p99_err * 100.0
-    );
     assert!(
         ratio >= 5.0,
         "snapshot clone must be >=5x cheaper than cold boot (got {ratio:.2}x)"
@@ -188,46 +155,32 @@ fn main() {
         p99_err * 100.0
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(json, "  \"churn_cycles\": {cycles},");
-    let _ = writeln!(json, "  \"fleet_target\": {fleet_target},");
-    let _ = writeln!(json, "  \"cold_start_cycles_mean\": {boot_mean},");
-    let _ = writeln!(json, "  \"clone_start_cycles_mean\": {clone_mean},");
-    let _ = writeln!(json, "  \"cold_over_clone_ratio\": {ratio:.3},");
-    let _ = writeln!(
-        json,
-        "  \"invoke_p50_cycles\": {},",
-        percentile(&invoke_cycles, 0.50)
+    let mut o = Outcome::default();
+    o.push("churn_cycles", cycles);
+    o.push("fleet_target", fleet_target as u64);
+    o.push("cold_start_cycles_mean", boot_mean);
+    o.push("clone_start_cycles_mean", clone_mean);
+    o.fixed("cold_over_clone_ratio", ratio, 3);
+    o.push("invoke_p50_cycles", percentile(&invoke_cycles, 0.50));
+    o.push("invoke_p99_cycles", percentile(&invoke_cycles, 0.99));
+    o.push("frag_stalls_recovered", recovered_stalls);
+    o.push("frag_failures_unrecovered", 0u64);
+    o.push("compactions", compactions);
+    o.push("compaction_cycles", compaction_cycles);
+    o.push("pages_migrated", pages_migrated);
+    o.push(
+        "clone_pages_copied",
+        metrics.snapshot().get("cloud.clone_pages_copied"),
     );
-    let _ = writeln!(
-        json,
-        "  \"invoke_p99_cycles\": {},",
-        percentile(&invoke_cycles, 0.99)
-    );
-    let _ = writeln!(json, "  \"frag_stalls_recovered\": {recovered_stalls},");
-    let _ = writeln!(json, "  \"frag_failures_unrecovered\": 0,");
-    let _ = writeln!(json, "  \"compactions\": {compactions},");
-    let _ = writeln!(json, "  \"compaction_cycles\": {compaction_cycles},");
-    let _ = writeln!(json, "  \"pages_migrated\": {pages_migrated},");
-    let _ = writeln!(
-        json,
-        "  \"clone_pages_copied\": {},",
-        snap.get("cloud.clone_pages_copied")
-    );
-    let _ = writeln!(json, "  \"containers_started\": {},", host.started);
-    let _ = writeln!(json, "  \"containers_stopped\": {},", host.stopped);
-    let _ = writeln!(json, "  \"pcids_in_use_end\": {},", host.pcids_in_use());
-    let _ = writeln!(json, "  \"sketch_invoke_p50_cycles\": {sketch_p50},");
-    let _ = writeln!(json, "  \"sketch_invoke_p99_cycles\": {sketch_p99},");
-    let _ = writeln!(json, "  \"obs_overhead_cycles\": {obs_cycles},");
-    let _ = writeln!(json, "  \"obs_overhead_pct\": {obs_pct:.4},");
-    let _ = writeln!(json, "  \"flight_records\": {},", host.flight_records());
-    let _ = writeln!(json, "  \"watchdog_ticks\": {wd_ticks},");
-    let _ = writeln!(json, "  \"slo_incidents\": {incidents}");
-    json.push('}');
-    assert!(obs::export::json_balanced(&json), "malformed JSON output");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_cloud_churn.json", &json).expect("write json");
-    println!("wrote results/BENCH_cloud_churn.json");
+    o.push("containers_started", host.started);
+    o.push("containers_stopped", host.stopped);
+    o.push("pcids_in_use_end", host.pcids_in_use() as u64);
+    o.push("sketch_invoke_p50_cycles", sketch_p50);
+    o.push("sketch_invoke_p99_cycles", sketch_p99);
+    o.push("obs_overhead_cycles", obs_cycles);
+    o.fixed("obs_overhead_pct", obs_pct, 4);
+    o.push("flight_records", host.flight_records());
+    o.push("watchdog_ticks", wd_ticks);
+    o.push("slo_incidents", host.incidents().len() as u64);
+    o
 }

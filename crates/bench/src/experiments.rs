@@ -14,7 +14,7 @@ use workloads::iobench::{IoCase, IoWorkload};
 use workloads::kv::{KvKind, KvServerWorkload};
 use workloads::lmbench::{self, LmCase};
 use workloads::parsec::{ParsecKind, ParsecWorkload};
-use workloads::sqlite::{SqliteCase, SqliteWorkload};
+use workloads::sqlite::{SqliteBlkWorkload, SqliteCase, SqliteWorkload};
 use workloads::xsbench::XsBenchWorkload;
 
 use crate::util::{Matrix, Scale};
@@ -70,7 +70,12 @@ fn boot(backend: Backend, clients: u32) -> Stack {
     )
 }
 
-/// Publishes a finished stack's unified metrics snapshot to the `run_all`
+/// One cell per backend, in column order.
+fn row(backends: &[(&str, Backend)], cell: impl FnMut(Backend) -> f64) -> Vec<f64> {
+    backends.iter().map(|&(_, b)| b).map(cell).collect()
+}
+
+/// Publishes a finished stack's unified metrics snapshot to the `repro`
 /// sink (no-op outside a capture window — see [`crate::util::sink`]).
 fn record_stack(stack: &Stack) {
     crate::util::sink::record(stack.backend.name(), stack.metrics_snapshot());
@@ -153,37 +158,26 @@ pub fn hypercall_ns(backend: Backend) -> f64 {
 /// Table 2: container performance on microbenchmarks (ns).
 pub fn table2(scale: Scale) -> Matrix {
     let pages = scale.n(512);
+    let backends = [
+        ("RunC", Backend::RunC),
+        ("HVM-BM", Backend::HvmBm),
+        ("PVM", Backend::Pvm),
+        ("HVM-NST", Backend::HvmNested),
+        ("PVM-NST", Backend::PvmNested),
+        ("CKI", Backend::Cki),
+    ];
     let mut m = Matrix::new(
         "Table 2: container microbenchmarks",
         "ns",
-        &["RunC", "HVM-BM", "PVM", "HVM-NST", "PVM-NST", "CKI"],
+        &backends.map(|(n, _)| n),
     );
-    let backends = [
-        Backend::RunC,
-        Backend::HvmBm,
-        Backend::Pvm,
-        Backend::HvmNested,
-        Backend::PvmNested,
-        Backend::Cki,
-    ];
-    m.push_row("syscall", backends.iter().map(|&b| syscall_ns(b)).collect());
-    m.push_row(
-        "pgfault",
-        backends.iter().map(|&b| pgfault_ns(b, pages)).collect(),
-    );
-    m.push_row(
-        "hypercall",
-        backends
-            .iter()
-            .map(|&b| {
-                if b == Backend::RunC {
-                    0.0
-                } else {
-                    hypercall_ns(b)
-                }
-            })
-            .collect(),
-    );
+    m.push_row("syscall", row(&backends, syscall_ns));
+    m.push_row("pgfault", row(&backends, |b| pgfault_ns(b, pages)));
+    let hypercall = |b| match b {
+        Backend::RunC => 0.0,
+        _ => hypercall_ns(b),
+    };
+    m.push_row("hypercall", row(&backends, hypercall));
     m
 }
 
@@ -205,30 +199,36 @@ pub fn fig02() -> Matrix {
     m
 }
 
-/// Figure 4: motivation — memory-intensive latency, normalized to RunC-BM.
-pub fn fig04(scale: Scale) -> Matrix {
-    let backends = [
-        ("HVM-NST", Backend::HvmNested),
-        ("PVM-NST", Backend::PvmNested),
-        ("RunC-BM", Backend::RunC),
-        ("HVM-BM", Backend::HvmBm),
-        ("PVM-BM", Backend::Pvm),
-    ];
-    let mut m = Matrix::new(
-        "Figure 4: memory-intensive latency (motivation)",
-        "ns (normalize to RunC-BM)",
-        &backends.map(|(n, _)| n),
-    );
+/// The five configurations of the motivation figures (4 and 5).
+const MOTIVATION: [(&str, Backend); 5] = [
+    ("HVM-NST", Backend::HvmNested),
+    ("PVM-NST", Backend::PvmNested),
+    ("RunC-BM", Backend::RunC),
+    ("HVM-BM", Backend::HvmBm),
+    ("PVM-BM", Backend::Pvm),
+];
+
+/// Latency of every memory-intensive app on every backend (Figures 4, 12).
+fn mem_apps(title: &str, unit: &str, backends: &[(&str, Backend)], scale: Scale) -> Matrix {
+    let cols: Vec<&str> = backends.iter().map(|&(n, _)| n).collect();
+    let mut m = Matrix::new(title, unit, &cols);
     for app in MemApp::ALL {
         m.push_row(
             app.name(),
-            backends
-                .iter()
-                .map(|&(_, b)| mem_app_latency(b, app, scale))
-                .collect(),
+            row(backends, |b| mem_app_latency(b, app, scale)),
         );
     }
     m
+}
+
+/// Figure 4: motivation — memory-intensive latency, normalized to RunC-BM.
+pub fn fig04(scale: Scale) -> Matrix {
+    mem_apps(
+        "Figure 4: memory-intensive latency (motivation)",
+        "ns (normalize to RunC-BM)",
+        &MOTIVATION,
+        scale,
+    )
 }
 
 /// Throughput (ops/s) of one I/O case on one backend with 16 clients.
@@ -248,44 +248,23 @@ pub fn io_tput(backend: Backend, case: IoCase, scale: Scale) -> f64 {
 
 /// Figure 5: motivation — I/O-intensive throughput, normalized to RunC-BM.
 pub fn fig05(scale: Scale) -> Matrix {
-    let backends = [
-        ("HVM-NST", Backend::HvmNested),
-        ("PVM-NST", Backend::PvmNested),
-        ("RunC-BM", Backend::RunC),
-        ("HVM-BM", Backend::HvmBm),
-        ("PVM-BM", Backend::Pvm),
-    ];
     let mut m = Matrix::new(
         "Figure 5: I/O-intensive throughput (motivation)",
         "ops/s (normalize to RunC-BM)",
-        &backends.map(|(n, _)| n),
+        &MOTIVATION.map(|(n, _)| n),
     );
     for case in IoCase::ALL {
-        m.push_row(
-            case.name(),
-            backends
-                .iter()
-                .map(|&(_, b)| io_tput(b, case, scale))
-                .collect(),
-        );
+        m.push_row(case.name(), row(&MOTIVATION, |b| io_tput(b, case, scale)));
     }
     // Key-value servers and SQLite round out the paper's eight columns.
     for kind in [KvKind::Redis, KvKind::Memcached] {
         m.push_row(
             kind.name(),
-            backends
-                .iter()
-                .map(|&(_, b)| kv_tput(b, kind, 16, scale))
-                .collect(),
+            row(&MOTIVATION, |b| kv_tput(b, kind, 16, scale)),
         );
     }
-    m.push_row(
-        "sqlite(tmpfs)",
-        backends
-            .iter()
-            .map(|&(_, b)| sqlite_run(b, SqliteCase::FillRandom, scale).ops_per_sec())
-            .collect(),
-    );
+    let sqlite = |b| sqlite_run(b, SqliteCase::FillRandom, scale).ops_per_sec();
+    m.push_row("sqlite(tmpfs)", row(&MOTIVATION, sqlite));
     m
 }
 
@@ -375,15 +354,14 @@ pub fn fig11(scale: Scale) -> Matrix {
             LmCase::ForkExit | LmCase::ForkExecve => scale.n(120),
             _ => scale.n(1200),
         };
-        let mut row = Vec::new();
-        for &(_, b) in &backends {
+        let cell = |b| {
             let mut stack = boot(b, 0);
             let mut env = stack.env();
             let r = lmbench::run_case(&mut env, case, iters).expect("lmbench case");
             record_stack(&stack);
-            row.push(r.ns_per_op());
-        }
-        m.push_row(case.name(), row);
+            r.ns_per_op()
+        };
+        m.push_row(case.name(), row(&backends, cell));
     }
     m
 }
@@ -398,34 +376,33 @@ pub fn fig12(scale: Scale) -> Matrix {
         ("RunC", Backend::RunC),
         ("HVM-BM-2M", Backend::HvmBm2M),
     ];
-    let mut m = Matrix::new(
+    mem_apps(
         "Figure 12: memory-intensive latency",
         "ns (normalize to RunC)",
-        &backends.map(|(n, _)| n),
-    );
-    for app in MemApp::ALL {
-        m.push_row(
-            app.name(),
-            backends
-                .iter()
-                .map(|&(_, b)| mem_app_latency(b, app, scale))
-                .collect(),
-        );
-    }
-    m
+        &backends,
+        scale,
+    )
+}
+
+/// The secure containers Figure 13 compares with RunC.
+const FIG13: [(&str, Backend); 3] = [
+    ("HVM-BM", Backend::HvmBm),
+    ("PVM", Backend::Pvm),
+    ("CKI", Backend::Cki),
+];
+
+/// Percent overhead over RunC of `ns(backend)` on each Figure 13 backend.
+fn overhead_row(mut ns: impl FnMut(Backend) -> f64) -> Vec<f64> {
+    let base = ns(Backend::RunC);
+    row(&FIG13, |b| (ns(b) / base - 1.0) * 100.0)
 }
 
 /// Figure 13a: secure-container overhead vs the BTree lookup/insert ratio.
 pub fn fig13a(scale: Scale) -> Matrix {
-    let backends = [
-        ("HVM-BM", Backend::HvmBm),
-        ("PVM", Backend::Pvm),
-        ("CKI", Backend::Cki),
-    ];
     let mut m = Matrix::new(
         "Figure 13a: BTree overhead vs lookup/insert ratio",
         "% over RunC",
-        &backends.map(|(n, _)| n),
+        &FIG13.map(|(n, _)| n),
     );
     for ratio in [0u64, 1, 2, 4, 8, 16] {
         let run = |b: Backend| {
@@ -438,29 +415,17 @@ pub fn fig13a(scale: Scale) -> Matrix {
             record_stack(&stack);
             ns
         };
-        let base = run(Backend::RunC);
-        m.push_row(
-            &format!("ratio={ratio}"),
-            backends
-                .iter()
-                .map(|&(_, b)| (run(b) / base - 1.0) * 100.0)
-                .collect(),
-        );
+        m.push_row(&format!("ratio={ratio}"), overhead_row(run));
     }
     m
 }
 
 /// Figure 13b: secure-container overhead vs the XSBench particle count.
 pub fn fig13b(scale: Scale) -> Matrix {
-    let backends = [
-        ("HVM-BM", Backend::HvmBm),
-        ("PVM", Backend::Pvm),
-        ("CKI", Backend::Cki),
-    ];
     let mut m = Matrix::new(
         "Figure 13b: XSBench overhead vs particles",
         "% over RunC",
-        &backends.map(|(n, _)| n),
+        &FIG13.map(|(n, _)| n),
     );
     for particles in [2_000u64, 5_000, 10_000, 20_000, 40_000] {
         let p = scale.n(particles);
@@ -474,14 +439,7 @@ pub fn fig13b(scale: Scale) -> Matrix {
             record_stack(&stack);
             ns
         };
-        let base = run(Backend::RunC);
-        m.push_row(
-            &format!("particles={particles}"),
-            backends
-                .iter()
-                .map(|&(_, b)| (run(b) / base - 1.0) * 100.0)
-                .collect(),
-        );
+        m.push_row(&format!("particles={particles}"), overhead_row(run));
     }
     m
 }
@@ -510,7 +468,7 @@ pub fn table4(scale: Scale) -> Matrix {
         record_stack(&stack);
         ns / 1e6
     };
-    m.push_row("GUPS", backends.iter().map(|&(_, b)| gups(b)).collect());
+    m.push_row("GUPS", row(&backends, gups));
     let btree = |b: Backend| {
         let mut stack = boot(b, 0);
         let mut env = stack.env();
@@ -522,10 +480,7 @@ pub fn table4(scale: Scale) -> Matrix {
         record_stack(&stack);
         ns / 1e6
     };
-    m.push_row(
-        "BTree-Lookup",
-        backends.iter().map(|&(_, b)| btree(b)).collect(),
-    );
+    m.push_row("BTree-Lookup", row(&backends, btree));
     m
 }
 
@@ -541,7 +496,7 @@ pub fn sqlite_run(backend: Backend, case: SqliteCase, scale: Scale) -> workloads
 }
 
 /// Figure 14: SQLite throughput per case and backend, plus syscall rate.
-pub fn fig14(scale: Scale) -> (Matrix, Matrix) {
+pub fn fig14(scale: Scale) -> [Matrix; 2] {
     let backends = [
         ("PVM", Backend::Pvm),
         ("CKI", Backend::Cki),
@@ -555,15 +510,12 @@ pub fn fig14(scale: Scale) -> (Matrix, Matrix) {
     );
     let mut rate = Matrix::new("Figure 14: syscall frequency", "syscalls/s", &["RunC"]);
     for case in SqliteCase::ALL {
-        let mut row = Vec::new();
-        for &(_, b) in &backends {
-            row.push(sqlite_run(b, case, scale).ops_per_sec());
-        }
-        tput.push_row(case.name(), row);
+        let cell = |b| sqlite_run(b, case, scale).ops_per_sec();
+        tput.push_row(case.name(), row(&backends, cell));
         let r = sqlite_run(Backend::RunC, case, scale);
         rate.push_row(case.name(), vec![r.syscall_rate()]);
     }
-    (tput, rate)
+    [tput, rate]
 }
 
 /// Figure 15: syscall-optimization breakdown on SQLite (overhead vs CKI).
@@ -580,13 +532,8 @@ pub fn fig15(scale: Scale) -> Matrix {
     );
     for case in SqliteCase::ALL {
         let base = sqlite_run(Backend::Cki, case, scale).ns;
-        m.push_row(
-            case.name(),
-            variants
-                .iter()
-                .map(|&(_, b)| (sqlite_run(b, case, scale).ns / base - 1.0) * 100.0)
-                .collect(),
-        );
+        let cell = |b| (sqlite_run(b, case, scale).ns / base - 1.0) * 100.0;
+        m.push_row(case.name(), row(&variants, cell));
     }
     m
 }
@@ -763,6 +710,80 @@ pub fn table5() -> Matrix {
         vec![0., 0., 0., 0., 0., 0., 1.],
     );
     m
+}
+
+/// Extension: SQLite on a VirtIO block device. The paper's tmpfs setup
+/// isolates syscall costs; this isolates *virtualized I/O*: every
+/// buffer-cache miss and journal flush is a device request whose
+/// notification path costs one exit-class crossing.
+pub fn sqlite_blk(scale: Scale) -> Matrix {
+    let backends = [
+        ("RunC", Backend::RunC),
+        ("HVM-BM", Backend::HvmBm),
+        ("HVM-NST", Backend::HvmNested),
+        ("PVM", Backend::Pvm),
+        ("CKI", Backend::Cki),
+    ];
+    let mut m = Matrix::new(
+        "Extension: SQLite on VirtIO-blk",
+        "ops/s (normalize to RunC)",
+        &backends.map(|(n, _)| n),
+    );
+    for case in [
+        SqliteCase::FillSeq,
+        SqliteCase::FillSeqBatch,
+        SqliteCase::ReadRandom,
+    ] {
+        let cell = |b| {
+            let mut stack = Stack::new(b, StackConfig::default());
+            let mut env = stack.env();
+            let r = SqliteBlkWorkload::new(scale.n(1500))
+                .run(&mut env, case)
+                .expect("run");
+            r.ops_per_sec()
+        };
+        m.push_row(case.name(), row(&backends, cell));
+    }
+    m
+}
+
+/// The paper's Table 1 / Figure 3 design space, *measured*: every
+/// VM-level container architecture on the same microbenchmarks, plus the
+/// security and compatibility properties each one gives up.
+pub fn design_space(scale: Scale) -> [Matrix; 2] {
+    let pages = scale.n(512);
+    let backends = [
+        Backend::RunC,
+        Backend::HvmBm,
+        Backend::HvmNested,
+        Backend::Pvm,
+        Backend::Gvisor,
+        Backend::LibOs,
+        Backend::Cki,
+    ]
+    .map(|b| (b.name(), b));
+    let names = backends.map(|(n, _)| n);
+
+    let mut perf = Matrix::new("Design space (Table 1/Figure 3), measured", "ns", &names);
+    perf.push_row("syscall", row(&backends, syscall_ns));
+    perf.push_row("pgfault", row(&backends, |b| pgfault_ns(b, pages)));
+
+    let mut props = Matrix::new("Design space: properties (1 = held)", "bool", &names);
+    // Kernel separation: a compromised container kernel cannot reach the
+    // host or neighbours.
+    props.push_row("kernel separation", vec![0., 1., 1., 1., 1., 1., 1.]);
+    // Guest user/kernel isolation inside the container.
+    props.push_row("guest U/K isolation", vec![1., 1., 1., 1., 1., 0., 1.]);
+    // Nested-cloud deployment without L0 intervention on exits.
+    props.push_row("nested w/o L0 exits", vec![1., 0., 0., 1., 1., 1., 1.]);
+    // Multi-processing support, measured right now:
+    let forkable = |b| {
+        let mut stack = Stack::new(b, StackConfig::default());
+        let mut env = stack.env();
+        env.sys(Sys::Fork).is_ok() as u64 as f64
+    };
+    props.push_row("fork works", row(&backends, forkable));
+    [perf, props]
 }
 
 #[cfg(test)]

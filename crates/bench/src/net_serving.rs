@@ -16,19 +16,18 @@
 //!    watchdog rule with a deliberately tight budget runs; the breach
 //!    must produce an incident with a flight-recorder dump.
 //!
-//! Emits `results/BENCH_net_serving.json` (gated by `bench_gate`).
+//! Emits `results/BENCH_net_serving.json` (gated by `repro gate`).
 //!
 //! ```sh
-//! CKI_BENCH_SCALE=quick cargo run --release --bin net_serving
+//! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin repro -- net_serving
 //! ```
 
-use std::fmt::Write as _;
-
 use cki::{CloudHost, NetConfig, SloWatchdog, StartSpec};
-use cki_bench::Scale;
 use guest_os::{Fd, Sys};
 use sim_mem::PAGE_SIZE;
 use workloads::serving::{self, ServingConfig, ServingReport};
+
+use crate::{Outcome, Scale};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -43,10 +42,10 @@ fn serve(backend: cki::Backend, clients: usize, requests: u64, kick_batch: u32) 
     serving::run(&cfg)
 }
 
-fn main() {
-    let scale = Scale::from_env();
+/// Runs the three phases and returns their scalars.
+pub fn run(scale: Scale) -> Outcome {
     let (clients, requests, cloud_requests) = match scale {
-        Scale::Quick => (4, 16, 24u64),
+        Scale::Quick => (4usize, 16u64, 24u64),
         Scale::Full => (8, 128, 64u64),
     };
 
@@ -56,20 +55,6 @@ fn main() {
     let hvm = serve(cki::Backend::HvmBm, clients, requests, 1);
     let nested = serve(cki::Backend::HvmNested, clients, requests, 1);
 
-    println!("== Serving comparison ({clients} clients x {requests} requests, kick_batch=1)");
-    for r in [&cki, &pvm, &hvm, &nested] {
-        println!(
-            "{:<10} {:>12.0} req/s  p50 {:>7} p99 {:>7} cycles  kicks {:>4} exits {:>4} \
-             hypercalls {:>4}",
-            r.backend,
-            r.throughput_rps,
-            r.p50_cycles,
-            r.p99_cycles,
-            r.nics.kicks,
-            r.nics.kick_exits,
-            r.nics.kick_hypercalls
-        );
-    }
     assert!(
         cki.throughput_rps >= pvm.throughput_rps,
         "CKI must serve at least as fast as PVM ({} vs {})",
@@ -106,13 +91,6 @@ fn main() {
         .into_iter()
         .map(|b| (b, serve(cki::Backend::HvmBm, clients, requests, b)))
         .collect();
-    println!("== HVM kick-batch sweep");
-    for (batch, r) in &sweep {
-        println!(
-            "batch {batch:>2}: {:.4} exits/request ({} coalesced kicks)",
-            r.exits_per_request, r.nics.coalesced_kicks
-        );
-    }
     for pair in sweep.windows(2) {
         assert!(
             pair[1].1.exits_per_request < pair[0].1.exits_per_request,
@@ -156,16 +134,13 @@ fn main() {
             (fd, buf)
         })
         .unwrap();
+    let send = |fd, buf, len| Sys::NetSend { fd, buf, len };
+    let recv = |fd, buf| Sys::NetRecv { fd, buf, len: 2048 };
     let mut accepted = false;
     for _ in 0..cloud_requests {
         let mark = host.machine.cpu.clock.mark();
         host.enter(client, |env| {
-            env.sys(Sys::NetSend {
-                fd: cfd,
-                buf: cbuf,
-                len: 200,
-            })
-            .unwrap();
+            env.sys(send(cfd, cbuf, 200)).unwrap();
             env.sys(Sys::NetFlush { fd: cfd }).unwrap();
         })
         .unwrap();
@@ -175,31 +150,14 @@ fn main() {
                 env.sys(Sys::NetAccept { fd: sfd }).unwrap();
                 accepted = true;
             }
-            env.sys(Sys::NetRecv {
-                fd: sfd,
-                buf: sbuf,
-                len: 2048,
-            })
-            .unwrap();
-            env.sys(Sys::NetSend {
-                fd: sfd,
-                buf: sbuf,
-                len: 600,
-            })
-            .unwrap();
+            env.sys(recv(sfd, sbuf)).unwrap();
+            env.sys(send(sfd, sbuf, 600)).unwrap();
             env.sys(Sys::NetFlush { fd: sfd }).unwrap();
         })
         .unwrap();
         host.net_service();
-        host.enter(client, |env| {
-            env.sys(Sys::NetRecv {
-                fd: cfd,
-                buf: cbuf,
-                len: 2048,
-            })
+        host.enter(client, |env| env.sys(recv(cfd, cbuf)).unwrap())
             .unwrap();
-        })
-        .unwrap();
         let lat = host.machine.cpu.clock.since(mark);
         host.record_request(client, lat);
     }
@@ -214,12 +172,6 @@ fn main() {
         .filter(|i| i.rule == "serving_p99")
         .collect();
     let sw = host.switch_stats().expect("networking enabled").clone();
-    println!(
-        "== Cloud serving: {cloud_requests} requests, p99 {cloud_p99} cycles, \
-         {} serving_p99 incident(s), {} frames forwarded",
-        incidents.len(),
-        sw.forwarded
-    );
     assert!(
         !incidents.is_empty(),
         "tight p99 budget must latch a serving_p99 incident"
@@ -231,56 +183,32 @@ fn main() {
     assert_eq!(sw.dropped_unknown_dst, 0);
     assert_eq!(sw.dropped_dead_port, 0);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"requests_per_client\": {requests},");
+    let mut o = Outcome::default();
+    o.push("clients", clients as u64);
+    o.push("requests_per_client", requests);
     for (name, r) in [
         ("cki", &cki),
         ("pvm", &pvm),
         ("hvm_bm", &hvm),
         ("hvm_nested", &nested),
     ] {
-        let _ = writeln!(
-            json,
-            "  \"{name}_throughput_rps\": {:.1},",
-            r.throughput_rps
-        );
-        let _ = writeln!(json, "  \"{name}_p50_cycles\": {},", r.p50_cycles);
-        let _ = writeln!(json, "  \"{name}_p99_cycles\": {},", r.p99_cycles);
-        let _ = writeln!(json, "  \"{name}_kicks\": {},", r.nics.kicks);
-        let _ = writeln!(json, "  \"{name}_kick_exits\": {},", r.nics.kick_exits);
-        let _ = writeln!(
-            json,
-            "  \"{name}_kick_hypercalls\": {},",
-            r.nics.kick_hypercalls
-        );
-        let _ = writeln!(json, "  \"{name}_irqs\": {},", r.nics.irqs);
-        let _ = writeln!(
-            json,
-            "  \"{name}_exits_per_request\": {:.4},",
-            r.exits_per_request
-        );
+        o.fixed(format!("{name}_throughput_rps"), r.throughput_rps, 1);
+        o.push(format!("{name}_p50_cycles"), r.p50_cycles);
+        o.push(format!("{name}_p99_cycles"), r.p99_cycles);
+        o.push(format!("{name}_kicks"), r.nics.kicks);
+        o.push(format!("{name}_kick_exits"), r.nics.kick_exits);
+        o.push(format!("{name}_kick_hypercalls"), r.nics.kick_hypercalls);
+        o.push(format!("{name}_irqs"), r.nics.irqs);
+        o.fixed(format!("{name}_exits_per_request"), r.exits_per_request, 4);
     }
     for (batch, r) in &sweep {
-        let _ = writeln!(
-            json,
-            "  \"sweep_batch{batch}_exits_per_request\": {:.4},",
-            r.exits_per_request
-        );
-        let _ = writeln!(
-            json,
-            "  \"sweep_batch{batch}_coalesced_kicks\": {},",
-            r.nics.coalesced_kicks
-        );
+        let key = format!("sweep_batch{batch}");
+        o.fixed(format!("{key}_exits_per_request"), r.exits_per_request, 4);
+        o.push(format!("{key}_coalesced_kicks"), r.nics.coalesced_kicks);
     }
-    let _ = writeln!(json, "  \"cloud_requests\": {cloud_requests},");
-    let _ = writeln!(json, "  \"cloud_request_p99_cycles\": {cloud_p99},");
-    let _ = writeln!(json, "  \"cloud_switch_forwarded\": {},", sw.forwarded);
-    let _ = writeln!(json, "  \"slo_serving_incidents\": {}", incidents.len());
-    json.push('}');
-    assert!(obs::export::json_balanced(&json), "malformed JSON output");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_net_serving.json", &json).expect("write json");
-    println!("wrote results/BENCH_net_serving.json");
+    o.push("cloud_requests", cloud_requests);
+    o.push("cloud_request_p99_cycles", cloud_p99);
+    o.push("cloud_switch_forwarded", sw.forwarded);
+    o.push("slo_serving_incidents", incidents.len() as u64);
+    o
 }

@@ -14,13 +14,15 @@
 //!    with the OPT ablation ordering intact).
 //! 3. **Export**: the Chrome-trace JSON of a profiled run must be
 //!    structurally valid.
-
-use std::fmt::Write as _;
+//!
+//! Drift failures are returned as [`Outcome::failures`], so `repro` still
+//! writes every output and then exits non-zero.
 
 use cki::{Backend, Stack, StackConfig};
-use cki_bench::Matrix;
 use guest_os::Sys;
 use obs::export::json_balanced;
+
+use crate::{Matrix, Outcome};
 
 /// One profiled measurement window: per-op end-to-end latency plus the
 /// per-op self-time of every span name that fired inside the window.
@@ -100,33 +102,21 @@ fn report(
     stage_names.sort_unstable();
     let cols: Vec<&str> = cases.iter().map(|(n, _, _)| *n).collect();
     let mut m = Matrix::new(title, "ns per op (span self-times)", &cols);
+    let row = |cell: &dyn Fn(&Breakdown, f64) -> f64| -> Vec<f64> {
+        cases.iter().map(|(_, b, paper)| cell(b, *paper)).collect()
+    };
     for stage in &stage_names {
-        m.push_row(
-            stage,
-            cases
-                .iter()
-                .map(|(_, b, _)| {
-                    b.stages
-                        .iter()
-                        .find(|(n, _)| n == stage)
-                        .map_or(0.0, |(_, ns)| *ns)
-                })
-                .collect(),
-        );
+        let ns = |b: &Breakdown| b.stages.iter().find(|(n, _)| n == stage).map(|(_, ns)| *ns);
+        m.push_row(stage, row(&|b, _| ns(b).unwrap_or(0.0)));
     }
-    m.push_row(
-        "SUM(stages)",
-        cases.iter().map(|(_, b, _)| b.spanned_ns()).collect(),
-    );
-    m.push_row(
-        "end-to-end",
-        cases.iter().map(|(_, b, _)| b.end_to_end_ns).collect(),
-    );
-    m.push_row("paper", cases.iter().map(|(_, _, p)| *p).collect());
+    m.push_row("SUM(stages)", row(&|b, _| b.spanned_ns()));
+    m.push_row("end-to-end", row(&|b, _| b.end_to_end_ns));
+    m.push_row("paper", row(&|_, paper| paper));
     m
 }
 
-fn main() {
+/// Regenerates both breakdowns, the Chrome trace and the drift checks.
+pub fn run() -> Outcome {
     let mut failures: Vec<String> = Vec::new();
     let mut check = |ok: bool, msg: String| {
         if ok {
@@ -149,9 +139,7 @@ fn main() {
             32_565.0,
         ),
     ];
-    let m = report("Figure 10a (measured spans): page-fault breakdown", &pf);
-    print!("{}", m.render());
-    m.save_tsv(std::path::Path::new("results/perf_report_fig10a.tsv"));
+    let fig10a = report("Figure 10a (measured spans): page-fault breakdown", &pf);
 
     for (name, b, _) in &pf {
         let cov = b.spanned_ns() / b.end_to_end_ns;
@@ -190,9 +178,7 @@ fn main() {
         ),
         ("PVM", syscall_breakdown(Backend::Pvm, iters), 336.0),
     ];
-    let m = report("Figure 10b (measured spans): syscall breakdown", &sc);
-    print!("{}", m.render());
-    m.save_tsv(std::path::Path::new("results/perf_report_fig10b.tsv"));
+    let fig10b = report("Figure 10b (measured spans): syscall breakdown", &sc);
 
     for (name, b, _) in &sc {
         let cov = b.spanned_ns() / b.end_to_end_ns;
@@ -228,8 +214,6 @@ fn main() {
     let base = env.mmap(16 * 4096).expect("mmap");
     env.touch_range(base, 16 * 4096, true).expect("touch");
     let trace = stack.chrome_trace();
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/cki_pgfault_trace.json", &trace).expect("write trace");
     check(
         trace.trim_start().starts_with('[')
             && json_balanced(&trace)
@@ -241,35 +225,17 @@ fn main() {
     );
 
     // Machine-readable summary: per-backend end-to-end latencies plus the
-    // drift-check tally, for the CI bench-regression gate and artifact
-    // upload (`bench_gate` compares this against the committed baseline).
-    let mut json = String::from("{\n");
-    let field = |json: &mut String, prefix: &str, cases: &[(&str, Breakdown, f64)]| {
+    // drift-check tally, gated by `repro gate`.
+    let mut o = Outcome::from([fig10a, fig10b]);
+    for (prefix, cases) in [("pgfault", &pf), ("syscall", &sc)] {
         for (name, b, _) in cases {
             let key = name.to_lowercase().replace('-', "_");
-            let _ = writeln!(json, "  \"{prefix}_{key}_ns\": {:.3},", b.end_to_end_ns);
+            o.fixed(format!("{prefix}_{key}_ns"), b.end_to_end_ns, 3);
         }
-    };
-    field(&mut json, "pgfault", &pf);
-    field(&mut json, "syscall", &sc);
-    let _ = writeln!(
-        json,
-        "  \"trace_events\": {},",
-        trace.matches("\"ph\"").count()
-    );
-    let _ = writeln!(json, "  \"drift_failures\": {}", failures.len());
-    json.push('}');
-    assert!(json_balanced(&json), "malformed JSON output");
-    std::fs::write("results/perf_report.json", &json).expect("write json");
-    println!("wrote results/perf_report.json");
-
-    if failures.is_empty() {
-        println!("\nperf_report: all span-derived breakdowns agree with DESIGN.md §4.");
-    } else {
-        eprintln!("\nperf_report: {} drift failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
     }
+    o.push("trace_events", trace.matches("\"ph\"").count() as u64);
+    o.push("drift_failures", failures.len() as u64);
+    o.files.push(("cki_pgfault_trace.json".to_owned(), trace));
+    o.failures = failures;
+    o
 }

@@ -13,22 +13,23 @@
 //!    the recovery (compaction + retried start) must surface as a
 //!    `frag_stall_recovery` incident naming the recovered container.
 //!
-//! Emits `results/BENCH_slo_report.json` embedding all three verdicts
-//! (incident streams included), and exits non-zero if any scenario
-//! disagrees with its expectation — the report is itself a regression
-//! gate for the incident pipeline.
+//! Each verdict becomes dotted scalars in `results/BENCH_slo_report.json`
+//! (`irq_storm.rules`, `irq_storm.ticks`, `irq_storm.ok`), and each
+//! scenario's incidents go to `results/slo_<scenario>.incidents.jsonl`, one
+//! JSON object per line. The run panics if any scenario disagrees with its
+//! expectation — the report is itself a regression gate for the incident
+//! pipeline.
 //!
 //! ```sh
-//! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin slo_report
+//! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin repro -- slo_report
 //! ```
-
-use std::fmt::Write as _;
 
 use cki::slo::{Budget, RuleKind, SloRule};
 use cki::{CloudHost, HostError, SloWatchdog, StartSpec};
-use cki_bench::Scale;
 use guest_os::Sys;
 use obs::rng::SmallRng;
+
+use crate::{Outcome, Scale, Value};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -147,14 +148,16 @@ fn forced_fragmentation() -> CloudHost {
     h
 }
 
-fn main() {
-    let scale = Scale::from_env();
+/// Runs the three scenarios and returns their verdicts and incidents.
+pub fn run(scale: Scale) -> Outcome {
     let rounds = scale.n(512);
-    let injections = 500;
+    let injections = 500u64;
 
     let healthy = healthy_churn(rounds);
-    let hw = healthy.watchdog().unwrap();
-    assert!(hw.ticks() > 0, "healthy run must actually evaluate rules");
+    assert!(
+        healthy.watchdog().unwrap().ticks() > 0,
+        "healthy run must actually evaluate rules"
+    );
     assert!(
         healthy.incidents().is_empty(),
         "benign churn must stay incident-free: {:?}",
@@ -165,58 +168,38 @@ fn main() {
     let si = storm.incidents();
     assert_eq!(si.len(), 1, "storm must breach exactly once: {si:?}");
     assert_eq!(si[0].rule, "invoke_worst");
+    assert!(
+        si[0].container.is_some(),
+        "storm incident names its container"
+    );
     let dump = si[0].flight_dump.as_ref().expect("flight dump bundled");
     assert!(dump.contains("\"event\":\"invoke\""));
 
     let frag = forced_fragmentation();
     let fi = frag.incidents();
-    assert!(
-        fi.iter().any(|i| i.rule == "frag_stall_recovery"),
-        "stall recovery must be reported: {fi:?}"
-    );
-    let fdump = fi
-        .iter()
-        .find(|i| i.rule == "frag_stall_recovery")
-        .and_then(|i| i.flight_dump.as_ref())
-        .expect("flight dump bundled");
+    let recovery = fi.iter().find(|i| i.rule == "frag_stall_recovery");
+    let recovery = recovery.unwrap_or_else(|| panic!("stall recovery must be reported: {fi:?}"));
+    let fdump = recovery.flight_dump.as_ref().expect("flight dump bundled");
     assert!(fdump.contains("\"event\":\"stall.recovered\""));
 
-    println!("== SLO report ({rounds} healthy rounds, {injections} injected IRQs)");
-    println!(
-        "healthy      : {} ticks, {} incidents",
-        hw.ticks(),
-        healthy.incidents().len()
-    );
-    println!(
-        "irq_storm    : incident `{}` observed {} vs budget {} on c{}",
-        si[0].rule,
-        si[0].observed,
-        si[0].budget,
-        si[0].container.unwrap()
-    );
-    println!(
-        "fragmentation: incident `frag_stall_recovery` observed {} cycles",
-        fi[0].observed
-    );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(json, "  \"healthy_rounds\": {rounds},");
-    let _ = writeln!(json, "  \"injected_irqs\": {injections},");
-    let _ = writeln!(json, "  \"healthy\": {},", hw.verdict_json());
-    let _ = writeln!(
-        json,
-        "  \"irq_storm\": {},",
-        storm.watchdog().unwrap().verdict_json()
-    );
-    let _ = writeln!(
-        json,
-        "  \"fragmentation\": {}",
-        frag.watchdog().unwrap().verdict_json()
-    );
-    json.push('}');
-    assert!(obs::export::json_balanced(&json), "malformed JSON output");
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_slo_report.json", &json).expect("write json");
-    println!("wrote results/BENCH_slo_report.json");
+    let mut o = Outcome::default();
+    o.push("healthy_rounds", rounds);
+    o.push("injected_irqs", injections);
+    for (scenario, host) in [
+        ("healthy", &healthy),
+        ("irq_storm", &storm),
+        ("fragmentation", &frag),
+    ] {
+        let wd = host.watchdog().unwrap();
+        o.push(format!("{scenario}.rules"), wd.rules().len() as u64);
+        o.push(format!("{scenario}.ticks"), wd.ticks());
+        o.push(
+            format!("{scenario}.ok"),
+            Value::Bool(wd.incidents().is_empty()),
+        );
+        let jsonl: String = wd.incidents().iter().map(|i| i.to_json() + "\n").collect();
+        o.files
+            .push((format!("slo_{scenario}.incidents.jsonl"), jsonl));
+    }
+    o
 }

@@ -13,11 +13,40 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `CKI_BENCH_SCALE` (`quick`/`full`), defaulting to `Full`.
-    pub fn from_env() -> Self {
-        match std::env::var("CKI_BENCH_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
+    /// Reads `CKI_BENCH_SCALE` (`quick`/`full`), defaulting to `Full` when
+    /// it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Any other value is rejected rather than silently run at full scale.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("CKI_BENCH_SCALE") {
+            Err(std::env::VarError::NotPresent) => Ok(Scale::Full),
+            Ok(v) => Self::parse(&v),
+            Err(e) => Err(format!("CKI_BENCH_SCALE: {e}")),
+        }
+    }
+
+    /// Parses `quick` or `full`.
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values for anything else.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!(
+                "CKI_BENCH_SCALE must be `quick` or `full`, not `{s}`"
+            )),
+        }
+    }
+
+    /// The spelling [`Scale::parse`] accepts, as recorded in result files.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
         }
     }
 
@@ -72,11 +101,7 @@ impl Matrix {
     /// Returns a copy normalized per row to the named column (that column
     /// becomes 1.0) — how the paper plots Figures 4/5/11/12/14.
     pub fn normalized_to(&self, col: &str) -> Matrix {
-        let idx = self
-            .cols
-            .iter()
-            .position(|c| c == col)
-            .unwrap_or_else(|| panic!("no column {col}"));
+        let idx = position(&self.cols, col);
         let mut out = self.clone();
         out.unit = format!("normalized to {col}");
         for row in &mut out.data {
@@ -90,17 +115,7 @@ impl Matrix {
 
     /// Cell accessor by labels.
     pub fn get(&self, row: &str, col: &str) -> f64 {
-        let r = self
-            .rows
-            .iter()
-            .position(|x| x == row)
-            .unwrap_or_else(|| panic!("no row {row}"));
-        let c = self
-            .cols
-            .iter()
-            .position(|x| x == col)
-            .unwrap_or_else(|| panic!("no col {col}"));
-        self.data[r][c]
+        self.data[position(&self.rows, row)][position(&self.cols, col)]
     }
 
     /// Renders an aligned text table.
@@ -115,14 +130,12 @@ impl Matrix {
         let _ = writeln!(s);
         for (label, row) in self.rows.iter().zip(&self.data) {
             let _ = write!(s, "{label:w0$}");
-            for v in row {
-                if *v == 0.0 {
-                    let _ = write!(s, " {:>12}", "-");
-                } else if v.abs() >= 1000.0 {
-                    let _ = write!(s, " {v:>12.0}");
-                } else {
-                    let _ = write!(s, " {v:>12.3}");
-                }
+            for &v in row {
+                let _ = match v {
+                    _ if v == 0.0 => write!(s, " {:>12}", "-"),
+                    _ if v.abs() >= 1000.0 => write!(s, " {v:>12.0}"),
+                    _ => write!(s, " {v:>12.3}"),
+                };
             }
             let _ = writeln!(s);
         }
@@ -133,55 +146,39 @@ impl Matrix {
     /// data) for the machine-readable `results/run_all.json` summary.
     pub fn to_json(&self) -> String {
         use obs::export::json_escape;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"title\":\"{}\",\"unit\":\"{}\",\"cols\":[",
-            json_escape(&self.title),
-            json_escape(&self.unit)
-        );
-        let quote_list = |items: &[String]| {
-            items
-                .iter()
-                .map(|i| format!("\"{}\"", json_escape(i)))
-                .collect::<Vec<_>>()
-                .join(",")
+        let join = |items: Vec<String>| items.join(",");
+        let strings = |items: &[String]| {
+            join(
+                items
+                    .iter()
+                    .map(|i| format!("\"{}\"", json_escape(i)))
+                    .collect(),
+            )
         };
-        let _ = write!(
-            s,
-            "{}],\"rows\":[{}],\"data\":[",
-            quote_list(&self.cols),
-            quote_list(&self.rows)
-        );
-        for (i, row) in self.data.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let cells: Vec<String> = row
-                .iter()
-                .map(|v| {
-                    if v.is_finite() {
-                        format!("{v}")
-                    } else {
-                        "null".to_string()
-                    }
-                })
-                .collect();
-            let _ = write!(s, "[{}]", cells.join(","));
-        }
-        s.push_str("]}");
-        s
+        let cell = |v: &f64| match v.is_finite() {
+            true => v.to_string(),
+            false => "null".to_owned(),
+        };
+        let rows = self
+            .data
+            .iter()
+            .map(|r| format!("[{}]", join(r.iter().map(cell).collect())));
+        format!(
+            "{{\"title\":\"{}\",\"unit\":\"{}\",\"cols\":[{}],\"rows\":[{}],\"data\":[{}]}}",
+            json_escape(&self.title),
+            json_escape(&self.unit),
+            strings(&self.cols),
+            strings(&self.rows),
+            join(rows.collect())
+        )
     }
 
-    /// Writes the matrix as a TSV file (creating parent directories).
+    /// Writes the matrix as a TSV file into an existing directory.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors — the harness treats those as fatal.
     pub fn save_tsv(&self, path: &Path) {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).expect("create results dir");
-        }
         let mut s = String::new();
         let _ = write!(s, "# {} [{}]\nrow", self.title, self.unit);
         for c in &self.cols {
@@ -199,218 +196,26 @@ impl Matrix {
     }
 }
 
-/// A scalar extracted from a JSON document by [`flat_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlatValue {
-    /// A JSON number.
-    Num(f64),
-    /// A JSON string (common escapes decoded).
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-}
-
-impl FlatValue {
-    /// Numeric view: numbers as-is, booleans as 0/1, else `None`.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            FlatValue::Num(v) => Some(*v),
-            FlatValue::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        }
-    }
-}
-
-/// Flattens a JSON document into `(dotted.path, scalar)` pairs in document
-/// order: nested objects extend the path with `.`, arrays are skipped
-/// wholesale. This is a deliberately small parser for the harness's own
-/// result files (`bench_gate` diffs them against the committed baseline) —
-/// it addresses named scalars only and keeps duplicate keys as-is.
+/// Index of `label` in `labels`.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a message with a byte offset on malformed input.
-pub fn flat_json(s: &str) -> Result<Vec<(String, FlatValue)>, String> {
-    let mut p = FlatParser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    let mut out = Vec::new();
-    p.ws();
-    p.object("", &mut out)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
-    }
-    Ok(out)
-}
-
-struct FlatParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl FlatParser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.i < self.b.len() && self.b[self.i] == ch {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", ch as char, self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while self.i < self.b.len() {
-            match self.b[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "truncated escape".to_string())?;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'u' => {
-                            // Keep \uXXXX undecoded; the gate never needs it.
-                            self.i += 4.min(self.b.len() - self.i - 1);
-                            '?'
-                        }
-                        c => c as char,
-                    });
-                    self.i += 1;
-                }
-                c => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn object(&mut self, path: &str, out: &mut Vec<(String, FlatValue)>) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == b'}' {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            let key = if path.is_empty() {
-                key
-            } else {
-                format!("{path}.{key}")
-            };
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            self.value(&key, out)?;
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
-            }
-        }
-    }
-
-    fn value(&mut self, path: &str, out: &mut Vec<(String, FlatValue)>) -> Result<(), String> {
-        match *self.b.get(self.i).ok_or("truncated value")? {
-            b'{' => self.object(path, out),
-            b'[' => self.skip_array(),
-            b'"' => {
-                let s = self.string()?;
-                out.push((path.to_owned(), FlatValue::Str(s)));
-                Ok(())
-            }
-            b't' | b'f' | b'n' => {
-                for (lit, v) in [
-                    ("true", FlatValue::Bool(true)),
-                    ("false", FlatValue::Bool(false)),
-                    ("null", FlatValue::Null),
-                ] {
-                    if self.b[self.i..].starts_with(lit.as_bytes()) {
-                        self.i += lit.len();
-                        out.push((path.to_owned(), v));
-                        return Ok(());
-                    }
-                }
-                Err(format!("bad literal at offset {}", self.i))
-            }
-            _ => {
-                let start = self.i;
-                while self
-                    .b
-                    .get(self.i)
-                    .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    self.i += 1;
-                }
-                let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-                let n: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad number '{text}' at offset {start}"))?;
-                out.push((path.to_owned(), FlatValue::Num(n)));
-                Ok(())
-            }
-        }
-    }
-
-    /// Skips one array (contents may be any JSON, including strings that
-    /// contain brackets).
-    fn skip_array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        let mut depth = 1usize;
-        while depth > 0 {
-            match *self.b.get(self.i).ok_or("unterminated array")? {
-                b'[' => {
-                    depth += 1;
-                    self.i += 1;
-                }
-                b']' => {
-                    depth -= 1;
-                    self.i += 1;
-                }
-                b'"' => {
-                    self.string()?;
-                }
-                _ => self.i += 1,
-            }
-        }
-        Ok(())
-    }
+/// Panics if it is absent.
+fn position(labels: &[String], label: &str) -> usize {
+    labels
+        .iter()
+        .position(|x| x == label)
+        .unwrap_or_else(|| panic!("no row or column {label}"))
 }
 
 /// Capture window for per-experiment metrics snapshots.
 ///
-/// Experiment functions boot stacks internally and return only matrices, so
-/// `run_all` cannot reach the registries afterwards. Instead, each
-/// measurement helper publishes its finished stack's snapshot here;
-/// `run_all` brackets every experiment with [`sink::begin`] / [`sink::end`]
-/// and embeds the result in `results/run_all.json`. Outside a window,
-/// recording is a no-op, so tests and one-off bins pay nothing.
+/// Experiment functions boot stacks internally and return only their
+/// outcome, so the runner cannot reach the registries afterwards. Instead,
+/// each measurement helper publishes its finished stack's snapshot here;
+/// `repro` brackets every experiment with [`sink::begin`] / [`sink::end`]
+/// and `repro all` embeds the result in `results/run_all.json`. Outside a
+/// window, recording is a no-op, so tests pay nothing.
 pub mod sink {
     use std::cell::RefCell;
 
@@ -511,48 +316,20 @@ mod tests {
     }
 
     #[test]
-    fn flat_json_flattens_nested_scalars_and_skips_arrays() {
-        let doc = r#"{
-            "scale": "Quick",
-            "n": 42,
-            "ratio": 39.117,
-            "ok": true,
-            "nothing": null,
-            "verdict": {"ticks": 7, "ok": false, "incidents": [{"x": 1}, [2]]},
-            "neg": -3.5e2
-        }"#;
-        let flat = flat_json(doc).unwrap();
-        let get = |k: &str| {
-            flat.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("scale"), Some(FlatValue::Str("Quick".into())));
-        assert_eq!(get("n"), Some(FlatValue::Num(42.0)));
-        assert_eq!(get("ratio"), Some(FlatValue::Num(39.117)));
-        assert_eq!(get("ok").unwrap().as_num(), Some(1.0));
-        assert_eq!(get("nothing"), Some(FlatValue::Null));
-        assert_eq!(get("verdict.ticks"), Some(FlatValue::Num(7.0)));
-        assert_eq!(get("verdict.ok").unwrap().as_num(), Some(0.0));
-        assert_eq!(get("neg"), Some(FlatValue::Num(-350.0)));
-        assert!(get("verdict.incidents").is_none(), "arrays are skipped");
-        assert!(get("verdict.incidents.x").is_none());
-    }
-
-    #[test]
-    fn flat_json_handles_escapes_and_rejects_garbage() {
-        let flat = flat_json(r#"{"s": "a\"b\n[{", "t": 1}"#).unwrap();
-        assert_eq!(flat[0].1, FlatValue::Str("a\"b\n[{".into()));
-        assert_eq!(flat[1].1, FlatValue::Num(1.0));
-        assert!(flat_json("{").is_err());
-        assert!(flat_json(r#"{"a": }"#).is_err());
-        assert!(flat_json(r#"{"a": 1} trailing"#).is_err());
-    }
-
-    #[test]
     fn scale_quick_shrinks() {
         assert_eq!(Scale::Full.n(10_000), 10_000);
         assert_eq!(Scale::Quick.n(10_000), 1250);
         assert_eq!(Scale::Quick.n(100), 64);
+    }
+
+    #[test]
+    fn scale_parse_round_trips_and_rejects_the_rest() {
+        for s in [Scale::Quick, Scale::Full] {
+            assert_eq!(Scale::parse(s.name()), Ok(s));
+        }
+        for bad in ["", "Quick", "fast", "full "] {
+            let err = Scale::parse(bad).unwrap_err();
+            assert!(err.contains("`quick` or `full`"), "{err}");
+        }
     }
 }

@@ -16,11 +16,11 @@
 //!   software context switch (390 ns), identical bare-metal and nested.
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
+use netsim::{ExitCosts, NetBackend};
 use sim_hw::{Fault, Instr, IretFrame, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Segment, Virt, PAGE_SIZE};
-use vmm::exits::ExitCosts;
-use vmm::virtio::{BlockBackend, NetBackend};
+use vmm::virtio::BlockBackend;
 
 use crate::gates::{self, GateAbort};
 use crate::ksm::{pkrs_guest, Ksm, KsmError, PageKind};

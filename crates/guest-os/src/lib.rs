@@ -15,7 +15,6 @@ pub mod flows;
 pub mod kernel;
 #[cfg(test)]
 mod kernel_tests;
-pub mod net;
 pub mod platform;
 pub mod process;
 pub mod syscall;
@@ -24,7 +23,6 @@ pub mod vfs;
 pub use blockfs::BlockFs;
 pub use env::Env;
 pub use kernel::{Kernel, Stats};
-pub use net::LoadGen;
 pub use platform::{Hypercall, MapFault, NativePlatform, Platform};
 pub use process::{Fd, Pid, Process, Vma, VmaKind};
 pub use syscall::{Errno, Sys, SysResult};

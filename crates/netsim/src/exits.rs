@@ -9,7 +9,7 @@
 //! | PVM       | 466 / 486 ns    |
 //! | CKI       | 390 ns (§7.1)   |
 //!
-//! The table lives here (rather than in `vmm`, which re-exports it) because
+//! The table lives here (rather than in `vmm`, whose platforms use it) because
 //! the networking dataplane derives every backend's doorbell and interrupt
 //! pricing from it — see [`crate::Doorbell::for_backend`].
 

@@ -23,8 +23,9 @@
 //! coalesces RX interrupts per delivery batch ([`Coalesce`]).
 //!
 //! The crate also owns the single model of legacy kick/poll costs
-//! ([`NetBackend`], [`LoadGen`], [`ExitCosts`]) that `vmm` and `guest-os`
-//! re-export, so there is exactly one place exit-class I/O pricing lives.
+//! ([`NetBackend`], [`LoadGen`], [`ExitCosts`]); every platform imports
+//! them from here, so there is exactly one place exit-class I/O pricing
+//! lives.
 
 pub mod backend;
 pub mod exits;

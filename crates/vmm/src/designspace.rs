@@ -18,11 +18,9 @@
 //!   compatibility column).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
+use netsim::{ExitCosts, NetBackend};
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
-
-use crate::exits::ExitCosts;
-use crate::virtio::NetBackend;
 
 /// Cost of one Systrap interception + IPC to the Sentry and back, cycles.
 /// Real systrap syscalls measure in the 2-3 µs range.

@@ -8,14 +8,14 @@
 //! where the L0 hypervisor must emulate a shadow EPT (Figure 10a, §2.4.1).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
+use netsim::{ExitCosts, NetBackend};
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Virt, PAGE_SIZE};
 
 use crate::ept::Ept;
-use crate::exits::ExitCosts;
-use crate::virtio::{BlockBackend, NetBackend};
+use crate::virtio::BlockBackend;
 
 /// HVM-specific statistics — a view over the machine's metrics registry
 /// (see [`HvmPlatform::stats`]).

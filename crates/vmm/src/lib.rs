@@ -7,22 +7,20 @@
 //! - [`pvm`]: software-based virtualization (PVM, SOSP '23): the guest
 //!   kernel deprivileged to user mode, syscall redirection through the host,
 //!   and shadow page tables (§2.4.2).
-//! - [`virtio`]: VirtIO device backends (network with a closed-loop load
-//!   generator, block) whose notification costs depend on the exit class of
-//!   the platform.
-//! - [`exits`]: the exit-class cost table — what one guest↔host roundtrip
-//!   costs under each design (Table 2's hypercall row).
+//! - [`virtio`]: the VirtIO block backend, whose notification cost depends
+//!   on the exit class of the platform.
+//!
+//! The exit-class cost table ([`netsim::ExitCosts`]: what one guest↔host
+//! roundtrip costs under each design, Table 2's hypercall row) and the
+//! network backend ([`netsim::NetBackend`]) live in `netsim`.
 
 pub mod designspace;
 pub mod ept;
-pub mod exits;
 pub mod hvm;
 pub mod pvm;
 pub mod virtio;
 
 pub use designspace::{GvisorPlatform, LibOsPlatform};
 pub use ept::Ept;
-pub use exits::ExitCosts;
 pub use hvm::HvmPlatform;
 pub use pvm::PvmPlatform;
-pub use virtio::NetBackend;

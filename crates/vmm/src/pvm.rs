@@ -16,12 +16,12 @@
 //!   bare-metal and nested (Table 2).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
+use netsim::{ExitCosts, NetBackend};
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
-use crate::exits::ExitCosts;
-use crate::virtio::{BlockBackend, NetBackend};
+use crate::virtio::BlockBackend;
 
 /// PVM-specific statistics — a view over the machine's metrics registry
 /// (see [`PvmPlatform::stats`]).

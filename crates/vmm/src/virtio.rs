@@ -1,17 +1,12 @@
-//! VirtIO device backends.
+//! The VirtIO block backend.
 //!
-//! The network backend ([`NetBackend`]) moved to `netsim`, which owns the
-//! *only* model of kick/poll costs — every platform, including the native
-//! RunC kernel that used to price these events with hand-rolled constants,
-//! now routes its `NetKick`/`NetPoll`/`VcpuHalt` hypercalls through it.
-//! It is re-exported here so `vmm::NetBackend` keeps working. The block
-//! backend stays: netsim is a networking crate.
+//! Network devices live in `netsim`, which owns the only model of
+//! kick/poll costs ([`netsim::NetBackend`]); every platform routes its
+//! `NetKick`/`NetPoll`/`VcpuHalt` hypercalls through it. The block backend
+//! stays here: netsim is a networking crate.
 
+use netsim::ExitCosts;
 use sim_hw::{Clock, Tag};
-
-use crate::exits::ExitCosts;
-
-pub use netsim::{NetBackend, NetStats};
 
 /// The VirtIO block backend (disk latency model).
 #[derive(Debug)]

@@ -4,7 +4,7 @@
 //! The server is an epoll-style event loop: drain the ready requests,
 //! process each (hash-table get/set, 1:1 ratio, ~500-byte values), queue
 //! the responses, flush (VirtIO kick), block when idle. The client fleet
-//! is the closed-loop [`guest_os::LoadGen`] attached to the platform's
+//! is the closed-loop [`netsim::LoadGen`] attached to the platform's
 //! network backend — vary `clients` to sweep Figure 16's x-axis.
 //!
 //! Redis differs from memcached in per-request engine work (RESP protocol
@@ -126,8 +126,8 @@ impl KvServerWorkload {
 mod tests {
     use super::*;
     use guest_os::{Kernel, NativePlatform, Platform};
+    use netsim::ExitCosts;
     use sim_hw::{HwExtensions, Machine};
-    use vmm::exits::ExitCosts;
     use vmm::PvmPlatform;
 
     fn run_pvm(kind: KvKind, clients: u32, requests: u64) -> Report {
