@@ -60,14 +60,8 @@ impl MemApp {
     }
 }
 
-fn boot(backend: Backend, clients: u32) -> Stack {
-    Stack::new(
-        backend,
-        StackConfig {
-            clients,
-            ..StackConfig::default()
-        },
-    )
+fn boot(backend: Backend) -> Stack {
+    Stack::new(backend, StackConfig::default())
 }
 
 /// One cell per backend, in column order.
@@ -83,7 +77,7 @@ fn record_stack(stack: &Stack) {
 
 /// End-to-end latency (ns) of one memory-intensive app on one backend.
 pub fn mem_app_latency(backend: Backend, app: MemApp, scale: Scale) -> f64 {
-    let mut stack = boot(backend, 0);
+    let mut stack = boot(backend);
     let mut env = stack.env();
     let report = match app {
         MemApp::Btree => BTreeWorkload::new(scale.n(24_000), 2).run(&mut env),
@@ -113,7 +107,7 @@ pub fn mem_app_latency(backend: Backend, app: MemApp, scale: Scale) -> f64 {
 
 /// Empty-syscall latency (ns) on one backend.
 pub fn syscall_ns(backend: Backend) -> f64 {
-    let mut stack = boot(backend, 0);
+    let mut stack = boot(backend);
     let mut env = stack.env();
     env.sys(Sys::Getpid).expect("warm");
     let t0 = env.now_ns();
@@ -128,7 +122,7 @@ pub fn syscall_ns(backend: Backend) -> f64 {
 
 /// Anonymous-page fault latency (ns) on one backend.
 pub fn pgfault_ns(backend: Backend, pages: u64) -> f64 {
-    let mut stack = boot(backend, 0);
+    let mut stack = boot(backend);
     let mut env = stack.env();
     let base = env.mmap(pages * 4096).expect("mmap");
     let t0 = env.now_ns();
@@ -140,7 +134,7 @@ pub fn pgfault_ns(backend: Backend, pages: u64) -> f64 {
 
 /// Empty-hypercall latency (ns) on one backend.
 pub fn hypercall_ns(backend: Backend) -> f64 {
-    let mut stack = boot(backend, 0);
+    let mut stack = boot(backend);
     stack.machine.cpu.mode = sim_hw::Mode::Kernel;
     let t0 = stack.ns();
     let iters = 100;
@@ -231,15 +225,18 @@ pub fn fig04(scale: Scale) -> Matrix {
     )
 }
 
-/// Throughput (ops/s) of one I/O case on one backend with 16 clients.
+/// Throughput (ops/s) of one I/O case on one backend with 16 clients
+/// (netperf RR is a single-stream latency test; TX streams to a sink).
 pub fn io_tput(backend: Backend, case: IoCase, scale: Scale) -> f64 {
-    // netperf RR is a single-stream latency test.
-    let clients = if case == IoCase::NetperfRr { 1 } else { 16 };
-    let mut stack = boot(backend, clients);
-    let mut env = stack.env();
+    let clients = match case {
+        IoCase::NetperfRr => 1,
+        IoCase::NetperfTx => 0,
+        _ => 16,
+    };
+    let mut stack = boot(backend);
     let reqs = scale.n(3000);
-    let ops = IoWorkload::new(case, reqs)
-        .run(&mut env)
+    let ops = IoWorkload::new(case, reqs, clients)
+        .run(&mut stack.env(), backend.nic_kind())
         .expect("io run")
         .ops_per_sec();
     record_stack(&stack);
@@ -292,7 +289,7 @@ pub fn fig10a(scale: Scale) -> Matrix {
         ("CKI", Backend::Cki),
         ("RunC", Backend::RunC),
     ] {
-        let mut stack = boot(backend, 0);
+        let mut stack = boot(backend);
         let mut env = stack.env();
         let base = env.mmap(pages * 4096).expect("mmap");
         env.machine.cpu.clock.reset_tags();
@@ -355,7 +352,7 @@ pub fn fig11(scale: Scale) -> Matrix {
             _ => scale.n(1200),
         };
         let cell = |b| {
-            let mut stack = boot(b, 0);
+            let mut stack = boot(b);
             let mut env = stack.env();
             let r = lmbench::run_case(&mut env, case, iters).expect("lmbench case");
             record_stack(&stack);
@@ -406,7 +403,7 @@ pub fn fig13a(scale: Scale) -> Matrix {
     );
     for ratio in [0u64, 1, 2, 4, 8, 16] {
         let run = |b: Backend| {
-            let mut stack = boot(b, 0);
+            let mut stack = boot(b);
             let mut env = stack.env();
             let ns = BTreeWorkload::new(scale.n(12_000), ratio)
                 .run(&mut env)
@@ -430,7 +427,7 @@ pub fn fig13b(scale: Scale) -> Matrix {
     for particles in [2_000u64, 5_000, 10_000, 20_000, 40_000] {
         let p = scale.n(particles);
         let run = |b: Backend| {
-            let mut stack = boot(b, 0);
+            let mut stack = boot(b);
             let mut env = stack.env();
             let ns = XsBenchWorkload::new(scale.n(6_000) * 4096, p)
                 .run(&mut env)
@@ -459,7 +456,7 @@ pub fn table4(scale: Scale) -> Matrix {
         &backends.map(|(n, _)| n),
     );
     let gups = |b: Backend| {
-        let mut stack = boot(b, 0);
+        let mut stack = boot(b);
         let mut env = stack.env();
         let ns = GupsWorkload::new(192 * 1024 * 1024, scale.n(400_000))
             .run(&mut env)
@@ -470,7 +467,7 @@ pub fn table4(scale: Scale) -> Matrix {
     };
     m.push_row("GUPS", row(&backends, gups));
     let btree = |b: Backend| {
-        let mut stack = boot(b, 0);
+        let mut stack = boot(b);
         let mut env = stack.env();
         let mut w = BTreeWorkload::new(scale.n(160_000), 0);
         let ns = w
@@ -486,7 +483,7 @@ pub fn table4(scale: Scale) -> Matrix {
 
 /// Runs one sqlite-bench case on one backend.
 pub fn sqlite_run(backend: Backend, case: SqliteCase, scale: Scale) -> workloads::Report {
-    let mut stack = boot(backend, 0);
+    let mut stack = boot(backend);
     let mut env = stack.env();
     let report = SqliteWorkload::new(scale.n(4_000))
         .run(&mut env, case)
@@ -551,11 +548,10 @@ pub fn kv_tput(backend: Backend, kind: KvKind, clients: u32, scale: Scale) -> f6
     };
     let active = clients.min(vcpus).max(1);
     let per_vcpu_clients = clients.div_ceil(vcpus).max(1);
-    let mut stack = boot(backend, per_vcpu_clients);
-    let mut env = stack.env();
+    let mut stack = boot(backend);
     let reqs = scale.n(3_000);
-    let r = KvServerWorkload::new(kind, reqs)
-        .run(&mut env)
+    let r = KvServerWorkload::new(kind, reqs, per_vcpu_clients)
+        .run(&mut stack.env(), backend.nic_kind())
         .expect("kv run");
     record_stack(&stack);
     r.ops_per_sec() * active as f64

@@ -16,7 +16,7 @@
 //!   software context switch (390 ns), identical bare-metal and nested.
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::{ExitCosts, NetBackend};
+use netsim::ExitCosts;
 use sim_hw::{Fault, Instr, IretFrame, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Segment, Virt, PAGE_SIZE};
@@ -99,8 +99,6 @@ pub struct CkiPlatform {
     guest_frames: FrameAllocator,
     /// Exit-class costs (hypercall roundtrip etc.), exposed for harnesses.
     pub exits: ExitCosts,
-    /// VirtIO network backend.
-    pub net: NetBackend,
     /// VirtIO block backend.
     pub block: BlockBackend,
     cur_vcpu: u32,
@@ -157,18 +155,11 @@ impl CkiPlatform {
             ksm,
             guest_frames: FrameAllocator::new(seg.start, seg.end),
             exits,
-            net: NetBackend::new(exits),
             block: BlockBackend::new(exits),
             cur_vcpu: 0,
             active: false,
             ids,
         }
-    }
-
-    /// Attaches a closed-loop client fleet to the NIC.
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.net.set_clients(clients);
-        self
     }
 
     /// Switches the current vCPU (used by multi-vCPU harnesses).
@@ -655,21 +646,11 @@ impl Platform for CkiPlatform {
             m.cpu.pkrs = pkrs_guest();
         }
         // Cross the real hypercall gate; the host service runs inside.
-        let net = &mut self.net;
         let block = &mut self.block;
         let r = gates::hypercall_gate(m, 0, |m| match call {
-            Hypercall::NetKick { packets } => {
-                net.kick(&mut m.cpu.clock, packets);
-                0u64
-            }
-            Hypercall::NetPoll => net.poll(&mut m.cpu.clock) as u64,
-            Hypercall::VcpuHalt => {
-                net.halt(&mut m.cpu.clock);
-                0
-            }
             Hypercall::BlockIo { bytes, .. } => {
                 block.submit(&mut m.cpu.clock, bytes);
-                0
+                0u64
             }
             Hypercall::SetTimer { .. }
             | Hypercall::SendIpi { .. }

@@ -2,13 +2,13 @@
 //!
 //! One [`Executor`] owns one booted [`Stack`] and interprets [`Op`]s
 //! against it, tracking the program's resource universe (region slots,
-//! pid rotation, the net socket). The lockstep oracle drives one executor
+//! pid rotation, the NIC fixture). The lockstep oracle drives one executor
 //! per backend with the same op stream and compares what comes back.
 
 use cki::{Backend, Stack, StackConfig};
 use cki_core::CkiPlatform;
 use guest_os::{Errno, Fd, Sys};
-use netsim::{Coalesce, HostSwitch, NicLayout, PortId, VirtioNic};
+use netsim::{Coalesce, HostSwitch, PortId, MAX_PAYLOAD};
 use sim_hw::{Access, Fault, Instr, Mode};
 use sim_mem::Virt;
 
@@ -18,7 +18,7 @@ use crate::program::{Op, PATHS, REGION_SLOTS};
 pub const NO_REGION: i64 = -100;
 /// Result sentinel: `ExitIfChild` ran while pid 1 was current.
 pub const NOT_CHILD: i64 = -101;
-/// Result sentinel: net op before `NetSocket`.
+/// Result sentinel: net op before `NetOpen`.
 pub const NO_SOCKET: i64 = -102;
 /// Result sentinel: probe not applicable on this backend (never compared).
 pub const PROBE_SKIPPED: i64 = -200;
@@ -34,8 +34,6 @@ pub enum PlantedBug {
 /// Executor configuration (uniform across the lockstep set).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Closed-loop clients on the NIC (> 0 makes `NetRecv` deterministic).
-    pub clients: u32,
     /// Enable the span profiler (required for the obs self-time invariant).
     pub profile: bool,
     /// Planted divergence for oracle self-tests.
@@ -45,7 +43,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         Self {
-            clients: 2,
             profile: true,
             planted_bug: None,
         }
@@ -152,7 +149,7 @@ const PKT_QUEUE: u16 = 8;
 /// burst of sends exercises backpressure before ring-full.
 const PKT_SWITCH_DEPTH: usize = 2;
 
-/// The packet-granular net fixture: one virtqueue NIC hairpinned through
+/// The net fixture: one virtqueue NIC hairpinned through
 /// a depth-bounded host switch, plus a listener and a client socket.
 struct PktFixture {
     switch: HostSwitch,
@@ -167,7 +164,6 @@ pub struct Executor {
     pub stack: Stack,
     regions: [Option<(u64, u64)>; REGION_SLOTS],
     pids: Vec<u32>,
-    net_fd: Option<Fd>,
     pkt: Option<PktFixture>,
     buf: Virt,
     planted: Option<PlantedBug>,
@@ -179,13 +175,7 @@ pub struct Executor {
 impl Executor {
     /// Boots `backend` and prepares the shared I/O buffer.
     pub fn new(backend: Backend, cfg: &ExecConfig) -> Self {
-        let mut stack = Stack::new(
-            backend,
-            StackConfig {
-                clients: cfg.clients,
-                ..StackConfig::default()
-            },
-        );
+        let mut stack = Stack::new(backend, StackConfig::default());
         stack.set_profiling(cfg.profile);
         stack.machine.cpu.tracer.enable();
         let buf = {
@@ -199,7 +189,6 @@ impl Executor {
             stack,
             regions: [None; REGION_SLOTS],
             pids: vec![1],
-            net_fd: None,
             pkt: None,
             buf,
             planted: cfg.planted_bug,
@@ -339,33 +328,6 @@ impl Executor {
                 }
             }
             Op::Yield => enc(self.stack.env().sys(Sys::Yield)),
-            Op::NetSocket => {
-                let r = self.stack.env().sys(Sys::NetSocket);
-                if let Ok(fd) = r {
-                    self.net_fd = Some(fd as Fd);
-                }
-                enc(r)
-            }
-            Op::NetRecv { len } => match self.net_fd {
-                Some(fd) => enc(self.stack.env().sys(Sys::NetRecv {
-                    fd,
-                    buf,
-                    len: len as usize,
-                })),
-                None => NO_SOCKET,
-            },
-            Op::NetSend { len } => match self.net_fd {
-                Some(fd) => enc(self.stack.env().sys(Sys::NetSend {
-                    fd,
-                    buf,
-                    len: len as usize,
-                })),
-                None => NO_SOCKET,
-            },
-            Op::NetFlush => match self.net_fd {
-                Some(fd) => enc(self.stack.env().sys(Sys::NetFlush { fd })),
-                None => NO_SOCKET,
-            },
             Op::NetOpen => self.net_open(),
             Op::NetListen { port } => match &self.pkt {
                 Some(p) => {
@@ -394,7 +356,7 @@ impl Executor {
                     enc(self.stack.env().sys(Sys::NetSend {
                         fd,
                         buf,
-                        len: len.clamp(1, 1600) as usize,
+                        len: (len as usize).clamp(1, 3 * MAX_PAYLOAD),
                     }))
                 }
                 None => NO_SOCKET,
@@ -513,28 +475,12 @@ impl Executor {
     fn net_open(&mut self) -> i64 {
         if self.pkt.is_none() {
             let kind = self.stack.backend.nic_kind();
-            {
-                let Stack {
-                    machine, kernel, ..
-                } = &mut self.stack;
-                let frames: Vec<u64> = (0..NicLayout::frames_needed(PKT_QUEUE))
-                    .map(|_| {
-                        kernel
-                            .platform
-                            .alloc_frame(machine)
-                            .expect("fixture NIC frames")
-                    })
-                    .collect();
-                let nic = VirtioNic::for_backend(
-                    &mut machine.mem,
-                    &mut machine.cpu.clock,
-                    NicLayout::from_frames(PKT_QUEUE, &frames),
-                    PKT_MAC,
-                    kind,
-                    Coalesce::default(),
-                );
-                kernel.attach_netif(nic);
-            }
+            let Stack {
+                machine, kernel, ..
+            } = &mut self.stack;
+            kernel
+                .attach_netif(machine, PKT_QUEUE, PKT_MAC, kind, Coalesce::default())
+                .expect("fixture NIC frames");
             let mut switch = HostSwitch::new(PKT_SWITCH_DEPTH);
             let port = switch.attach(PKT_MAC);
             let listener = self.stack.env().sys(Sys::NetSocket).expect("listener") as Fd;

@@ -3,7 +3,7 @@
 //!
 //! A [`Program`] is a flat list of [`Op`]s plus the seed it was generated
 //! from. Ops are *closed over a small resource universe* (4 file paths,
-//! 4 mmap regions, 8 fd slots, one net socket) so any op sequence is
+//! 4 mmap regions, 8 fd slots, one NIC with two sockets) so any op sequence is
 //! executable from any prefix — the property the delta-debugging shrinker
 //! relies on. Programs serialize to a line-oriented text format so minimal
 //! reproducers can live under `tests/corpus/` and replay byte-for-byte.
@@ -110,21 +110,7 @@ pub enum Op {
     ExitIfChild,
     /// sched_yield(2).
     Yield,
-    /// Create the server net socket (idempotent per program).
-    NetSocket,
-    /// Receive one request from the closed-loop client fleet.
-    NetRecv {
-        /// Receive buffer size.
-        len: u16,
-    },
-    /// Queue one response.
-    NetSend {
-        /// Response size.
-        len: u16,
-    },
-    /// VirtIO kick — flush the TX batch.
-    NetFlush,
-    /// Set up the packet-granular net fixture: a virtqueue NIC on the
+    /// Set up the net fixture: a virtqueue NIC on the
     /// stack's guest memory, a depth-bounded host switch, and two sockets
     /// (a listener and a client). Idempotent; returns `lfd << 8 | cfd`.
     NetOpen,
@@ -139,7 +125,8 @@ pub enum Op {
         /// Port selector.
         port: u8,
     },
-    /// Queue one frame on a fixture socket; returns the payload hash.
+    /// Send on a fixture socket (longer than one frame: several frames,
+    /// all or none); returns the payload hash.
     NetSendTo {
         /// Socket selector: 0 = listener (reply path), else client.
         sock: u8,
@@ -209,10 +196,6 @@ impl Op {
             Op::SwitchNext => "switch".into(),
             Op::ExitIfChild => "exit-if-child".into(),
             Op::Yield => "yield".into(),
-            Op::NetSocket => "netsocket".into(),
-            Op::NetRecv { len } => format!("netrecv {len}"),
-            Op::NetSend { len } => format!("netsend {len}"),
-            Op::NetFlush => "netflush".into(),
             Op::NetOpen => "netopen".into(),
             Op::NetListen { port } => format!("netlisten {port}"),
             Op::NetConnect { port } => format!("netconnect {port}"),
@@ -284,14 +267,6 @@ impl Op {
             "switch" => Op::SwitchNext,
             "exit-if-child" => Op::ExitIfChild,
             "yield" => Op::Yield,
-            "netsocket" => Op::NetSocket,
-            "netrecv" => Op::NetRecv {
-                len: num("len")? as u16,
-            },
-            "netsend" => Op::NetSend {
-                len: num("len")? as u16,
-            },
-            "netflush" => Op::NetFlush,
             "netopen" => Op::NetOpen,
             "netlisten" => Op::NetListen {
                 port: num("port")? as u8,
@@ -373,14 +348,14 @@ pub fn random_op(rng: &mut SmallRng) -> Op {
         23 => Op::SwitchNext,
         24 => Op::ExitIfChild,
         25 => Op::Yield,
-        26 => Op::NetSocket,
-        27 => Op::NetRecv {
-            len: rng.gen_range(64u16..2048),
+        26 => Op::NetOpen,
+        27 | 28 => Op::NetSendTo {
+            sock: rng.gen_range(0u8..2),
+            len: rng.gen_range(1u16..5000),
         },
-        28 => Op::NetSend {
-            len: rng.gen_range(64u16..2048),
+        29 => Op::NetRecvFrom {
+            sock: rng.gen_range(0u8..2),
         },
-        29 => Op::NetFlush,
         30 => {
             if rng.gen_bool(0.25) {
                 Op::EnablePreemption {
@@ -527,10 +502,6 @@ mod tests {
             Op::SwitchNext,
             Op::ExitIfChild,
             Op::Yield,
-            Op::NetSocket,
-            Op::NetRecv { len: 512 },
-            Op::NetSend { len: 256 },
-            Op::NetFlush,
             Op::NetOpen,
             Op::NetListen { port: 5 },
             Op::NetConnect { port: 5 },
@@ -571,6 +542,6 @@ mod tests {
         assert!(!Op::PkProbe(0).is_comparable());
         assert!(!Op::PtpWriteProbe.is_comparable());
         assert!(Op::Getpid.is_comparable());
-        assert!(Op::NetRecv { len: 100 }.is_comparable());
+        assert!(Op::NetRecvFrom { sock: 0 }.is_comparable());
     }
 }

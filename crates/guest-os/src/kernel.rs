@@ -14,7 +14,7 @@ use sim_mem::addr::{page_align_down, page_align_up};
 use sim_mem::{MapFlags, Phys, PhysMem, Virt, PAGE_SIZE};
 
 use crate::costs;
-use crate::platform::{Hypercall, Platform};
+use crate::platform::Platform;
 use crate::process::{layout, AddressSpace, Fd, FileDesc, Pid, ProcState, Process, Vma, VmaKind};
 use crate::syscall::{Errno, Sys, SysResult};
 use crate::vfs::TmpFs;
@@ -30,20 +30,14 @@ struct Pipe {
     unix: bool,
 }
 
-/// A network stream socket over the VirtIO NIC.
-#[derive(Debug, Default, Clone)]
-struct Socket {
-    /// Requests received from the last poll, not yet consumed.
-    rx_backlog: u32,
-    /// Responses queued, not yet kicked.
-    tx_pending: u32,
-    /// Packet-granular state, present once the socket is bound via
-    /// `NetListen`/`NetConnect` (requires an attached [`VirtioNic`]).
-    /// Without it the socket uses the legacy batch-granular LoadGen path.
-    net: Option<NetSock>,
-}
-
-/// Packet-granular socket state: a port bound on the container's NIC.
+/// A network socket bound to a port on the container's virtqueue NIC.
+///
+/// `NetSocket` creates the socket unbound; `NetListen`/`NetConnect` bind
+/// it. Every data-path call (`NetRecv`, `NetSend`, `NetFlush`,
+/// `NetAccept`) on an unbound socket returns [`Errno::Inval`]. A send
+/// longer than [`netsim::MAX_PAYLOAD`] goes out as consecutive
+/// `MAX_PAYLOAD`-byte frames, all queued or none; a receive returns one
+/// frame.
 #[derive(Debug, Default, Clone)]
 struct NetSock {
     /// Local port (listen port, or the ephemeral port of a connect).
@@ -90,7 +84,8 @@ pub struct Kernel {
     /// The tmpfs root filesystem.
     pub vfs: TmpFs,
     pipes: Vec<Pipe>,
-    socks: Vec<Socket>,
+    /// Sockets by id; `None` until bound by `NetListen`/`NetConnect`.
+    socks: Vec<Option<NetSock>>,
     /// The container's virtqueue NIC, when the host attached one
     /// ([`Kernel::attach_netif`]). Owned by the kernel so syscalls reach it
     /// without host mediation; the host halves (`drain_tx`/`deliver_rx`)
@@ -239,11 +234,43 @@ impl Kernel {
             .collect();
     }
 
-    /// Attaches a virtqueue NIC; packet-granular socket syscalls
-    /// (`NetListen`/`NetConnect` and the send/recv paths behind them)
-    /// become available.
-    pub fn attach_netif(&mut self, nic: netsim::VirtioNic) {
+    /// Builds a virtqueue NIC of `queue` descriptors and attaches it, so
+    /// the socket syscalls become available. The rings and buffers live in
+    /// [`netsim::NicLayout::frames_needed`] frames taken from this kernel's
+    /// platform (for CKI, the delegated segment), and the doorbell and
+    /// interrupt path follow `kind`. Returns [`Errno::NoMem`], with every
+    /// frame given back, if the platform runs out of frames.
+    pub fn attach_netif(
+        &mut self,
+        m: &mut Machine,
+        queue: u16,
+        mac: netsim::Mac,
+        kind: netsim::NicBackendKind,
+        coalesce: netsim::Coalesce,
+    ) -> Result<(), Errno> {
+        let need = netsim::NicLayout::frames_needed(queue);
+        let mut frames = Vec::with_capacity(need);
+        for _ in 0..need {
+            match self.platform.alloc_frame(m) {
+                Some(pa) => frames.push(pa),
+                None => {
+                    for pa in frames {
+                        self.platform.free_frame(m, pa);
+                    }
+                    return Err(Errno::NoMem);
+                }
+            }
+        }
+        let nic = netsim::VirtioNic::for_backend(
+            &mut m.mem,
+            &mut m.cpu.clock,
+            netsim::NicLayout::from_frames(queue, &frames),
+            mac,
+            kind,
+            coalesce,
+        );
         self.netif = Some(nic);
+        Ok(())
     }
 
     /// The attached NIC, if any.
@@ -1037,7 +1064,7 @@ impl Kernel {
 
     fn sys_net_socket(&mut self) -> SysResult {
         let id = self.socks.len();
-        self.socks.push(Socket::default());
+        self.socks.push(None);
         let fd = self
             .procs
             .get_mut(&self.current)
@@ -1053,6 +1080,12 @@ impl Kernel {
         }
     }
 
+    /// The bound socket behind `fd`; `Inval` if it was never bound.
+    fn bound_sock(&mut self, fd: Fd) -> Result<&mut NetSock, Errno> {
+        let sock = self.sock_of(fd)?;
+        self.socks[sock].as_mut().ok_or(Errno::Inval)
+    }
+
     fn sys_net_listen(&mut self, m: &mut Machine, fd: Fd, port: u16) -> SysResult {
         m.cpu
             .clock
@@ -1061,14 +1094,10 @@ impl Kernel {
             return Err(Errno::NoSys);
         }
         let sock = self.sock_of(fd)?;
-        if self
-            .socks
-            .iter()
-            .any(|s| s.net.as_ref().is_some_and(|n| n.port == port))
-        {
+        if self.socks.iter().flatten().any(|n| n.port == port) {
             return Err(Errno::Inval); // EADDRINUSE stand-in
         }
-        self.socks[sock].net = Some(NetSock {
+        self.socks[sock] = Some(NetSock {
             port,
             ..NetSock::default()
         });
@@ -1086,7 +1115,7 @@ impl Kernel {
         let sock = self.sock_of(fd)?;
         let eph = self.next_eph;
         self.next_eph = self.next_eph.checked_add(1).ok_or(Errno::NoMem)?;
-        self.socks[sock].net = Some(NetSock {
+        self.socks[sock] = Some(NetSock {
             port: eph,
             peer: Some((mac, port)),
             ..NetSock::default()
@@ -1098,13 +1127,9 @@ impl Kernel {
         m.cpu
             .clock
             .charge(Tag::Handler, costs::FD_LOOKUP + costs::SOCK_OP);
-        let sock = self.sock_of(fd)?;
-        if self.socks[sock].net.is_none() {
-            return Err(Errno::Inval);
-        }
+        self.bound_sock(fd)?;
         self.net_demux(m);
-        let net = self.socks[sock].net.as_ref().expect("checked above");
-        match net.rxq.front() {
+        match self.bound_sock(fd)?.rxq.front() {
             Some(f) => Ok((f.src << 16) | f.src_port as u64),
             None => Err(Errno::WouldBlock),
         }
@@ -1118,32 +1143,24 @@ impl Kernel {
         while let Some(f) = nic.recv(&mut m.mem, &mut m.cpu.clock) {
             let target = self
                 .socks
-                .iter()
-                .position(|s| s.net.as_ref().is_some_and(|n| n.port == f.dst_port));
-            if let Some(i) = target {
-                self.socks[i]
-                    .net
-                    .as_mut()
-                    .expect("matched")
-                    .rxq
-                    .push_back(f);
+                .iter_mut()
+                .flatten()
+                .find(|n| n.port == f.dst_port);
+            if let Some(n) = target {
+                n.rxq.push_back(f);
             }
         }
     }
 
-    /// Packet-granular receive: pop this socket's demux queue, recording
+    /// Receive: pop one frame from this socket's demux queue, recording
     /// the sender for reply routing. Returns the payload hash (the
-    /// cross-container integrity token). Empty queue flushes pending TX
+    /// cross-container integrity token). An empty queue flushes pending TX
     /// (the doorbell the event loop owes) and returns `WouldBlock`.
-    fn sys_net_recv_packet(
-        &mut self,
-        m: &mut Machine,
-        sock: usize,
-        buf: Virt,
-        len: usize,
-    ) -> SysResult {
+    fn sys_net_recv(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
+        m.cpu.clock.charge(Tag::Handler, costs::FD_LOOKUP);
+        self.bound_sock(fd)?;
         self.net_demux(m);
-        let net = self.socks[sock].net.as_mut().expect("packet path");
+        let net = self.bound_sock(fd)?;
         match net.rxq.pop_front() {
             Some(f) => {
                 net.last_from = Some((f.src, f.src_port));
@@ -1162,97 +1179,55 @@ impl Kernel {
         }
     }
 
-    /// Packet-granular send: materialize a deterministic payload, queue it
-    /// on the TX ring (doorbell per the NIC's coalescing policy). Returns
-    /// the payload hash; `RingFull` surfaces as `WouldBlock` backpressure.
-    fn sys_net_send_packet(
-        &mut self,
-        m: &mut Machine,
-        sock: usize,
-        buf: Virt,
-        len: usize,
-    ) -> SysResult {
+    /// Send: materialize `len` deterministic payload bytes as
+    /// `MAX_PAYLOAD`-byte frames and queue them all on the TX ring
+    /// (doorbells per the NIC's coalescing policy). Returns the hash of the
+    /// whole payload — for a one-frame send, that frame's payload hash.
+    /// A full ring surfaces as `WouldBlock` with nothing queued; a send
+    /// needing more frames than the ring holds is `Inval`.
+    fn sys_net_send(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
+        m.cpu
+            .clock
+            .charge(Tag::Handler, costs::FD_LOOKUP + costs::TCP_STACK);
+        self.bound_sock(fd)?;
         self.copy_user(m, buf, len, false)?;
-        let nic = self.netif.as_mut().expect("packet path");
-        let net = self.socks[sock].net.as_mut().expect("packet path");
-        let (dst, dst_port) = net.peer.or(net.last_from).ok_or(Errno::Pipe)?;
-        let seed = ((net.port as u64) << 32) | net.seq;
-        let frame = netsim::Frame {
-            dst,
-            src: nic.mac,
-            dst_port,
-            src_port: net.port,
-            payload: netsim::payload_pattern(seed, len),
+        let sock = self.sock_of(fd)?;
+        let (Some(nic), Some(net)) = (self.netif.as_mut(), self.socks[sock].as_mut()) else {
+            return Err(Errno::NoSys);
         };
-        let hash = frame.payload_hash();
-        match nic.send(&mut m.mem, &mut m.cpu.clock, &frame) {
+        let (dst, dst_port) = net.peer.or(net.last_from).ok_or(Errno::Pipe)?;
+        let segments = len.div_ceil(netsim::MAX_PAYLOAD).max(1);
+        if segments > nic.queue() as usize {
+            return Err(Errno::Inval);
+        }
+        let frames: Vec<netsim::Frame> = (0..segments)
+            .map(|i| {
+                let seed = ((net.port as u64) << 32) | (net.seq + i as u64);
+                let bytes = (len - i * netsim::MAX_PAYLOAD).min(netsim::MAX_PAYLOAD);
+                netsim::Frame {
+                    dst,
+                    src: nic.mac,
+                    dst_port,
+                    src_port: net.port,
+                    payload: netsim::payload_pattern(seed, bytes),
+                }
+            })
+            .collect();
+        match nic.send(&mut m.mem, &mut m.cpu.clock, &frames) {
             Ok(()) => {
-                net.seq += 1;
-                Ok(hash)
+                net.seq += segments as u64;
+                Ok(netsim::message_hash(&frames))
             }
             Err(netsim::NetError::RingFull) => Err(Errno::WouldBlock),
             Err(_) => Err(Errno::Pipe),
         }
     }
 
-    fn sys_net_recv(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
-        m.cpu.clock.charge(Tag::Handler, costs::FD_LOOKUP);
-        let sock = self.sock_of(fd)?;
-        if self.socks[sock].net.is_some() {
-            return self.sys_net_recv_packet(m, sock, buf, len);
-        }
-        if self.socks[sock].rx_backlog == 0 {
-            // Flush queued responses before sleeping — end of a batch.
-            let pending = self.socks[sock].tx_pending;
-            if pending > 0 {
-                self.platform
-                    .hypercall(m, Hypercall::NetKick { packets: pending });
-                self.socks[sock].tx_pending = 0;
-            }
-            let mut got = self.platform.hypercall(m, Hypercall::NetPoll) as u32;
-            if got == 0 {
-                // Block until the NIC interrupt (PV halt), then re-poll.
-                self.platform.hypercall(m, Hypercall::VcpuHalt);
-                got = self.platform.hypercall(m, Hypercall::NetPoll) as u32;
-                if got == 0 {
-                    return Err(Errno::WouldBlock);
-                }
-            }
-            self.socks[sock].rx_backlog = got;
-        }
-        self.socks[sock].rx_backlog -= 1;
-        m.cpu.clock.charge(Tag::Handler, costs::TCP_STACK);
-        self.copy_user(m, buf, len, true)?;
-        Ok(len as u64)
-    }
-
-    fn sys_net_send(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
-        m.cpu
-            .clock
-            .charge(Tag::Handler, costs::FD_LOOKUP + costs::TCP_STACK);
-        let sock = self.sock_of(fd)?;
-        if self.socks[sock].net.is_some() {
-            return self.sys_net_send_packet(m, sock, buf, len);
-        }
-        self.copy_user(m, buf, len, false)?;
-        self.socks[sock].tx_pending += 1;
-        Ok(len as u64)
-    }
-
     fn sys_net_flush(&mut self, m: &mut Machine, fd: Fd) -> SysResult {
-        let sock = self.sock_of(fd)?;
-        if self.socks[sock].net.is_some() {
-            let nic = self.netif.as_mut().ok_or(Errno::NoSys)?;
-            nic.flush(&mut m.cpu.clock);
-            return Ok(0);
-        }
-        let pending = self.socks[sock].tx_pending;
-        if pending > 0 {
-            self.platform
-                .hypercall(m, Hypercall::NetKick { packets: pending });
-            self.socks[sock].tx_pending = 0;
-        }
-        Ok(pending as u64)
+        self.bound_sock(fd)?;
+        let nic = self.netif.as_mut().ok_or(Errno::NoSys)?;
+        nic.flush(&mut m.cpu.clock);
+        Ok(0)
     }
 
     // --- Teardown helpers -------------------------------------------------------
@@ -1574,19 +1549,14 @@ mod tests {
     #[test]
     fn packet_sockets_loopback_roundtrip() {
         let (mut k, mut m) = boot();
-        let queue = 8u16;
-        let frames: Vec<u64> = (0..netsim::NicLayout::frames_needed(queue))
-            .map(|_| m.frames.alloc().expect("nic frame"))
-            .collect();
-        let nic = netsim::VirtioNic::for_backend(
-            &mut m.mem,
-            &mut m.cpu.clock,
-            netsim::NicLayout::from_frames(queue, &frames),
+        k.attach_netif(
+            &mut m,
+            8,
             0xAA,
             netsim::NicBackendKind::Native,
             netsim::Coalesce::default(),
-        );
-        k.attach_netif(nic);
+        )
+        .unwrap();
         let mut sw = netsim::HostSwitch::new(8);
         let port = sw.attach(0xAA);
         let service = |k: &mut Kernel, m: &mut Machine, sw: &mut netsim::HostSwitch| {

@@ -431,3 +431,149 @@ fn per_syscall_stats_accumulate() {
     assert_eq!(k.stats().per_syscall["stat"], 1);
     assert_eq!(k.stats().syscalls, 6);
 }
+
+/// A kernel with an 8-descriptor NIC and a socket connected to a peer
+/// (ephemeral port 49152), plus a user buffer.
+fn connected() -> (Kernel, Machine, Fd, u64) {
+    let (mut k, mut m) = boot();
+    k.attach_netif(
+        &mut m,
+        8,
+        0xAA,
+        netsim::NicBackendKind::Native,
+        netsim::Coalesce::default(),
+    )
+    .unwrap();
+    let buf = k
+        .syscall(
+            &mut m,
+            Sys::Mmap {
+                len: 4 * PAGE_SIZE,
+                write: true,
+            },
+        )
+        .unwrap();
+    let fd = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
+    let port = k
+        .syscall(
+            &mut m,
+            Sys::NetConnect {
+                fd,
+                mac: 0xBB,
+                port: 80,
+            },
+        )
+        .unwrap();
+    assert_eq!(port, 49152);
+    (k, m, fd, buf)
+}
+
+#[test]
+fn long_send_is_segmented_into_max_payload_frames() {
+    let (mut k, mut m, fd, buf) = connected();
+    let len = 3 * netsim::MAX_PAYLOAD + 1;
+    let hash = k.syscall(&mut m, Sys::NetSend { fd, buf, len }).unwrap();
+    let stats = &k.netif().unwrap().stats;
+    assert_eq!(stats.tx_frames, 4, "three full frames and one byte");
+    assert_eq!(
+        stats.tx_bytes,
+        (len + 4 * netsim::frame::HEADER_BYTES) as u64,
+        "every payload byte goes out, once"
+    );
+    let segments: Vec<netsim::Frame> = (0..4u64)
+        .map(|i| netsim::Frame {
+            dst: 0xBB,
+            src: 0xAA,
+            dst_port: 80,
+            src_port: 49152,
+            payload: netsim::payload_pattern(
+                (49152 << 32) | i,
+                if i < 3 { netsim::MAX_PAYLOAD } else { 1 },
+            ),
+        })
+        .collect();
+    assert_eq!(hash, netsim::message_hash(&segments));
+    // The next send continues the sequence after the four segments.
+    let next = k
+        .syscall(&mut m, Sys::NetSend { fd, buf, len: 10 })
+        .unwrap();
+    assert_eq!(
+        next,
+        netsim::message_hash(&[netsim::Frame {
+            payload: netsim::payload_pattern((49152 << 32) | 4, 10),
+            ..segments[0].clone()
+        }])
+    );
+}
+
+#[test]
+fn one_frame_send_hash_is_unchanged() {
+    let (mut k, mut m, fd, buf) = connected();
+    let hash = k
+        .syscall(&mut m, Sys::NetSend { fd, buf, len: 100 })
+        .unwrap();
+    // The hash this send returned before sends were segmented.
+    assert_eq!(hash, 0x04b3_255c_79bd_d0b7);
+    assert_eq!(k.netif().unwrap().stats.tx_frames, 1);
+}
+
+#[test]
+fn segmented_send_is_all_or_nothing() {
+    let (mut k, mut m, fd, buf) = connected();
+    let five = 5 * netsim::MAX_PAYLOAD;
+    k.syscall(&mut m, Sys::NetSend { fd, buf, len: five })
+        .unwrap();
+    assert_eq!(
+        k.syscall(&mut m, Sys::NetSend { fd, buf, len: five }),
+        Err(Errno::WouldBlock),
+        "3 of 8 descriptors free: nothing is queued"
+    );
+    assert_eq!(k.netif().unwrap().stats.tx_frames, 5);
+    assert_eq!(
+        k.syscall(
+            &mut m,
+            Sys::NetSend {
+                fd,
+                buf,
+                len: 8 * netsim::MAX_PAYLOAD + 1
+            }
+        ),
+        Err(Errno::Inval),
+        "nine frames never fit an 8-descriptor ring"
+    );
+}
+
+#[test]
+fn unbound_socket_data_calls_are_inval() {
+    for with_nic in [false, true] {
+        let (mut k, mut m) = boot();
+        if with_nic {
+            k.attach_netif(
+                &mut m,
+                8,
+                0xAA,
+                netsim::NicBackendKind::Native,
+                netsim::Coalesce::default(),
+            )
+            .unwrap();
+        }
+        let buf = k
+            .syscall(
+                &mut m,
+                Sys::Mmap {
+                    len: PAGE_SIZE,
+                    write: true,
+                },
+            )
+            .unwrap();
+        let fd = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
+        for sys in [
+            Sys::NetRecv { fd, buf, len: 64 },
+            Sys::NetSend { fd, buf, len: 64 },
+            Sys::NetFlush { fd },
+            Sys::NetAccept { fd },
+        ] {
+            assert_eq!(k.syscall(&mut m, sys), Err(Errno::Inval), "{sys:?}");
+        }
+    }
+}

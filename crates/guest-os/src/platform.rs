@@ -25,14 +25,6 @@ use sim_mem::{MapFlags, PageTables, Phys, Virt};
 /// Host services reachable via hypercall (the slow path of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hypercall {
-    /// Transmit `packets` network packets that are queued in the VirtIO TX
-    /// ring (a queue "kick").
-    NetKick {
-        /// Number of queued packets the kick announces.
-        packets: u32,
-    },
-    /// Poll the VirtIO RX ring; returns the number of received packets.
-    NetPoll,
     /// Submit a block-device request of `bytes` bytes.
     BlockIo {
         /// Payload size in bytes.
@@ -45,8 +37,6 @@ pub enum Hypercall {
         /// Delay in nanoseconds.
         ns: u64,
     },
-    /// Pause the vCPU until the next virtual interrupt (PV `hlt`, Table 3).
-    VcpuHalt,
     /// Send an inter-processor interrupt to vCPU `vcpu`.
     SendIpi {
         /// Target vCPU index.
@@ -225,41 +215,12 @@ pub trait Platform {
 /// (OS-level containers / RunC). Every privileged operation is direct.
 pub struct NativePlatform {
     pcid: u16,
-    net: Option<netsim::NetBackend>,
-    clients: u32,
 }
 
 impl NativePlatform {
     /// Creates the native platform; processes run in PCID `pcid`.
     pub fn new(pcid: u16) -> Self {
-        Self {
-            pcid,
-            net: None,
-            clients: 0,
-        }
-    }
-
-    /// Attaches a closed-loop client fleet to the native NIC driver
-    /// (0 clients detaches).
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.clients = clients;
-        if let Some(net) = &mut self.net {
-            net.set_clients(clients);
-        }
-        self
-    }
-
-    /// Builds the shared network cost model on first use, priced at this
-    /// platform's (native) exit class — lazy so it inherits the machine's
-    /// cost model. kick_mmio stays 1: natively the "kick" is one direct
-    /// driver call (260-cycle roundtrip), not a trapped MMIO.
-    fn ensure_net(&mut self, m: &Machine) {
-        if self.net.is_none() {
-            self.net = Some(
-                netsim::NetBackend::new(netsim::ExitCosts::native(m.cpu.clock.model()))
-                    .with_clients(self.clients),
-            );
-        }
+        Self { pcid }
     }
 
     fn charge(m: &mut Machine, tag: Tag, cycles: u64) {
@@ -417,28 +378,9 @@ impl Platform for NativePlatform {
 
     fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
         // Native: no hypercall exists; the equivalent work is a direct
-        // driver invocation in the same kernel. Net events route through
-        // the shared netsim cost model priced at the native exit class, so
-        // RunC and the virtualized designs differ only in ExitCosts.
+        // driver invocation in the same kernel.
         let model = m.cpu.clock.model().clone();
         match call {
-            Hypercall::NetKick { packets } => {
-                self.ensure_net(m);
-                let net = self.net.as_mut().expect("just built");
-                net.kick(&mut m.cpu.clock, packets);
-                0
-            }
-            Hypercall::NetPoll => {
-                self.ensure_net(m);
-                let net = self.net.as_mut().expect("just built");
-                net.poll(&mut m.cpu.clock) as u64
-            }
-            Hypercall::VcpuHalt => {
-                self.ensure_net(m);
-                let net = self.net.as_mut().expect("just built");
-                net.halt(&mut m.cpu.clock);
-                0
-            }
             Hypercall::BlockIo { .. } => {
                 Self::charge(m, Tag::Io, model.virtio_process + 48_000);
                 0

@@ -151,11 +151,11 @@ pub enum Sys<'a> {
     PipeCreate,
     /// socketpair(AF_UNIX); returns `fd_a << 32 | fd_b`.
     SocketPair,
-    /// Creates a TCP-over-VirtIO server socket; returns the fd.
+    /// Creates an unbound network socket; returns the fd. Data-path calls
+    /// on it return `Inval` until `NetListen` or `NetConnect` binds it.
     NetSocket,
-    /// Binds the socket to `port` and marks it listening. Requires a
-    /// packet-granular NIC (`Kernel::attach_netif`); returns `NoSys`
-    /// otherwise.
+    /// Binds the socket to `port` and marks it listening. Requires a NIC
+    /// (`Kernel::attach_netif`); returns `NoSys` otherwise.
     NetListen {
         /// Socket descriptor.
         fd: Fd,
@@ -163,7 +163,7 @@ pub enum Sys<'a> {
         port: u16,
     },
     /// Connects the socket to `mac`:`port`, assigning an ephemeral local
-    /// port. Requires a packet-granular NIC.
+    /// port. Requires a NIC.
     NetConnect {
         /// Socket descriptor.
         fd: Fd,
@@ -178,8 +178,8 @@ pub enum Sys<'a> {
         /// Socket descriptor.
         fd: Fd,
     },
-    /// Receives one request from the network socket (polls the VirtIO ring
-    /// when the backlog is empty).
+    /// Receives one frame on a bound socket; returns its payload hash.
+    /// `WouldBlock` (after ringing any pending doorbell) when none queued.
     NetRecv {
         /// Socket descriptor.
         fd: Fd,
@@ -188,7 +188,10 @@ pub enum Sys<'a> {
         /// Buffer length.
         len: usize,
     },
-    /// Sends one response on the network socket (queued until a kick).
+    /// Sends `len` bytes to the socket's peer (or to the sender of the
+    /// last received frame) as `MAX_PAYLOAD`-byte frames, all queued or
+    /// none; returns the payload hash. `WouldBlock` when the TX ring is
+    /// full.
     NetSend {
         /// Socket descriptor.
         fd: Fd,
@@ -197,7 +200,8 @@ pub enum Sys<'a> {
         /// Bytes to send.
         len: usize,
     },
-    /// Flushes the TX queue (VirtIO kick) — end of an event-loop batch.
+    /// Rings the doorbell for TX frames the coalescing policy is still
+    /// holding back — end of an event-loop batch.
     NetFlush {
         /// Socket descriptor.
         fd: Fd,

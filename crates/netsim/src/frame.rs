@@ -86,13 +86,28 @@ impl Frame {
     /// differential tests' `i64` result encoding without colliding with
     /// negative errno sentinels.
     pub fn payload_hash(&self) -> u64 {
-        fnv1a(&self.payload) & 0x7fff_ffff_ffff_ffff
+        message_hash(std::slice::from_ref(self))
     }
 }
 
+/// Hash of a message sent as consecutive `frames`: FNV-1a over their
+/// concatenated payloads, masked like [`Frame::payload_hash`]. A one-frame
+/// message hashes exactly like its frame.
+pub fn message_hash(frames: &[Frame]) -> u64 {
+    let h = frames
+        .iter()
+        .fold(FNV_OFFSET, |h, f| fnv1a_extend(h, &f.payload));
+    h & 0x7fff_ffff_ffff_ffff
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -172,5 +187,27 @@ mod tests {
             };
             assert!((f.payload_hash() as i64) >= 0);
         }
+    }
+
+    #[test]
+    fn message_hash_covers_every_segment_in_order() {
+        let seg = |seed, len| Frame {
+            dst: 0,
+            src: 0,
+            dst_port: 0,
+            src_port: 0,
+            payload: payload_pattern(seed, len),
+        };
+        let (a, b) = (seg(1, MAX_PAYLOAD), seg(2, 7));
+        let whole = [a.payload.clone(), b.payload.clone()].concat();
+        assert_eq!(
+            message_hash(&[a.clone(), b.clone()]),
+            fnv1a(&whole) & 0x7fff_ffff_ffff_ffff
+        );
+        assert_ne!(
+            message_hash(&[a.clone(), b.clone()]),
+            message_hash(&[b, a.clone()])
+        );
+        assert_eq!(message_hash(std::slice::from_ref(&a)), a.payload_hash());
     }
 }

@@ -22,23 +22,22 @@
 //! a configurable kick batch plus a sim-clock timer fallback, and the host
 //! coalesces RX interrupts per delivery batch ([`Coalesce`]).
 //!
-//! The crate also owns the single model of legacy kick/poll costs
-//! ([`NetBackend`], [`LoadGen`], [`ExitCosts`]); every platform imports
-//! them from here, so there is exactly one place exit-class I/O pricing
-//! lives.
+//! This is the only model of what a network notification costs: every
+//! workload that moves packets — the cluster serving benchmark, the
+//! single-server harness behind the paper's KV and I/O figures, the cloud
+//! control plane and the differential tester — goes through a
+//! [`VirtioNic`], and the NIC's [`Doorbell`] and [`IrqPath`] are derived
+//! from the backend's [`ExitCosts`]. Platforms import [`ExitCosts`] from
+//! here for their other exit-class pricing.
 
-pub mod backend;
 pub mod exits;
 pub mod frame;
-pub mod loadgen;
 pub mod nic;
 pub mod ring;
 pub mod switch;
 
-pub use backend::{NetBackend, NetStats};
 pub use exits::ExitCosts;
-pub use frame::{payload_pattern, Frame, Mac, BUF_SIZE, MAX_PAYLOAD};
-pub use loadgen::LoadGen;
+pub use frame::{message_hash, payload_pattern, Frame, Mac, BUF_SIZE, MAX_PAYLOAD};
 pub use nic::{
     Coalesce, Doorbell, DoorbellPath, IrqPath, NetError, NicBackendKind, NicLayout, NicStats,
     VirtioNic,

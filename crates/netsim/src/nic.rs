@@ -365,6 +365,12 @@ impl VirtioNic {
         &self.coalesce
     }
 
+    /// Descriptors per ring: the most frames one [`VirtioNic::send`] can
+    /// queue.
+    pub fn queue(&self) -> u16 {
+        self.tx.size()
+    }
+
     /// Free TX descriptors right now (without reclaiming).
     pub fn tx_free(&self) -> u16 {
         self.tx.free_descs()
@@ -405,37 +411,42 @@ impl VirtioNic {
 
     // --- Guest driver half ----------------------------------------------------
 
-    /// Queues one frame on the TX ring. The descriptor is always published
-    /// (the vhost worker polls the avail index), but the doorbell is rung
-    /// per the coalescing policy. `Err(RingFull)` is backpressure: nothing
-    /// was queued, retry after the host drains the ring.
+    /// Queues `frames` on the TX ring, all or nothing: unless every frame
+    /// gets a descriptor, none is queued. Each descriptor is published at
+    /// once (the vhost worker polls the avail index) and counts towards
+    /// the coalescing policy, which decides when the doorbell rings.
+    /// `Err(RingFull)` is backpressure: retry after the host drains the
+    /// ring. A batch longer than [`VirtioNic::queue`] can never fit.
     pub fn send(
         &mut self,
         mem: &mut PhysMem,
         clock: &mut Clock,
-        frame: &Frame,
+        frames: &[Frame],
     ) -> Result<(), NetError> {
         // Reclaim completed TX descriptors first.
         while self.tx.pop_used(mem, clock).is_some() {}
-        let Some(id) = self.tx.reserve() else {
+        if (self.tx.free_descs() as usize) < frames.len() {
             self.stats.ring_full += 1;
             return Err(NetError::RingFull);
-        };
-        let bytes = frame.encode();
-        let addr = self.tx_bufs[id as usize];
-        mem.write_bytes(addr, &bytes);
-        Self::charge_copy(clock, bytes.len());
-        self.tx.publish(mem, clock, id, addr, bytes.len() as u32);
-        self.stats.tx_frames += 1;
-        self.stats.tx_bytes += bytes.len() as u64;
-        self.pending_kick += 1;
-        let now = clock.cycles();
-        if self.pending_kick >= self.coalesce.kick_batch
-            || now.saturating_sub(self.last_kick_at) >= self.coalesce.timer_cycles
-        {
-            self.ring_doorbell(clock);
-        } else {
-            self.stats.coalesced_kicks += 1;
+        }
+        for frame in frames {
+            let id = self.tx.reserve().expect("free descriptors checked above");
+            let bytes = frame.encode();
+            let addr = self.tx_bufs[id as usize];
+            mem.write_bytes(addr, &bytes);
+            Self::charge_copy(clock, bytes.len());
+            self.tx.publish(mem, clock, id, addr, bytes.len() as u32);
+            self.stats.tx_frames += 1;
+            self.stats.tx_bytes += bytes.len() as u64;
+            self.pending_kick += 1;
+            let now = clock.cycles();
+            if self.pending_kick >= self.coalesce.kick_batch
+                || now.saturating_sub(self.last_kick_at) >= self.coalesce.timer_cycles
+            {
+                self.ring_doorbell(clock);
+            } else {
+                self.stats.coalesced_kicks += 1;
+            }
         }
         Ok(())
     }
@@ -607,7 +618,7 @@ mod tests {
         ] {
             let (mut mem, mut clock, mut nic) = pair(kind, Coalesce::default());
             for i in 0..4 {
-                nic.send(&mut mem, &mut clock, &frame(i)).unwrap();
+                nic.send(&mut mem, &mut clock, &[frame(i)]).unwrap();
             }
             assert_eq!(nic.stats.kicks, 4, "{kind:?}: batch=1 kicks every send");
             assert_eq!(nic.stats.kick_exits, 4 * exits_per_kick, "{kind:?}");
@@ -628,7 +639,7 @@ mod tests {
         ] {
             let (mut mem, mut clock, mut nic) = pair(kind, Coalesce::default());
             let t0 = clock.cycles();
-            nic.send(&mut mem, &mut clock, &frame(1)).unwrap();
+            nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
             cycles.push(clock.cycles() - t0);
         }
         assert!(
@@ -647,7 +658,7 @@ mod tests {
             },
         );
         for i in 0..8 {
-            nic.send(&mut mem, &mut clock, &frame(i)).unwrap();
+            nic.send(&mut mem, &mut clock, &[frame(i)]).unwrap();
         }
         assert_eq!(nic.stats.kicks, 2, "8 sends at batch 4");
         assert_eq!(nic.stats.coalesced_kicks, 6);
@@ -667,10 +678,10 @@ mod tests {
                 irq_batch: 1,
             },
         );
-        nic.send(&mut mem, &mut clock, &frame(1)).unwrap();
+        nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
         assert_eq!(nic.stats.kicks, 0, "first send within the timer window");
         clock.charge(Tag::Compute, 100_000);
-        nic.send(&mut mem, &mut clock, &frame(2)).unwrap();
+        nic.send(&mut mem, &mut clock, &[frame(2)]).unwrap();
         assert_eq!(nic.stats.kicks, 1, "timer fired on the next send");
     }
 
@@ -711,13 +722,34 @@ mod tests {
     fn tx_ring_full_is_backpressure_not_a_drop() {
         let (mut mem, mut clock, mut nic) = pair(NicBackendKind::Cki, Coalesce::default());
         for i in 0..8 {
-            nic.send(&mut mem, &mut clock, &frame(i)).unwrap();
+            nic.send(&mut mem, &mut clock, &[frame(i)]).unwrap();
         }
         assert_eq!(
-            nic.send(&mut mem, &mut clock, &frame(9)),
+            nic.send(&mut mem, &mut clock, &[frame(9)]),
             Err(NetError::RingFull)
         );
         assert_eq!(nic.stats.ring_full, 1);
         assert_eq!(nic.stats.tx_frames, 8, "the rejected frame was not queued");
+    }
+
+    #[test]
+    fn multi_frame_send_is_all_or_nothing() {
+        let (mut mem, mut clock, mut nic) = pair(NicBackendKind::Cki, Coalesce::default());
+        let five: Vec<Frame> = (0..5).map(frame).collect();
+        nic.send(&mut mem, &mut clock, &five).unwrap();
+        assert_eq!(nic.stats.tx_frames, 5);
+        assert_eq!(nic.stats.kicks, 5, "batch=1 kicks every descriptor");
+        assert_eq!(
+            nic.send(&mut mem, &mut clock, &five),
+            Err(NetError::RingFull),
+            "3 of 8 descriptors free"
+        );
+        assert_eq!(
+            nic.stats.tx_frames, 5,
+            "no frame of the refused batch queued"
+        );
+        assert_eq!(nic.stats.ring_full, 1);
+        nic.send(&mut mem, &mut clock, &five[..3]).unwrap();
+        assert_eq!(nic.tx_free(), 0);
     }
 }

@@ -270,7 +270,9 @@ mod tests {
         let pb = sw.attach(0xB);
 
         let f = frame(0xA, 0xB, 7);
-        nic_a.send(&mut mem, &mut clock, &f).unwrap();
+        nic_a
+            .send(&mut mem, &mut clock, std::slice::from_ref(&f))
+            .unwrap();
         assert_eq!(drain_tx(&mut mem, &mut clock, &mut nic_a, &mut sw, pa), 1);
         assert_eq!(deliver_rx(&mut mem, &mut clock, &mut nic_b, &mut sw, pb), 1);
         let got = nic_b.recv(&mut mem, &mut clock).unwrap();
@@ -297,7 +299,8 @@ mod tests {
         let pa = sw.attach(0xA);
         let _pb = sw.attach(0xB);
         for i in 0..6 {
-            nic.send(&mut mem, &mut clock, &frame(0xA, 0xB, i)).unwrap();
+            nic.send(&mut mem, &mut clock, &[frame(0xA, 0xB, i)])
+                .unwrap();
         }
         // Only 2 fit the destination FIFO; 4 stay on the ring, none dropped.
         assert_eq!(drain_tx(&mut mem, &mut clock, &mut nic, &mut sw, pa), 2);

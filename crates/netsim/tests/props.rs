@@ -78,7 +78,7 @@ fn backpressure_never_drops_an_acked_frame() {
                         payload: payload_pattern(next_payload, 64 + (next_payload % 200) as usize),
                     };
                     next_payload += 1;
-                    match a.send(&mut mem, &mut clock, &f) {
+                    match a.send(&mut mem, &mut clock, std::slice::from_ref(&f)) {
                         Ok(()) => acked.push(f.payload_hash()),
                         Err(NetError::RingFull) => rejected += 1,
                         Err(e) => panic!("unexpected {e:?} at step {step}"),
@@ -150,7 +150,7 @@ fn seeded_coalescing_schedule_replays_byte_identically() {
                         payload: payload_pattern(n, 128),
                     };
                     n += 1;
-                    let _ = a.send(&mut mem, &mut clock, &f);
+                    let _ = a.send(&mut mem, &mut clock, std::slice::from_ref(&f));
                 }
                 2 => {
                     drain_tx(&mut mem, &mut clock, &mut a, &mut sw, pa);

@@ -18,7 +18,6 @@
 //!   compatibility column).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::{ExitCosts, NetBackend};
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
@@ -30,13 +29,8 @@ const SYSTRAP_IPC: u64 = 2700;
 /// kernel paths), cycles.
 const SENTRY_SERVICE: u64 = 1900;
 
-/// Per-packet overhead of the Sentry's user-space netstack, cycles.
-const NETSTACK_EXTRA: u64 = 2100;
-
 /// The gVisor-style platform.
 pub struct GvisorPlatform {
-    /// VirtIO-like network path through the Sentry netstack.
-    pub net: NetBackend,
     pcid: u16,
     /// Syscalls intercepted by Systrap.
     pub systrap_syscalls: u64,
@@ -44,22 +38,11 @@ pub struct GvisorPlatform {
 
 impl GvisorPlatform {
     /// Creates the platform.
-    pub fn new(m: &mut Machine) -> Self {
-        let model = m.cpu.clock.model().clone();
-        // Sentry↔host crossings are ordinary syscalls (native exits).
-        let exits = ExitCosts::native(&model);
-        let _ = &m;
+    pub fn new(_m: &mut Machine) -> Self {
         Self {
-            net: NetBackend::new(exits),
             pcid: 6,
             systrap_syscalls: 0,
         }
-    }
-
-    /// Attaches a closed-loop client fleet.
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.net.set_clients(clients);
-        self
     }
 }
 
@@ -215,30 +198,10 @@ impl Platform for GvisorPlatform {
         r
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
-        match call {
-            Hypercall::NetKick { packets } => {
-                // The Sentry netstack processes each packet in user space.
-                m.cpu
-                    .clock
-                    .charge(Tag::Io, NETSTACK_EXTRA * packets as u64 / 2);
-                self.net.kick(&mut m.cpu.clock, packets);
-                0
-            }
-            Hypercall::NetPoll => {
-                let n = self.net.poll(&mut m.cpu.clock);
-                m.cpu.clock.charge(Tag::Io, NETSTACK_EXTRA * n as u64 / 2);
-                n as u64
-            }
-            Hypercall::VcpuHalt => {
-                self.net.halt(&mut m.cpu.clock);
-                0
-            }
-            _ => {
-                m.cpu.clock.charge(Tag::Io, 600);
-                0
-            }
-        }
+    fn hypercall(&mut self, m: &mut Machine, _call: Hypercall) -> u64 {
+        // Host services are reached through the Sentry's ordinary syscalls.
+        m.cpu.clock.charge(Tag::Io, 600);
+        0
     }
 }
 
@@ -413,13 +376,10 @@ impl Platform for LibOsPlatform {
         cpu.mem_access(mem, va, access, None).map(|_| ())
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine, _call: Hypercall) -> u64 {
         // The libOS talks to the host through plain syscalls.
         m.cpu.clock.charge(Tag::Io, 260);
-        match call {
-            Hypercall::NetKick { .. } | Hypercall::NetPoll | Hypercall::VcpuHalt => 0,
-            _ => 0,
-        }
+        0
     }
 }
 

@@ -8,7 +8,7 @@
 //! where the L0 hypervisor must emulate a shadow EPT (Figure 10a, §2.4.1).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::{ExitCosts, NetBackend};
+use netsim::ExitCosts;
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::addr::pt_index;
@@ -43,8 +43,6 @@ pub struct HvmPlatform {
     ept: Ept,
     guest_frames: FrameAllocator,
     exits: ExitCosts,
-    /// VirtIO network backend.
-    pub net: NetBackend,
     /// VirtIO block backend.
     pub block: BlockBackend,
     pcid: u16,
@@ -81,7 +79,6 @@ impl HvmPlatform {
             ept: Ept::new(m, base, vm_size),
             guest_frames: FrameAllocator::new(0, vm_size),
             exits,
-            net: NetBackend::new(exits).with_mmio_kick(2, 600),
             block: BlockBackend::new(exits),
             pcid: 1,
             ids,
@@ -91,12 +88,6 @@ impl HvmPlatform {
     /// Enables 2 MiB stage-2 mappings (the Figure 12 "2M" configuration).
     pub fn with_huge_ept(mut self, on: bool) -> Self {
         self.ept = self.ept.with_huge_pages(on);
-        self
-    }
-
-    /// Attaches a closed-loop client fleet to the NIC.
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.net.set_clients(clients);
         self
     }
 
@@ -390,24 +381,6 @@ impl Platform for HvmPlatform {
         m.cpu.metrics.inc(self.ids.hypercalls);
         m.cpu.metrics.inc(self.ids.vm_exits);
         match call {
-            Hypercall::NetKick { packets } => {
-                let sp = m.cpu.span_enter("vmm.virtio.kick");
-                self.net.kick(&mut m.cpu.clock, packets);
-                m.cpu.span_exit(sp);
-                0
-            }
-            Hypercall::NetPoll => {
-                let sp = m.cpu.span_enter("vmm.virtio.poll");
-                let n = self.net.poll(&mut m.cpu.clock) as u64;
-                m.cpu.span_exit(sp);
-                n
-            }
-            Hypercall::VcpuHalt => {
-                let sp = m.cpu.span_enter("vmm.virtio.halt");
-                self.net.halt(&mut m.cpu.clock);
-                m.cpu.span_exit(sp);
-                0
-            }
             Hypercall::BlockIo { bytes, .. } => {
                 let sp = m.cpu.span_enter("vmm.virtio.block");
                 self.block.submit(&mut m.cpu.clock, bytes);

@@ -11,8 +11,9 @@
 //!   on the exit class of the platform.
 //!
 //! The exit-class cost table ([`netsim::ExitCosts`]: what one guest↔host
-//! roundtrip costs under each design, Table 2's hypercall row) and the
-//! network backend ([`netsim::NetBackend`]) live in `netsim`.
+//! roundtrip costs under each design, Table 2's hypercall row) lives in
+//! `netsim`, which derives every backend's NIC doorbell and interrupt
+//! costs from it; these platforms take no part in networking.
 
 pub mod designspace;
 pub mod ept;

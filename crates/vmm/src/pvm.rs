@@ -16,7 +16,7 @@
 //!   bare-metal and nested (Table 2).
 
 use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::{ExitCosts, NetBackend};
+use netsim::ExitCosts;
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
@@ -50,8 +50,6 @@ pub struct PvmPlatform {
     /// Deployed inside an L1 VM (nested cloud)?
     pub nested: bool,
     exits: ExitCosts,
-    /// VirtIO network backend.
-    pub net: NetBackend,
     /// VirtIO block backend.
     pub block: BlockBackend,
     pcid: u16,
@@ -89,19 +87,12 @@ impl PvmPlatform {
         Self {
             nested,
             exits,
-            net: NetBackend::new(exits).with_mmio_kick(2, 1500),
             block: BlockBackend::new(exits),
             pcid: 2,
             in_fault: false,
             unsynced: std::collections::HashSet::new(),
             ids,
         }
-    }
-
-    /// Attaches a closed-loop client fleet to the NIC.
-    pub fn with_clients(mut self, clients: u32) -> Self {
-        self.net.set_clients(clients);
-        self
     }
 
     /// Reconstructs the [`PvmStats`] view from the machine's registry.
@@ -368,24 +359,6 @@ impl Platform for PvmPlatform {
     fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
         m.cpu.metrics.inc(self.ids.hypercalls);
         match call {
-            Hypercall::NetKick { packets } => {
-                let sp = m.cpu.span_enter("vmm.virtio.kick");
-                self.net.kick(&mut m.cpu.clock, packets);
-                m.cpu.span_exit(sp);
-                0
-            }
-            Hypercall::NetPoll => {
-                let sp = m.cpu.span_enter("vmm.virtio.poll");
-                let n = self.net.poll(&mut m.cpu.clock) as u64;
-                m.cpu.span_exit(sp);
-                n
-            }
-            Hypercall::VcpuHalt => {
-                let sp = m.cpu.span_enter("vmm.virtio.halt");
-                self.net.halt(&mut m.cpu.clock);
-                m.cpu.span_exit(sp);
-                0
-            }
             Hypercall::BlockIo { bytes, .. } => {
                 let sp = m.cpu.span_enter("vmm.virtio.block");
                 self.block.submit(&mut m.cpu.clock, bytes);

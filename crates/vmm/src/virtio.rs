@@ -1,9 +1,9 @@
 //! The VirtIO block backend.
 //!
-//! Network devices live in `netsim`, which owns the only model of
-//! kick/poll costs ([`netsim::NetBackend`]); every platform routes its
-//! `NetKick`/`NetPoll`/`VcpuHalt` hypercalls through it. The block backend
-//! stays here: netsim is a networking crate.
+//! Network devices live in `netsim`: a container's `netsim::VirtioNic`
+//! sits on its kernel, not behind a hypercall, and its doorbell and
+//! interrupt costs derive from the same [`ExitCosts`] as this backend's.
+//! The block backend stays here: netsim is a networking crate.
 
 use netsim::ExitCosts;
 use sim_hw::{Clock, Tag};

@@ -1,20 +1,35 @@
 //! I/O-intensive server workloads (paper Figure 5): nginx (static and
 //! proxy), httpd, and netperf (TX / RR).
 //!
-//! Like the KV servers, these run a request loop against the closed-loop
-//! client fleet attached to the platform's network backend. Each server's
+//! Like the KV servers, these run a request loop against a host-side
+//! [`crate::fleet::ClientFleet`] on the server NIC's switch. Each server's
 //! per-request kernel/engine profile follows the real application:
 //!
-//! - **nginx static**: accept → parse → `stat` + `pread` the file (page
-//!   cache) → send. Efficient event loop, modest engine work.
-//! - **nginx proxy**: double the network work (client + upstream legs).
+//! - **nginx static**: receive → parse → `stat` + `pread` the file (page
+//!   cache) → send 8 KiB.
+//! - **nginx proxy**: the same front end, plus an upstream leg on a second
+//!   socket connected to the fleet's upstream port: forward the request,
+//!   receive the 8 KiB body, relay it.
 //! - **httpd (Apache)**: heavier per-request engine work than nginx.
-//! - **netperf TX**: bulk streaming send throughput.
+//! - **netperf TX**: bulk 16 KiB sends to a sink, flushed every four.
 //! - **netperf RR**: 1-byte request/response latency-bound throughput.
+//!
+//! Sends longer than one frame leave as several frames (the kernel
+//! segments them), so an 8 KiB reply costs five TX descriptors.
 
 use guest_os::{Env, Errno, Fd, Sys};
+use netsim::NicBackendKind;
 
+use crate::fleet::{ClientFleet, Fleet, DISCARD_PORT, FLEET_MAC, UPSTREAM_PORT};
 use crate::report::{Probe, Report};
+use crate::serving::SERVICE_PORT;
+
+/// Bytes of an HTTP request.
+const HTTP_REQUEST: usize = 200;
+/// Bytes of the served file (and of the proxied upstream body).
+const FILE_BYTES: usize = 8192;
+/// Bytes of one netperf TX send window.
+const TX_WINDOW: usize = 16 * 1024;
 
 /// One I/O server case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,17 +74,52 @@ pub struct IoWorkload {
     pub case: IoCase,
     /// Requests (or 16 KiB send windows for TX) to complete.
     pub requests: u64,
+    /// Closed-loop client connections (netperf TX sends to a sink and
+    /// needs none).
+    pub clients: u32,
 }
 
 impl IoWorkload {
-    /// Creates a run.
-    pub fn new(case: IoCase, requests: u64) -> Self {
-        Self { case, requests }
+    /// Creates a run against `clients` connections.
+    pub fn new(case: IoCase, requests: u64, clients: u32) -> Self {
+        Self {
+            case,
+            requests,
+            clients,
+        }
     }
 
-    /// Runs the server loop.
-    pub fn run(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
+    /// What the fleet sends and expects for this case.
+    fn fleet(&self) -> Fleet {
+        let (request_bytes, response_bytes) = match self.case {
+            IoCase::NetperfRr => (1, 1),
+            _ => (HTTP_REQUEST, FILE_BYTES),
+        };
+        Fleet {
+            clients: self.clients,
+            request_bytes,
+            response_bytes,
+            upstream_bytes: FILE_BYTES,
+        }
+    }
+
+    /// Attaches a `nic`-flavored NIC and the client fleet, then runs the
+    /// server loop.
+    pub fn run(&mut self, env: &mut Env<'_>, nic: NicBackendKind) -> Result<Report, Errno> {
+        let mut net = ClientFleet::attach(env, nic, self.fleet());
         let sock = env.sys(Sys::NetSocket)? as Fd;
+        if self.case == IoCase::NetperfTx {
+            env.sys(Sys::NetConnect {
+                fd: sock,
+                mac: FLEET_MAC,
+                port: DISCARD_PORT,
+            })?;
+        } else {
+            env.sys(Sys::NetListen {
+                fd: sock,
+                port: SERVICE_PORT,
+            })?;
+        }
         let buf = env.mmap(64 * 1024)?;
         env.touch_range(buf, 64 * 1024, true)?;
         // The served file, warmed into the page cache.
@@ -81,94 +131,59 @@ impl IoWorkload {
         env.sys(Sys::Write {
             fd: file,
             buf,
-            len: 8192,
+            len: FILE_BYTES,
         })?;
+        let upstream = if self.case == IoCase::NginxProxy {
+            let fd = env.sys(Sys::NetSocket)? as Fd;
+            env.sys(Sys::NetConnect {
+                fd,
+                mac: FLEET_MAC,
+                port: UPSTREAM_PORT,
+            })?;
+            fd
+        } else {
+            sock
+        };
 
         let probe = Probe::start(env);
         match self.case {
-            IoCase::NginxStatic => {
+            IoCase::NginxStatic | IoCase::Httpd => {
+                // httpd: per-request mpm + filter chain; nginx: parse + route.
+                let engine = if self.case == IoCase::Httpd {
+                    7800
+                } else {
+                    2200
+                };
                 for _ in 0..self.requests {
-                    env.sys(Sys::NetRecv {
-                        fd: sock,
-                        buf,
-                        len: 200,
-                    })?;
-                    env.compute(2200); // parse + route
+                    net.recv(env, sock, buf, HTTP_REQUEST)?;
+                    env.compute(engine);
                     env.sys(Sys::Stat {
                         path: "/www/index.html",
                     })?;
                     env.sys(Sys::Pread {
                         fd: file,
                         buf,
-                        len: 8192,
+                        len: FILE_BYTES,
                         offset: 0,
                     })?;
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 8192,
-                    })?;
+                    net.send(env, sock, buf, FILE_BYTES)?;
                 }
             }
             IoCase::NginxProxy => {
                 for _ in 0..self.requests {
-                    env.sys(Sys::NetRecv {
-                        fd: sock,
-                        buf,
-                        len: 200,
-                    })?;
+                    net.recv(env, sock, buf, HTTP_REQUEST)?;
                     env.compute(2600);
                     // Upstream leg: send the request on, receive the body.
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 220,
-                    })?;
-                    env.sys(Sys::NetRecv {
-                        fd: sock,
-                        buf,
-                        len: 8192,
-                    })?;
+                    net.send(env, upstream, buf, 220)?;
+                    net.recv_msg(env, upstream, buf, FILE_BYTES)?;
                     env.compute(900);
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 8192,
-                    })?;
-                }
-            }
-            IoCase::Httpd => {
-                for _ in 0..self.requests {
-                    env.sys(Sys::NetRecv {
-                        fd: sock,
-                        buf,
-                        len: 200,
-                    })?;
-                    env.compute(7800); // per-request mpm + filter chain
-                    env.sys(Sys::Stat {
-                        path: "/www/index.html",
-                    })?;
-                    env.sys(Sys::Pread {
-                        fd: file,
-                        buf,
-                        len: 8192,
-                        offset: 0,
-                    })?;
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 8192,
-                    })?;
+                    net.send(env, sock, buf, FILE_BYTES)?;
                 }
             }
             IoCase::NetperfTx => {
                 // Bulk streaming: one 16 KiB send per window, flush every 4.
                 for i in 0..self.requests {
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 16 * 1024,
-                    })?;
+                    net.send(env, sock, buf, TX_WINDOW)?;
                     env.compute(300);
                     if i % 4 == 3 {
                         env.sys(Sys::NetFlush { fd: sock })?;
@@ -177,17 +192,9 @@ impl IoWorkload {
             }
             IoCase::NetperfRr => {
                 for _ in 0..self.requests {
-                    env.sys(Sys::NetRecv {
-                        fd: sock,
-                        buf,
-                        len: 1,
-                    })?;
+                    net.recv(env, sock, buf, 1)?;
                     env.compute(120);
-                    env.sys(Sys::NetSend {
-                        fd: sock,
-                        buf,
-                        len: 1,
-                    })?;
+                    net.send(env, sock, buf, 1)?;
                 }
             }
         }
@@ -199,16 +206,18 @@ impl IoWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guest_os::Kernel;
-    use sim_hw::{HwExtensions, Machine};
-    use vmm::{HvmPlatform, PvmPlatform};
+    use cki::{Backend, Stack, StackConfig};
+
+    fn run_on(backend: Backend, case: IoCase, clients: u32) -> Report {
+        let mut stack = Stack::new(backend, StackConfig::default());
+        let nic = backend.nic_kind();
+        IoWorkload::new(case, 500, clients)
+            .run(&mut stack.env(), nic)
+            .unwrap()
+    }
 
     fn run_on_pvm(case: IoCase) -> Report {
-        let mut m = Machine::new(1024 * 1024 * 1024, HwExtensions::baseline());
-        let p = PvmPlatform::new(&mut m, false).with_clients(16);
-        let mut k = Kernel::boot(Box::new(p), &mut m);
-        let mut env = Env::new(&mut k, &mut m);
-        IoWorkload::new(case, 500).run(&mut env).unwrap()
+        run_on(Backend::Pvm, case, 16)
     }
 
     #[test]
@@ -224,20 +233,8 @@ mod tests {
     fn nested_hvm_collapses_rr_throughput() {
         // netperf RR is a single request/response stream (1 client): every
         // transaction pays the full notification path, unamortized.
-        let mut m = Machine::new(2048 * 1024 * 1024, HwExtensions::baseline());
-        let p = HvmPlatform::new(&mut m, 256 * 1024 * 1024, true).with_clients(1);
-        let mut k = Kernel::boot(Box::new(p), &mut m);
-        let mut env = Env::new(&mut k, &mut m);
-        let nst = IoWorkload::new(IoCase::NetperfRr, 500)
-            .run(&mut env)
-            .unwrap();
-        let mut m2 = Machine::new(1024 * 1024 * 1024, HwExtensions::baseline());
-        let p2 = PvmPlatform::new(&mut m2, true).with_clients(1);
-        let mut k2 = Kernel::boot(Box::new(p2), &mut m2);
-        let mut env2 = Env::new(&mut k2, &mut m2);
-        let pvm = IoWorkload::new(IoCase::NetperfRr, 500)
-            .run(&mut env2)
-            .unwrap();
+        let nst = run_on(Backend::HvmNested, IoCase::NetperfRr, 1);
+        let pvm = run_on(Backend::PvmNested, IoCase::NetperfRr, 1);
         assert!(
             pvm.ops_per_sec() > 1.8 * nst.ops_per_sec(),
             "PVM {} vs HVM-NST {} (paper: 1.8×-4.3×)",

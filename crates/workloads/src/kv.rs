@@ -1,11 +1,14 @@
 //! In-memory key-value servers under a memtier-like client fleet
 //! (paper Figures 5 and 16).
 //!
-//! The server is an epoll-style event loop: drain the ready requests,
-//! process each (hash-table get/set, 1:1 ratio, ~500-byte values), queue
-//! the responses, flush (VirtIO kick), block when idle. The client fleet
-//! is the closed-loop [`netsim::LoadGen`] attached to the platform's
-//! network backend — vary `clients` to sweep Figure 16's x-axis.
+//! The server is an epoll-style event loop: receive a ready request,
+//! process it (hash-table get/set, 1:1 ratio, ~500-byte values), queue the
+//! response, flush every few replies (each flush may ring the VirtIO
+//! doorbell), and block when idle. The clients are a host-side
+//! [`crate::fleet::ClientFleet`] of closed-loop connections on the server
+//! NIC's switch — vary `clients` to sweep Figure 16's x-axis. More clients
+//! mean more requests per RX interrupt and per doorbell, which is what
+//! separates CKI and PVM from nested HVM in Figure 16.
 //!
 //! Redis differs from memcached in per-request engine work (RESP protocol
 //! parse, object machinery, single-threaded command loop), which is why
@@ -14,9 +17,12 @@
 use std::collections::HashMap;
 
 use guest_os::{Env, Errno, Fd, Sys};
+use netsim::NicBackendKind;
 use obs::rng::SmallRng;
 
+use crate::fleet::{ClientFleet, Fleet};
 use crate::report::{Probe, Report};
+use crate::serving::SERVICE_PORT;
 
 /// Which server to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,13 +51,14 @@ impl KvKind {
     }
 }
 
-/// The KV-server workload. Attach clients via the platform's
-/// `with_clients(n)` before booting the kernel.
+/// The KV-server workload.
 pub struct KvServerWorkload {
     /// Which engine.
     pub kind: KvKind,
     /// Requests to serve before stopping.
     pub requests: u64,
+    /// Closed-loop client connections.
+    pub clients: u32,
     /// Value size (memtier: ~500 B).
     pub value_bytes: usize,
     /// RNG seed.
@@ -59,21 +66,36 @@ pub struct KvServerWorkload {
 }
 
 impl KvServerWorkload {
-    /// Creates a server run.
-    pub fn new(kind: KvKind, requests: u64) -> Self {
+    /// Creates a server run against `clients` connections.
+    pub fn new(kind: KvKind, requests: u64, clients: u32) -> Self {
         Self {
             kind,
             requests,
+            clients,
             value_bytes: 500,
             seed: 23,
         }
     }
 
-    /// Runs the event loop until `requests` requests are served.
+    /// Attaches a `nic`-flavored NIC and the client fleet, then runs the
+    /// event loop until `requests` requests are served.
     ///
-    /// Returns `Errno::WouldBlock` if no clients are attached.
-    pub fn run(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
+    /// Returns `Errno::WouldBlock` if there are no clients.
+    pub fn run(&mut self, env: &mut Env<'_>, nic: NicBackendKind) -> Result<Report, Errno> {
+        let request_bytes = self.value_bytes + 40;
+        let response_bytes = self.value_bytes + 16;
+        let fleet = Fleet {
+            clients: self.clients,
+            request_bytes,
+            response_bytes,
+            upstream_bytes: 0,
+        };
+        let mut net = ClientFleet::attach(env, nic, fleet);
         let sock = env.sys(Sys::NetSocket)? as Fd;
+        env.sys(Sys::NetListen {
+            fd: sock,
+            port: SERVICE_PORT,
+        })?;
         let buf = env.mmap(64 * 1024)?;
         env.touch_range(buf, 64 * 1024, true)?;
         // The value store: real content, held at simulated addresses.
@@ -86,11 +108,7 @@ impl KvServerWorkload {
         let probe = Probe::start(env);
         let mut served = 0u64;
         while served < self.requests {
-            env.sys(Sys::NetRecv {
-                fd: sock,
-                buf,
-                len: self.value_bytes + 40,
-            })?;
+            net.recv(env, sock, buf, request_bytes)?;
             env.compute(self.kind.engine_cycles());
             let key = rng.gen_range(0..100_000u64);
             let write = rng.gen_bool(0.5); // memtier 1:1 ratio
@@ -105,14 +123,10 @@ impl KvServerWorkload {
             } else if let Some(&slot) = index.get(&key) {
                 env.touch(store + slot, false)?;
             }
-            env.sys(Sys::NetSend {
-                fd: sock,
-                buf,
-                len: self.value_bytes + 16,
-            })?;
+            net.send(env, sock, buf, response_bytes)?;
             served += 1;
             // Event loops flush the TX queue every few connections, not
-            // once per RX batch — each flush is a doorbell kick.
+            // once per RX batch — each flush may ring the doorbell.
             if served.is_multiple_of(4) {
                 env.sys(Sys::NetFlush { fd: sock })?;
             }
@@ -125,31 +139,32 @@ impl KvServerWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guest_os::{Kernel, NativePlatform, Platform};
+    use cki::{Backend, Stack, StackConfig};
     use netsim::ExitCosts;
-    use sim_hw::{HwExtensions, Machine};
-    use vmm::PvmPlatform;
+
+    fn run_on(
+        backend: Backend,
+        kind: KvKind,
+        clients: u32,
+        requests: u64,
+    ) -> Result<Report, Errno> {
+        let mut stack = Stack::new(backend, StackConfig::default());
+        let nic = backend.nic_kind();
+        KvServerWorkload::new(kind, requests, clients).run(&mut stack.env(), nic)
+    }
 
     fn run_pvm(kind: KvKind, clients: u32, requests: u64) -> Report {
-        let mut m = Machine::new(1024 * 1024 * 1024, HwExtensions::baseline());
-        let p = PvmPlatform::new(&mut m, false).with_clients(clients);
-        let mut k = Kernel::boot(Box::new(p), &mut m);
-        let mut env = Env::new(&mut k, &mut m);
-        KvServerWorkload::new(kind, requests).run(&mut env).unwrap()
+        run_on(Backend::Pvm, kind, clients, requests).unwrap()
     }
 
     #[test]
     fn no_clients_blocks() {
-        let mut m = Machine::new(1024 * 1024 * 1024, HwExtensions::baseline());
-        let k: Box<dyn Platform> = Box::new(NativePlatform::new(1));
-        let mut k = Kernel::boot(k, &mut m);
-        let mut env = Env::new(&mut k, &mut m);
-        let r = KvServerWorkload::new(KvKind::Memcached, 10).run(&mut env);
+        let r = run_on(Backend::RunC, KvKind::Memcached, 0, 10);
         assert_eq!(r.unwrap_err(), Errno::WouldBlock);
     }
 
     #[test]
-    fn throughput_rises_with_clients() {
+    fn throughput_rises_with_client_count() {
         let one = run_pvm(KvKind::Memcached, 1, 2000);
         let many = run_pvm(KvKind::Memcached, 32, 2000);
         assert!(
@@ -169,7 +184,6 @@ mod tests {
 
     #[test]
     fn exit_cost_table_sanity() {
-        // The generator in the backend must interact: served == delivered.
         let m = sim_hw::CostModel::default();
         assert!(ExitCosts::cki(&m).roundtrip < ExitCosts::hvm_nested(&m).roundtrip);
     }

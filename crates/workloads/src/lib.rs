@@ -16,9 +16,11 @@
 //! | [`sqlite`] | sqlite-bench (LevelDB db_bench_sqlite3) | Fig. 5, 14, 15 |
 //! | [`kv`] | memcached / Redis under memtier | Fig. 5, 16 |
 //! | [`iobench`] | nginx, httpd, netperf | Fig. 5 |
-//! | [`serving`] | cross-container serving over virtqueue NICs | Fig. 5, 16 |
+//! | [`fleet`] | one server NIC under a host-side client fleet | Fig. 5, 16 |
+//! | [`serving`] | cross-container serving over virtqueue NICs | `net_serving` |
 
 pub mod btree;
+pub mod fleet;
 pub mod gups;
 pub mod iobench;
 pub mod kv;

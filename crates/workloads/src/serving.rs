@@ -23,7 +23,7 @@
 use cki::Backend;
 use guest_os::{Errno, Fd, Kernel, Sys};
 use netsim::{deliver_rx, drain_tx, Coalesce, HostSwitch, Mac};
-use netsim::{NicLayout, NicStats, PortId, SwitchStats, VirtioNic};
+use netsim::{NicStats, PortId, SwitchStats};
 use obs::SketchId;
 use sim_hw::{HwExtensions, Machine, Mode, Tag};
 use sim_mem::PAGE_SIZE;
@@ -134,7 +134,6 @@ impl Cluster {
             let stack_cfg = cki::StackConfig {
                 mem_bytes,
                 vm_bytes,
-                clients: 0,
                 vcpus: 1,
                 pcid: Some(3 + i as u16),
                 seg: None,
@@ -144,24 +143,16 @@ impl Cluster {
             // Ring and buffer frames come from the node's own memory — for
             // CKI that is the delegated segment, so the descriptor table
             // holds real host-physical addresses (no gPA indirection).
-            let frames: Vec<u64> = (0..NicLayout::frames_needed(cfg.queue))
-                .map(|_| {
-                    kernel
-                        .platform
-                        .alloc_frame(&mut machine)
-                        .expect("NIC frames from the node's memory")
-                })
-                .collect();
             let mac = 0x0200_0000_0000 | (i as u64 + 1);
-            let nic = VirtioNic::for_backend(
-                &mut machine.mem,
-                &mut machine.cpu.clock,
-                NicLayout::from_frames(cfg.queue, &frames),
-                mac,
-                cfg.backend.nic_kind(),
-                cfg.coalesce,
-            );
-            kernel.attach_netif(nic);
+            kernel
+                .attach_netif(
+                    &mut machine,
+                    cfg.queue,
+                    mac,
+                    cfg.backend.nic_kind(),
+                    cfg.coalesce,
+                )
+                .expect("NIC frames from the node's memory");
             ports.push(switch.attach(mac));
             macs.push(mac);
             kernels.push(kernel);

@@ -29,9 +29,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use cki_core::CkiPlatform;
 use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
-use netsim::{
-    Coalesce, HostSwitch, Mac, NicBackendKind, NicLayout, NicStats, PortId, SwitchStats, VirtioNic,
-};
+use netsim::{Coalesce, HostSwitch, Mac, NicBackendKind, NicStats, PortId, SwitchStats};
 use obs::FlightRecorder;
 use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
@@ -665,27 +663,16 @@ impl CloudHost {
         let Some(net) = self.net.as_mut() else {
             return (None, None);
         };
-        let need = NicLayout::frames_needed(net.cfg.queue);
-        let mut frames = Vec::with_capacity(need);
-        for _ in 0..need {
-            frames.push(
-                kernel
-                    .platform
-                    .alloc_frame(&mut self.machine)
-                    .expect("NIC ring frames from the delegated segment"),
-            );
-        }
-        let layout = NicLayout::from_frames(net.cfg.queue, &frames);
         let mac = Self::container_mac(id);
-        let nic = VirtioNic::for_backend(
-            &mut self.machine.mem,
-            &mut self.machine.cpu.clock,
-            layout,
-            mac,
-            NicBackendKind::Cki,
-            net.cfg.coalesce,
-        );
-        kernel.attach_netif(nic);
+        kernel
+            .attach_netif(
+                &mut self.machine,
+                net.cfg.queue,
+                mac,
+                NicBackendKind::Cki,
+                net.cfg.coalesce,
+            )
+            .expect("NIC ring frames from the delegated segment");
         let port = net.switch.attach(mac);
         let m = &mut self.machine.cpu.metrics;
         let series = NetSeries {
@@ -888,7 +875,6 @@ impl CloudHost {
         StackConfig {
             mem_bytes: self.machine.mem.size(),
             vm_bytes: spec.seg_bytes,
-            clients: 0,
             vcpus: spec.vcpus,
             pcid: Some(pcid),
             seg: Some(seg),

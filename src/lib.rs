@@ -172,53 +172,43 @@ impl Backend {
             None => CkiPlatform::new(machine, cfg),
         };
         match self {
-            Backend::RunC => Box::new(NativePlatform::new(1).with_clients(config.clients)),
-            Backend::HvmBm => Box::new(
-                HvmPlatform::new(machine, config.vm_bytes, false).with_clients(config.clients),
-            ),
-            Backend::HvmBm2M => Box::new(
-                HvmPlatform::new(machine, config.vm_bytes, false)
-                    .with_huge_ept(true)
-                    .with_clients(config.clients),
-            ),
-            Backend::HvmNested => Box::new(
-                HvmPlatform::new(machine, config.vm_bytes, true).with_clients(config.clients),
-            ),
-            Backend::Pvm => Box::new(PvmPlatform::new(machine, false).with_clients(config.clients)),
-            Backend::PvmNested => {
-                Box::new(PvmPlatform::new(machine, true).with_clients(config.clients))
+            Backend::RunC => Box::new(NativePlatform::new(1)),
+            Backend::HvmBm => Box::new(HvmPlatform::new(machine, config.vm_bytes, false)),
+            Backend::HvmBm2M => {
+                Box::new(HvmPlatform::new(machine, config.vm_bytes, false).with_huge_ept(true))
             }
+            Backend::HvmNested => Box::new(HvmPlatform::new(machine, config.vm_bytes, true)),
+            Backend::Pvm => Box::new(PvmPlatform::new(machine, false)),
+            Backend::PvmNested => Box::new(PvmPlatform::new(machine, true)),
             Backend::Cki | Backend::CkiNested => {
                 let cfg = cki_cfg(CkiConfig {
                     nested: self == Backend::CkiNested,
                     ..CkiConfig::default()
                 });
-                Box::new(build_cki(machine, cfg).with_clients(config.clients))
+                Box::new(build_cki(machine, cfg))
             }
             Backend::CkiWoOpt2 => {
                 let cfg = cki_cfg(CkiConfig {
                     opt2_no_pt_switch: false,
                     ..CkiConfig::default()
                 });
-                Box::new(build_cki(machine, cfg).with_clients(config.clients))
+                Box::new(build_cki(machine, cfg))
             }
             Backend::CkiWoOpt3 => {
                 let cfg = cki_cfg(CkiConfig {
                     opt3_direct_sysret: false,
                     ..CkiConfig::default()
                 });
-                Box::new(build_cki(machine, cfg).with_clients(config.clients))
+                Box::new(build_cki(machine, cfg))
             }
             Backend::CkiGateMitigated => {
                 let cfg = cki_cfg(CkiConfig {
                     gate_sidechannel_mitigation: true,
                     ..CkiConfig::default()
                 });
-                Box::new(build_cki(machine, cfg).with_clients(config.clients))
+                Box::new(build_cki(machine, cfg))
             }
-            Backend::Gvisor => {
-                Box::new(vmm::GvisorPlatform::new(machine).with_clients(config.clients))
-            }
+            Backend::Gvisor => Box::new(vmm::GvisorPlatform::new(machine)),
             Backend::LibOs => Box::new(vmm::LibOsPlatform::new(machine)),
         }
     }
@@ -257,15 +247,13 @@ impl std::fmt::Display for BootError {
 
 impl std::error::Error for BootError {}
 
-/// Stack sizing and client configuration.
+/// Stack sizing and orchestration configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StackConfig {
     /// Machine physical memory.
     pub mem_bytes: u64,
     /// VM / delegated-segment size for virtualized backends.
     pub vm_bytes: u64,
-    /// Closed-loop clients attached to the NIC (0 = none).
-    pub clients: u32,
     /// vCPUs for CKI backends (per-vCPU areas and root copies).
     pub vcpus: u32,
     /// PCID override for CKI backends (`None` = the default tag). Hosts
@@ -282,7 +270,6 @@ impl Default for StackConfig {
         Self {
             mem_bytes: 2 * 1024 * 1024 * 1024,
             vm_bytes: 512 * 1024 * 1024,
-            clients: 0,
             vcpus: CkiConfig::default().vcpus,
             pcid: None,
             seg: None,

@@ -57,10 +57,17 @@ fn same_program_same_results_everywhere() {
             // Pipes + sockets + net.
             Op::Pipe,
             Op::SocketPair,
-            Op::NetSocket,
-            Op::NetRecv { len: 512 },
-            Op::NetSend { len: 512 },
-            Op::NetFlush,
+            Op::NetOpen,
+            Op::NetListen { port: 2 },
+            Op::NetConnect { port: 2 },
+            Op::NetSendTo { sock: 1, len: 3000 },
+            Op::NetService,
+            Op::NetAccept,
+            Op::NetRecvFrom { sock: 0 },
+            Op::NetRecvFrom { sock: 0 },
+            Op::NetSendTo { sock: 0, len: 512 },
+            Op::NetService,
+            Op::NetRecvFrom { sock: 1 },
         ],
     };
     if let Err(e) = Oracle::new().run(&program, None) {
