@@ -9,7 +9,7 @@ use cki_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use cki_core::{gates, pkrs_guest, CkiConfig, CkiPlatform, KsmError};
-use guest_os::{Hypercall, Kernel, Sys};
+use guest_os::{Kernel, Sys};
 use sim_hw::{HwExtensions, Machine, Mode};
 
 fn cki_stack() -> (Machine, Kernel) {
@@ -54,14 +54,14 @@ fn bench_hypercall_gate(c: &mut Criterion) {
     m.cpu.mode = Mode::Kernel;
     m.cpu.pkrs = pkrs_guest();
     let t0 = m.cpu.clock.ns();
-    k.platform.hypercall(&mut m, Hypercall::Nop);
+    k.platform.hypercall(&mut m);
     println!(
         "simulated empty hypercall: {:.0} ns (paper: 390 ns)",
         m.cpu.clock.ns() - t0
     );
 
     c.bench_function("gate/hypercall_empty", |b| {
-        b.iter(|| black_box(k.platform.hypercall(&mut m, Hypercall::Nop)))
+        b.iter(|| k.platform.hypercall(&mut m))
     });
 }
 

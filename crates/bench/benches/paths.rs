@@ -6,7 +6,7 @@ use cki_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use cki::{Backend, Stack, StackConfig};
-use guest_os::{Hypercall, Sys};
+use guest_os::Sys;
 
 const BACKENDS: [Backend; 4] = [Backend::RunC, Backend::HvmBm, Backend::Pvm, Backend::Cki];
 
@@ -61,14 +61,7 @@ fn bench_hypercall(c: &mut Criterion) {
         let mut stack = Stack::new(backend, StackConfig::default());
         stack.machine.cpu.mode = sim_hw::Mode::Kernel;
         group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
-            b.iter(|| {
-                black_box(
-                    stack
-                        .kernel
-                        .platform
-                        .hypercall(&mut stack.machine, Hypercall::Nop),
-                )
-            })
+            b.iter(|| stack.kernel.platform.hypercall(&mut stack.machine))
         });
     }
     group.finish();

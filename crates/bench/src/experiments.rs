@@ -139,10 +139,7 @@ pub fn hypercall_ns(backend: Backend) -> f64 {
     let t0 = stack.ns();
     let iters = 100;
     for _ in 0..iters {
-        stack
-            .kernel
-            .platform
-            .hypercall(&mut stack.machine, guest_os::Hypercall::Nop);
+        stack.kernel.platform.hypercall(&mut stack.machine);
     }
     let ns = (stack.ns() - t0) / iters as f64;
     record_stack(&stack);
@@ -236,7 +233,7 @@ pub fn io_tput(backend: Backend, case: IoCase, scale: Scale) -> f64 {
     let mut stack = boot(backend);
     let reqs = scale.n(3000);
     let ops = IoWorkload::new(case, reqs, clients)
-        .run(&mut stack.env(), backend.nic_kind())
+        .run(&mut stack.env())
         .expect("io run")
         .ops_per_sec();
     record_stack(&stack);
@@ -551,7 +548,7 @@ pub fn kv_tput(backend: Backend, kind: KvKind, clients: u32, scale: Scale) -> f6
     let mut stack = boot(backend);
     let reqs = scale.n(3_000);
     let r = KvServerWorkload::new(kind, reqs, per_vcpu_clients)
-        .run(&mut stack.env(), backend.nic_kind())
+        .run(&mut stack.env())
         .expect("kv run");
     record_stack(&stack);
     r.ops_per_sec() * active as f64
@@ -797,7 +794,7 @@ mod tests {
         assert!(m.get("pgfault", "CKI") < 1.25 * m.get("pgfault", "RunC"));
         assert!(m.get("pgfault", "HVM-BM") > 2.0 * m.get("pgfault", "CKI"));
         assert!(m.get("pgfault", "HVM-NST") > 5.0 * m.get("pgfault", "PVM"));
-        // Hypercall: CKI < PVM < HVM-BM < HVM-NST.
+        // Empty hypercall: CKI < PVM < HVM-BM < HVM-NST.
         assert!(m.get("hypercall", "CKI") < m.get("hypercall", "PVM"));
         assert!(m.get("hypercall", "HVM-NST") > 10.0 * m.get("hypercall", "CKI"));
     }

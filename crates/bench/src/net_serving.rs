@@ -45,7 +45,9 @@ fn serve(backend: cki::Backend, clients: usize, requests: u64, kick_batch: u32) 
 /// Runs the three phases and returns their scalars.
 pub fn run(scale: Scale) -> Outcome {
     let (clients, requests, cloud_requests) = match scale {
-        Scale::Quick => (4usize, 16u64, 24u64),
+        // At least as many clients as the sweep's largest kick batch, so
+        // that many frames can be pending at once.
+        Scale::Quick => (16usize, 8u64, 24u64),
         Scale::Full => (8, 128, 64u64),
     };
 

@@ -15,12 +15,11 @@
 //! - **Cheap host crossings**: hypercalls traverse a PKS gate and a
 //!   software context switch (390 ns), identical bare-metal and nested.
 
-use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::ExitCosts;
+use guest_os::platform::{MapFault, Platform};
+use netsim::{ExitCosts, NicBackendKind};
 use sim_hw::{Fault, Instr, IretFrame, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Segment, Virt, PAGE_SIZE};
-use vmm::virtio::BlockBackend;
 
 use crate::gates::{self, GateAbort};
 use crate::ksm::{pkrs_guest, Ksm, KsmError, PageKind};
@@ -68,7 +67,7 @@ impl Default for CkiConfig {
 /// (see [`CkiPlatform::stats`]).
 #[derive(Debug, Default, Clone)]
 pub struct CkiStats {
-    /// Hypercalls to the host kernel.
+    /// Empty hypercalls to the host kernel.
     pub hypercalls: u64,
     /// Gate aborts observed (attacks caught).
     pub gate_aborts: u64,
@@ -99,8 +98,6 @@ pub struct CkiPlatform {
     guest_frames: FrameAllocator,
     /// Exit-class costs (hypercall roundtrip etc.), exposed for harnesses.
     pub exits: ExitCosts,
-    /// VirtIO block backend.
-    pub block: BlockBackend,
     cur_vcpu: u32,
     /// Whether any guest root of *this* container has been loaded yet;
     /// before that, KSM calls run on the container's template space.
@@ -155,7 +152,6 @@ impl CkiPlatform {
             ksm,
             guest_frames: FrameAllocator::new(seg.start, seg.end),
             exits,
-            block: BlockBackend::new(exits),
             cur_vcpu: 0,
             active: false,
             ids,
@@ -634,44 +630,31 @@ impl Platform for CkiPlatform {
         }
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine) {
         m.cpu.metrics.inc(self.ids.hypercalls);
-        // Hypercalls originate in the guest kernel: enter kernel context if
-        // the caller (e.g. a driver path invoked from an app-level helper)
-        // has not already.
+        // A hypercall originates in the guest kernel: enter kernel context
+        // if the caller (e.g. a kernel path invoked from an app-level
+        // helper) has not already.
         let prev_mode = m.cpu.mode;
         let prev_pkrs = m.cpu.pkrs;
         m.cpu.mode = sim_hw::Mode::Kernel;
         if m.cpu.pkrs == 0 {
             m.cpu.pkrs = pkrs_guest();
         }
-        // Cross the real hypercall gate; the host service runs inside.
-        let block = &mut self.block;
-        let r = gates::hypercall_gate(m, 0, |m| match call {
-            Hypercall::BlockIo { bytes, .. } => {
-                block.submit(&mut m.cpu.clock, bytes);
-                0u64
-            }
-            Hypercall::SetTimer { .. }
-            | Hypercall::SendIpi { .. }
-            | Hypercall::ConsoleWrite { .. }
-            | Hypercall::Nop => {
-                m.cpu.clock.charge(Tag::Io, 60);
-                0
-            }
-        });
-        let out = match r {
-            Ok(v) => v,
-            Err(_) => {
-                m.cpu.metrics.inc(self.ids.gate_aborts);
-                0
-            }
-        };
+        // Cross the real hypercall gate; the (empty) host service runs
+        // inside.
+        let r = gates::hypercall_gate(m, 0, |m| m.cpu.clock.charge(Tag::Io, 60));
+        if r.is_err() {
+            m.cpu.metrics.inc(self.ids.gate_aborts);
+        }
         m.cpu.mode = prev_mode;
         if prev_pkrs == 0 {
             m.cpu.pkrs = prev_pkrs;
         }
-        out
+    }
+
+    fn device_kind(&self) -> NicBackendKind {
+        NicBackendKind::Cki
     }
 }
 
@@ -769,7 +752,7 @@ mod tests {
         let (mut k, mut m) = boot(CkiConfig::default());
         m.cpu.mode = sim_hw::Mode::Kernel; // hypercalls originate in the guest kernel
         let mark = m.cpu.clock.mark();
-        k.platform.hypercall(&mut m, Hypercall::Nop);
+        k.platform.hypercall(&mut m);
         let ns = m.cpu.clock.since_ns(mark);
         assert!(
             (320.0..450.0).contains(&ns),
@@ -785,10 +768,10 @@ mod tests {
             ..CkiConfig::default()
         });
         let mark = m_bm.cpu.clock.mark();
-        k_bm.platform.hypercall(&mut m_bm, Hypercall::Nop);
+        k_bm.platform.hypercall(&mut m_bm);
         let bm = m_bm.cpu.clock.since_ns(mark);
         let mark = m_nst.cpu.clock.mark();
-        k_nst.platform.hypercall(&mut m_nst, Hypercall::Nop);
+        k_nst.platform.hypercall(&mut m_nst);
         let nst = m_nst.cpu.clock.since_ns(mark);
         assert_eq!(bm, nst, "no L0 intervention: CKI nested == bare-metal");
     }

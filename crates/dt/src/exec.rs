@@ -474,12 +474,11 @@ impl Executor {
     /// the compared kernel state).
     fn net_open(&mut self) -> i64 {
         if self.pkt.is_none() {
-            let kind = self.stack.backend.nic_kind();
             let Stack {
                 machine, kernel, ..
             } = &mut self.stack;
             kernel
-                .attach_netif(machine, PKT_QUEUE, PKT_MAC, kind, Coalesce::default())
+                .attach_netif(machine, PKT_QUEUE, PKT_MAC, Coalesce::default())
                 .expect("fixture NIC frames");
             let mut switch = HostSwitch::new(PKT_SWITCH_DEPTH);
             let port = switch.attach(PKT_MAC);

@@ -3,9 +3,10 @@
 //! The paper's SQLite evaluation deliberately uses tmpfs so that "the
 //! evaluation does not involve virtualized I/O" (§7.3). This module is the
 //! other half of that story: a simple block-allocated filesystem whose
-//! every cache miss is a VirtIO-blk request — an exit-class crossing plus
-//! device latency — so storage-bound workloads can be compared across
-//! container designs too (the `sqlite_blk` ablation).
+//! every cache miss is a request to a [`netsim::VirtioBlk`] — the
+//! platform's device notification (the same doorbell and interrupt path
+//! its NIC pays) plus device latency — so storage-bound workloads can be
+//! compared across container designs too (the `sqlite_blk` ablation).
 //!
 //! Design: fixed 4 KiB blocks, per-file block lists, and a write-back
 //! buffer cache with LRU-ish eviction. Metadata is kept guest-side (the
@@ -13,8 +14,9 @@
 
 use std::collections::HashMap;
 
+use netsim::VirtioBlk;
+
 use crate::env::Env;
-use crate::platform::Hypercall;
 use crate::syscall::Errno;
 
 /// Filesystem block size.
@@ -40,6 +42,7 @@ pub struct BlockFsStats {
 
 /// The filesystem.
 pub struct BlockFs {
+    dev: VirtioBlk,
     files: HashMap<String, Vec<u32>>,
     next_block: u32,
     total_blocks: u32,
@@ -52,15 +55,18 @@ pub struct BlockFs {
 }
 
 impl BlockFs {
-    /// Formats a filesystem over a device of `blocks` blocks with a
-    /// buffer cache of `cache_blocks` blocks.
+    /// Formats a filesystem over a device of `blocks` blocks, notified
+    /// the way `env`'s platform notifies its devices, with a buffer cache
+    /// of `cache_blocks` blocks.
     ///
     /// # Panics
     ///
     /// Panics if either size is zero.
-    pub fn format(blocks: u32, cache_blocks: usize) -> Self {
+    pub fn format(env: &Env<'_>, blocks: u32, cache_blocks: usize) -> Self {
         assert!(blocks > 0 && cache_blocks > 0, "degenerate filesystem");
+        let kind = env.kernel.platform.device_kind();
         Self {
+            dev: VirtioBlk::for_backend(kind, env.machine.cpu.clock.model()),
             files: HashMap::new(),
             next_block: 1, // block 0: superblock
             total_blocks: blocks,
@@ -89,6 +95,13 @@ impl BlockFs {
         self.files
             .get(path)
             .map(|b| b.len() as u64 * BLOCK_SIZE as u64)
+    }
+
+    /// Sends one block-sized device request and waits for it.
+    fn dev_io(&self, env: &mut Env<'_>) {
+        let sp = env.machine.cpu.span_enter("os.blk.submit");
+        self.dev.submit(&mut env.machine.cpu.clock, BLOCK_SIZE);
+        env.machine.cpu.span_exit(sp);
     }
 
     fn alloc_block(&mut self) -> Result<u32, Errno> {
@@ -131,24 +144,12 @@ impl BlockFs {
             self.cache.remove(&victim.0);
             if victim.1 {
                 self.stats.dev_writes += 1;
-                env.kernel.platform.hypercall(
-                    env.machine,
-                    Hypercall::BlockIo {
-                        bytes: BLOCK_SIZE,
-                        write: true,
-                    },
-                );
+                self.dev_io(env);
             }
         }
         if read_from_dev {
             self.stats.dev_reads += 1;
-            env.kernel.platform.hypercall(
-                env.machine,
-                Hypercall::BlockIo {
-                    bytes: BLOCK_SIZE,
-                    write: false,
-                },
-            );
+            self.dev_io(env);
         }
         let tick = self.tick;
         self.cache.insert(block, CacheEntry { dirty, stamp: tick });
@@ -217,13 +218,7 @@ impl BlockFs {
             .collect();
         for b in dirty {
             self.stats.dev_writes += 1;
-            env.kernel.platform.hypercall(
-                env.machine,
-                Hypercall::BlockIo {
-                    bytes: BLOCK_SIZE,
-                    write: true,
-                },
-            );
+            self.dev_io(env);
             if let Some(e) = self.cache.get_mut(&b) {
                 e.dirty = false;
             }
@@ -263,7 +258,7 @@ mod tests {
     fn write_read_roundtrip_with_device_traffic() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(1024, 16);
+        let mut fs = BlockFs::format(&env, 1024, 16);
         fs.create(&mut env, "/db").unwrap();
         fs.write(&mut env, "/db", 0, 3 * BLOCK_SIZE).unwrap();
         assert_eq!(fs.size("/db"), Some(3 * BLOCK_SIZE as u64));
@@ -281,7 +276,7 @@ mod tests {
     fn cache_eviction_writes_back_and_rereads() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(1024, 4); // tiny cache
+        let mut fs = BlockFs::format(&env, 1024, 4); // tiny cache
         fs.create(&mut env, "/big").unwrap();
         fs.write(&mut env, "/big", 0, 16 * BLOCK_SIZE).unwrap();
         // 16 dirty blocks through a 4-block cache: at least 12 evictions.
@@ -296,7 +291,7 @@ mod tests {
     fn device_latency_dominates_cold_io() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(1024, 4);
+        let mut fs = BlockFs::format(&env, 1024, 4);
         fs.create(&mut env, "/f").unwrap();
         fs.write(&mut env, "/f", 0, 8 * BLOCK_SIZE).unwrap();
         fs.sync(&mut env).unwrap();
@@ -312,7 +307,7 @@ mod tests {
     fn out_of_space() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(4, 4);
+        let mut fs = BlockFs::format(&env, 4, 4);
         fs.create(&mut env, "/f").unwrap();
         let r = fs.write(&mut env, "/f", 0, 16 * BLOCK_SIZE);
         assert_eq!(r, Err(Errno::NoMem));
@@ -325,7 +320,7 @@ mod tests {
     fn missing_file() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(64, 4);
+        let mut fs = BlockFs::format(&env, 64, 4);
         assert_eq!(fs.read(&mut env, "/nope", 0, 64), Err(Errno::NoEnt));
         assert_eq!(fs.write(&mut env, "/nope", 0, 64), Err(Errno::NoEnt));
         assert_eq!(fs.size("/nope"), None);

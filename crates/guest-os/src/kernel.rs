@@ -238,14 +238,15 @@ impl Kernel {
     /// the socket syscalls become available. The rings and buffers live in
     /// [`netsim::NicLayout::frames_needed`] frames taken from this kernel's
     /// platform (for CKI, the delegated segment), and the doorbell and
-    /// interrupt path follow `kind`. Returns [`Errno::NoMem`], with every
-    /// frame given back, if the platform runs out of frames.
+    /// interrupt path follow [`Platform::device_kind`]. The host half
+    /// addresses the rings by host-physical address, so each frame goes
+    /// through [`Platform::gpa_to_hpa`]. Returns [`Errno::NoMem`], with
+    /// every frame given back, if the platform runs out of frames.
     pub fn attach_netif(
         &mut self,
         m: &mut Machine,
         queue: u16,
         mac: netsim::Mac,
-        kind: netsim::NicBackendKind,
         coalesce: netsim::Coalesce,
     ) -> Result<(), Errno> {
         let need = netsim::NicLayout::frames_needed(queue);
@@ -261,10 +262,15 @@ impl Kernel {
                 }
             }
         }
+        let hpas: Vec<Phys> = frames
+            .iter()
+            .map(|&gpa| self.platform.gpa_to_hpa(m, gpa))
+            .collect();
+        let kind = self.platform.device_kind();
         let nic = netsim::VirtioNic::for_backend(
             &mut m.mem,
             &mut m.cpu.clock,
-            netsim::NicLayout::from_frames(queue, &frames),
+            netsim::NicLayout::from_frames(queue, &hpas),
             mac,
             kind,
             coalesce,
@@ -1549,14 +1555,8 @@ mod tests {
     #[test]
     fn packet_sockets_loopback_roundtrip() {
         let (mut k, mut m) = boot();
-        k.attach_netif(
-            &mut m,
-            8,
-            0xAA,
-            netsim::NicBackendKind::Native,
-            netsim::Coalesce::default(),
-        )
-        .unwrap();
+        k.attach_netif(&mut m, 8, 0xAA, netsim::Coalesce::default())
+            .unwrap();
         let mut sw = netsim::HostSwitch::new(8);
         let port = sw.attach(0xAA);
         let service = |k: &mut Kernel, m: &mut Machine, sw: &mut netsim::HostSwitch| {

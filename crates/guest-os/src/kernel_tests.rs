@@ -436,14 +436,8 @@ fn per_syscall_stats_accumulate() {
 /// (ephemeral port 49152), plus a user buffer.
 fn connected() -> (Kernel, Machine, Fd, u64) {
     let (mut k, mut m) = boot();
-    k.attach_netif(
-        &mut m,
-        8,
-        0xAA,
-        netsim::NicBackendKind::Native,
-        netsim::Coalesce::default(),
-    )
-    .unwrap();
+    k.attach_netif(&mut m, 8, 0xAA, netsim::Coalesce::default())
+        .unwrap();
     let buf = k
         .syscall(
             &mut m,
@@ -548,14 +542,8 @@ fn unbound_socket_data_calls_are_inval() {
     for with_nic in [false, true] {
         let (mut k, mut m) = boot();
         if with_nic {
-            k.attach_netif(
-                &mut m,
-                8,
-                0xAA,
-                netsim::NicBackendKind::Native,
-                netsim::Coalesce::default(),
-            )
-            .unwrap();
+            k.attach_netif(&mut m, 8, 0xAA, netsim::Coalesce::default())
+                .unwrap();
         }
         let buf = k
             .syscall(

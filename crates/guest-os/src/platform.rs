@@ -22,35 +22,6 @@
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
-/// Host services reachable via hypercall (the slow path of Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hypercall {
-    /// Submit a block-device request of `bytes` bytes.
-    BlockIo {
-        /// Payload size in bytes.
-        bytes: u32,
-        /// True for writes.
-        write: bool,
-    },
-    /// Program the one-shot timer `ns` nanoseconds ahead.
-    SetTimer {
-        /// Delay in nanoseconds.
-        ns: u64,
-    },
-    /// Send an inter-processor interrupt to vCPU `vcpu`.
-    SendIpi {
-        /// Target vCPU index.
-        vcpu: u32,
-    },
-    /// Write `bytes` bytes to the console (diagnostics).
-    ConsoleWrite {
-        /// Payload size in bytes.
-        bytes: u32,
-    },
-    /// Empty hypercall (the paper's microbenchmark, Table 2 row 3).
-    Nop,
-}
-
 /// Errors from platform mapping operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapFault {
@@ -197,9 +168,16 @@ pub trait Platform {
 
     // --- Host services -----------------------------------------------------------
 
-    /// Invokes a host-kernel service (the paper's hypercall slow path).
-    /// Returns a service-specific value (e.g. packets received).
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64;
+    /// One empty hypercall: a guest→host→guest crossing that does no work
+    /// (Table 2's hypercall row, the paper's slow path of Figure 7).
+    fn hypercall(&mut self, m: &mut Machine);
+
+    /// How this platform notifies a virtio device and takes its
+    /// interrupts: the doorbell and IRQ pricing of its NIC and block
+    /// device. Native by default: the guest calls the host stack directly.
+    fn device_kind(&self) -> netsim::NicBackendKind {
+        netsim::NicBackendKind::Native
+    }
 
     /// Delivers one guest timer tick (scheduler interrupt). The default
     /// models a local-APIC timer handled natively; virtualized platforms
@@ -376,25 +354,8 @@ impl Platform for NativePlatform {
         r
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
-        // Native: no hypercall exists; the equivalent work is a direct
-        // driver invocation in the same kernel.
-        let model = m.cpu.clock.model().clone();
-        match call {
-            Hypercall::BlockIo { .. } => {
-                Self::charge(m, Tag::Io, model.virtio_process + 48_000);
-                0
-            }
-            Hypercall::SetTimer { .. } | Hypercall::SendIpi { .. } => {
-                Self::charge(m, Tag::Io, model.wrmsr);
-                0
-            }
-            Hypercall::ConsoleWrite { .. } => {
-                Self::charge(m, Tag::Io, model.virtio_process / 4);
-                0
-            }
-            Hypercall::Nop => 0,
-        }
+    fn hypercall(&mut self, _m: &mut Machine) {
+        // Native: no hypercall exists, and an empty one has nothing to do.
     }
 }
 

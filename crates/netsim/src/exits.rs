@@ -10,8 +10,9 @@
 //! | CKI       | 390 ns (§7.1)   |
 //!
 //! The table lives here (rather than in `vmm`, whose platforms use it) because
-//! the networking dataplane derives every backend's doorbell and interrupt
-//! pricing from it — see [`crate::Doorbell::for_backend`].
+//! the device model derives every backend's doorbell and interrupt pricing
+//! from it, for the NIC and the block device alike — see
+//! [`crate::Doorbell::for_backend`] and [`crate::IrqPath::for_backend`].
 
 use sim_hw::CostModel;
 

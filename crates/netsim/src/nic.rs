@@ -17,6 +17,13 @@
 //! doorbell until `kick_batch` descriptors are pending or the sim-clock
 //! timer fires, and the host injects one RX interrupt per delivery batch,
 //! counting the coalesced remainder.
+//!
+//! The vhost half trusts nothing the guest wrote: it uses a descriptor
+//! only if its id is inside the queue, its address is the buffer slot the
+//! NIC registered for that id, and the frame fits its length. Anything
+//! else is consumed and counted in [`NicStats::bad_descs`]. The checks
+//! read only fields that already paid their DMA charge, so valid traffic
+//! costs what it did without them.
 
 use sim_hw::{Clock, CostModel, Tag};
 use sim_mem::PhysMem;
@@ -25,8 +32,8 @@ use crate::exits::ExitCosts;
 use crate::frame::{Frame, Mac, BUF_SIZE};
 use crate::ring::{RingDesc, SplitRing};
 
-/// Which virtualization design hosts the NIC — selects the doorbell and
-/// interrupt mechanism, nothing else.
+/// Which virtualization design hosts a virtio device — selects the
+/// doorbell and interrupt mechanism, nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NicBackendKind {
     /// Native kernel (RunC): the driver calls the host stack directly.
@@ -44,18 +51,6 @@ pub enum NicBackendKind {
 }
 
 impl NicBackendKind {
-    /// Short label for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            NicBackendKind::Native => "native",
-            NicBackendKind::HvmBm => "hvm_bm",
-            NicBackendKind::HvmNested => "hvm_nested",
-            NicBackendKind::Pvm => "pvm",
-            NicBackendKind::PvmNested => "pvm_nested",
-            NicBackendKind::Cki => "cki",
-        }
-    }
-
     /// The exit-cost table this backend's pricing derives from.
     pub fn exits(&self, m: &CostModel) -> ExitCosts {
         match self {
@@ -77,7 +72,7 @@ pub enum DoorbellPath {
     /// Trapped MMIO write: one VM exit plus instruction emulation per ring.
     Mmio,
     /// Paravirtual hypercall: a world switch but no trap-and-emulate.
-    Hypercall,
+    Paravirt,
     /// Shared-memory index write; the host's vhost worker reads the avail
     /// index through its own (CKI: KSM-owned) mapping. Zero exits.
     SharedMem,
@@ -92,7 +87,7 @@ pub struct Doorbell {
     pub cycles: u64,
     /// VM exits per doorbell (MMIO traps).
     pub exits_per_kick: u32,
-    /// Hypercalls per doorbell (PVM).
+    /// Paravirtual hypercalls per doorbell (PVM).
     pub hypercalls_per_kick: u32,
 }
 
@@ -115,7 +110,7 @@ impl Doorbell {
                 hypercalls_per_kick: 0,
             },
             NicBackendKind::Pvm | NicBackendKind::PvmNested => Doorbell {
-                path: DoorbellPath::Hypercall,
+                path: DoorbellPath::Paravirt,
                 cycles: exits.roundtrip,
                 exits_per_kick: 0,
                 hypercalls_per_kick: 1,
@@ -129,6 +124,16 @@ impl Doorbell {
                 hypercalls_per_kick: 0,
             },
         }
+    }
+
+    /// Charges one doorbell to the guest: exit-class time when it leaves
+    /// the guest (a trap or a world switch), device I/O time otherwise.
+    pub fn ring(&self, clock: &mut Clock) {
+        let tag = match self.path {
+            DoorbellPath::Mmio | DoorbellPath::Paravirt => Tag::VmExit,
+            DoorbellPath::Direct | DoorbellPath::SharedMem => Tag::Io,
+        };
+        clock.charge(tag, self.cycles);
     }
 }
 
@@ -192,7 +197,7 @@ pub struct NicStats {
     pub coalesced_kicks: u64,
     /// VM exits paid for doorbells (HVM's MMIO traps).
     pub kick_exits: u64,
-    /// Hypercalls paid for doorbells (PVM).
+    /// Paravirtual hypercalls paid for doorbells (PVM).
     pub kick_hypercalls: u64,
     /// RX interrupts injected.
     pub irqs: u64,
@@ -202,6 +207,10 @@ pub struct NicStats {
     pub ring_full: u64,
     /// Malformed frames dropped by either half.
     pub decode_errors: u64,
+    /// Guest-written descriptors the host refused: an id outside the
+    /// queue, an address other than the slot registered for the id, or a
+    /// length the frame does not fit. Consumed, never read or written.
+    pub bad_descs: u64,
 }
 
 /// Dataplane errors. Both are backpressure signals, never drops.
@@ -291,39 +300,24 @@ pub struct VirtioNic {
 }
 
 impl VirtioNic {
-    /// Creates the NIC and posts every RX buffer.
-    pub fn new(
+    /// Creates the NIC, with its doorbell and interrupt path derived from
+    /// the backend kind, and posts every RX buffer.
+    pub fn for_backend(
         mem: &mut PhysMem,
         clock: &mut Clock,
         layout: NicLayout,
         mac: Mac,
-        doorbell: Doorbell,
-        irq: IrqPath,
+        kind: NicBackendKind,
         coalesce: Coalesce,
     ) -> Self {
-        Self::with_start_index(mem, clock, layout, mac, doorbell, irq, coalesce, 0)
-    }
-
-    /// Like [`VirtioNic::new`] but with free-running ring indices starting
-    /// at `start` (wraparound tests).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_start_index(
-        mem: &mut PhysMem,
-        clock: &mut Clock,
-        layout: NicLayout,
-        mac: Mac,
-        doorbell: Doorbell,
-        irq: IrqPath,
-        coalesce: Coalesce,
-        start: u16,
-    ) -> Self {
-        let tx = SplitRing::with_start_index(mem, layout.tx_ring_pa, layout.queue, start);
-        let rx = SplitRing::with_start_index(mem, layout.rx_ring_pa, layout.queue, start);
+        let m = clock.model();
+        let doorbell = Doorbell::for_backend(kind, m);
+        let irq = IrqPath::for_backend(kind, m);
         let mut nic = Self {
             mac,
             stats: NicStats::default(),
-            tx,
-            rx,
+            tx: SplitRing::new(mem, layout.tx_ring_pa, layout.queue),
+            rx: SplitRing::new(mem, layout.rx_ring_pa, layout.queue),
             tx_bufs: layout.tx_bufs,
             rx_bufs: layout.rx_bufs,
             doorbell,
@@ -338,31 +332,6 @@ impl VirtioNic {
         };
         nic.rx_refill(mem, clock);
         nic
-    }
-
-    /// Convenience constructor: everything derived from the backend kind.
-    pub fn for_backend(
-        mem: &mut PhysMem,
-        clock: &mut Clock,
-        layout: NicLayout,
-        mac: Mac,
-        kind: NicBackendKind,
-        coalesce: Coalesce,
-    ) -> Self {
-        let m = clock.model().clone();
-        let doorbell = Doorbell::for_backend(kind, &m);
-        let irq = IrqPath::for_backend(kind, &m);
-        Self::new(mem, clock, layout, mac, doorbell, irq, coalesce)
-    }
-
-    /// The doorbell in use (reports, assertions).
-    pub fn doorbell(&self) -> &Doorbell {
-        &self.doorbell
-    }
-
-    /// The coalescing configuration.
-    pub fn coalesce(&self) -> &Coalesce {
-        &self.coalesce
     }
 
     /// Descriptors per ring: the most frames one [`VirtioNic::send`] can
@@ -463,11 +432,7 @@ impl VirtioNic {
         self.stats.kicks += 1;
         self.stats.kick_exits += self.doorbell.exits_per_kick as u64;
         self.stats.kick_hypercalls += self.doorbell.hypercalls_per_kick as u64;
-        let tag = match self.doorbell.path {
-            DoorbellPath::Mmio | DoorbellPath::Hypercall => Tag::VmExit,
-            DoorbellPath::Direct | DoorbellPath::SharedMem => Tag::Io,
-        };
-        clock.charge(tag, self.doorbell.cycles);
+        self.doorbell.ring(clock);
         self.pending_kick = 0;
         self.last_kick_at = clock.cycles();
     }
@@ -501,12 +466,44 @@ impl VirtioNic {
 
     // --- Host (vhost worker) half ----------------------------------------------
 
+    /// The next descriptor of `ring` whose address is the slot registered
+    /// in `bufs` for its id and whose length `fits`. Descriptors that fail
+    /// the check are consumed and counted; one with a valid id goes back
+    /// through `used` with length 0, so the guest can reclaim it.
+    fn next_valid(
+        ring: &mut SplitRing,
+        bufs: &[u64],
+        stats: &mut NicStats,
+        mem: &mut PhysMem,
+        clock: &mut Clock,
+        fits: impl Fn(u32) -> bool,
+    ) -> Option<RingDesc> {
+        loop {
+            match ring.peek_avail(mem, clock)? {
+                Ok(d) if bufs.get(d.id as usize) == Some(&d.addr) && fits(d.len) => return Some(d),
+                Ok(d) => {
+                    stats.bad_descs += 1;
+                    ring.consume_avail();
+                    ring.push_used(mem, clock, d.id, 0);
+                }
+                Err(_) => stats.bad_descs += 1,
+            }
+        }
+    }
+
     /// Reads the next TX frame without consuming its descriptor. Malformed
     /// descriptors are consumed and counted so they cannot wedge the ring.
     pub fn host_peek_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> Option<Frame> {
         loop {
-            let d = self.tx.peek_avail(mem, clock)?;
-            let mut bytes = vec![0u8; (d.len as u64).min(BUF_SIZE) as usize];
+            let d = Self::next_valid(
+                &mut self.tx,
+                &self.tx_bufs,
+                &mut self.stats,
+                mem,
+                clock,
+                |len| len as u64 <= BUF_SIZE,
+            )?;
+            let mut bytes = vec![0u8; d.len as usize];
             mem.read_bytes(d.addr, &mut bytes);
             Self::charge_copy(clock, bytes.len());
             match Frame::decode(&bytes) {
@@ -539,11 +536,17 @@ impl VirtioNic {
         clock: &mut Clock,
         frame: &Frame,
     ) -> Result<(), NetError> {
-        let Some(d) = self.rx.peek_avail(mem, clock) else {
+        let bytes = frame.encode();
+        let Some(d) = Self::next_valid(
+            &mut self.rx,
+            &self.rx_bufs,
+            &mut self.stats,
+            mem,
+            clock,
+            |len| bytes.len() as u64 <= len as u64,
+        ) else {
             return Err(NetError::NoRxBuf);
         };
-        let bytes = frame.encode();
-        debug_assert!(bytes.len() as u32 <= d.len);
         mem.write_bytes(d.addr, &bytes);
         Self::charge_copy(clock, bytes.len());
         self.rx.consume_avail();
@@ -630,7 +633,8 @@ mod tests {
 
     #[test]
     fn doorbell_cost_ordering_follows_exit_mechanism() {
-        let mut cycles = Vec::new();
+        let mut send = Vec::new();
+        let mut block = Vec::new();
         for kind in [
             NicBackendKind::Cki,
             NicBackendKind::Pvm,
@@ -640,12 +644,18 @@ mod tests {
             let (mut mem, mut clock, mut nic) = pair(kind, Coalesce::default());
             let t0 = clock.cycles();
             nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
-            cycles.push(clock.cycles() - t0);
+            send.push(clock.cycles() - t0);
+            let blk = crate::VirtioBlk::for_backend(kind, clock.model());
+            let t0 = clock.cycles();
+            blk.submit(&mut clock, 4096);
+            block.push(clock.cycles() - t0);
         }
-        assert!(
-            cycles.windows(2).all(|w| w[0] < w[1]),
-            "cki < pvm < hvm_bm < hvm_nested: {cycles:?}"
-        );
+        for cycles in [send, block] {
+            assert!(
+                cycles.windows(2).all(|w| w[0] < w[1]),
+                "cki < pvm < hvm_bm < hvm_nested: {cycles:?}"
+            );
+        }
     }
 
     #[test]
@@ -751,5 +761,93 @@ mod tests {
         assert_eq!(nic.stats.ring_full, 1);
         nic.send(&mut mem, &mut clock, &five[..3]).unwrap();
         assert_eq!(nic.tx_free(), 0);
+    }
+
+    // --- Guest-forged descriptors ---------------------------------------------
+    //
+    // `pair` places the queue-8 NIC at 0x100000: the TX ring page, the RX
+    // ring page, then the buffer slots, 10 pages in all. The guest hands
+    // out TX ids from 0 and posts RX ids 0..8 in order; each ring's
+    // descriptor table starts at its base and its avail ring 16 B × 8 on.
+
+    const TX_RING: u64 = 0x100000;
+    const RX_RING: u64 = 0x101000;
+    const NIC_END: u64 = 0x10A000;
+    const AVAIL_RING: u64 = 16 * 8 + 4;
+    /// A page outside the NIC that a forged descriptor points at.
+    const FOREIGN: u64 = 0x200000;
+
+    /// The machine with a marked foreign page, and every byte outside the
+    /// NIC's rings and buffer slots.
+    fn forge_setup() -> (PhysMem, Clock, VirtioNic, Vec<u8>) {
+        let (mut mem, clock, nic) = pair(NicBackendKind::Cki, Coalesce::default());
+        mem.write_bytes(FOREIGN, &[0xAB; 4096]);
+        let img = outside_nic(&mut mem);
+        (mem, clock, nic, img)
+    }
+
+    fn outside_nic(mem: &mut PhysMem) -> Vec<u8> {
+        let mut img = vec![0u8; mem.size() as usize];
+        mem.read_bytes(0, &mut img[..TX_RING as usize]);
+        mem.read_bytes(NIC_END, &mut img[NIC_END as usize..]);
+        img
+    }
+
+    #[test]
+    fn forged_id_outside_the_queue_is_refused() {
+        let (mut mem, mut clock, mut nic, img) = forge_setup();
+        nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
+        mem.write_u16(TX_RING + AVAIL_RING, 8);
+        assert!(nic.host_peek_tx(&mut mem, &mut clock).is_none());
+        assert_eq!(nic.stats.bad_descs, 1);
+        // The next frame still goes through.
+        nic.send(&mut mem, &mut clock, &[frame(2)]).unwrap();
+        let f = nic.host_peek_tx(&mut mem, &mut clock).unwrap();
+        assert_eq!(f.payload_hash(), frame(2).payload_hash());
+
+        mem.write_u16(RX_RING + AVAIL_RING, u16::MAX);
+        nic.host_deliver(&mut mem, &mut clock, &frame(3)).unwrap();
+        assert_eq!(nic.stats.bad_descs, 2);
+        let g = nic.recv(&mut mem, &mut clock).unwrap();
+        assert_eq!(g.payload_hash(), frame(3).payload_hash());
+        assert_eq!(outside_nic(&mut mem), img);
+    }
+
+    #[test]
+    fn forged_address_outside_its_slot_is_never_touched() {
+        let (mut mem, mut clock, mut nic, img) = forge_setup();
+        nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
+        mem.write_u64(TX_RING, mem.size() + 4096);
+        assert!(nic.host_peek_tx(&mut mem, &mut clock).is_none());
+        assert_eq!(nic.stats.bad_descs, 1);
+
+        mem.write_u64(RX_RING, FOREIGN);
+        nic.host_deliver(&mut mem, &mut clock, &frame(3)).unwrap();
+        assert_eq!(nic.stats.bad_descs, 2);
+        // The refused buffer comes back empty; the frame took the next one.
+        assert!(nic.recv(&mut mem, &mut clock).is_none());
+        let g = nic.recv(&mut mem, &mut clock).unwrap();
+        assert_eq!(g.payload_hash(), frame(3).payload_hash());
+        assert_eq!(outside_nic(&mut mem), img);
+    }
+
+    #[test]
+    fn forged_length_the_frame_does_not_fit_is_refused() {
+        let (mut mem, mut clock, mut nic, img) = forge_setup();
+        nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
+        mem.write_u32(TX_RING + 8, BUF_SIZE as u32 + 1);
+        assert!(nic.host_peek_tx(&mut mem, &mut clock).is_none());
+        assert_eq!(nic.stats.bad_descs, 1);
+
+        let slot = nic.rx_bufs[0];
+        let mut before = vec![0u8; BUF_SIZE as usize];
+        mem.read_bytes(slot, &mut before);
+        mem.write_u32(RX_RING + 8, 10);
+        nic.host_deliver(&mut mem, &mut clock, &frame(3)).unwrap();
+        assert_eq!(nic.stats.bad_descs, 2);
+        let mut after = vec![0u8; BUF_SIZE as usize];
+        mem.read_bytes(slot, &mut after);
+        assert_eq!(after, before, "the short buffer was not written");
+        assert_eq!(outside_nic(&mut mem), img);
     }
 }

@@ -158,11 +158,6 @@ impl SplitRing {
         self.free.pop()
     }
 
-    /// Returns a reserved-but-unpublished id to the free list.
-    pub fn unreserve(&mut self, id: u16) {
-        self.free.push(id);
-    }
-
     /// Writes descriptor `id` and publishes it on the avail ring.
     pub fn publish(&mut self, mem: &mut PhysMem, clock: &mut Clock, id: u16, addr: u64, len: u32) {
         debug_assert!(id < self.size);
@@ -203,7 +198,15 @@ impl SplitRing {
     /// Reads the next published descriptor without consuming it (the vhost
     /// worker peeks, tries to forward, and only consumes on success — this
     /// is how backpressure leaves frames in the guest's TX ring).
-    pub fn peek_avail(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> Option<RingDesc> {
+    ///
+    /// The avail entry is guest-written: an id outside the descriptor table
+    /// is consumed here, since it names nothing that could be completed,
+    /// and returned as `Some(Err(id))` without touching the table.
+    pub fn peek_avail(
+        &mut self,
+        mem: &mut PhysMem,
+        clock: &mut Clock,
+    ) -> Option<Result<RingDesc, u16>> {
         let idx = mem.read_u16(self.avail_pa + 2);
         Self::dma(clock);
         if idx == self.last_avail {
@@ -211,11 +214,15 @@ impl SplitRing {
         }
         let id = mem.read_u16(self.avail_pa + 4 + 2 * self.slot(self.last_avail));
         Self::dma(clock);
+        if id >= self.size {
+            self.consume_avail();
+            return Some(Err(id));
+        }
         let d = self.desc_pa + 16 * id as u64;
         let addr = mem.read_u64(d);
         let len = mem.read_u32(d + 8);
         Self::dma(clock);
-        Some(RingDesc { id, addr, len })
+        Some(Ok(RingDesc { id, addr, len }))
     }
 
     /// Consumes the descriptor last returned by [`SplitRing::peek_avail`].
@@ -260,7 +267,7 @@ mod tests {
         }
         assert_eq!(r.in_flight(), 5);
         for i in 0..5u64 {
-            let d = r.peek_avail(&mut mem, &mut clock).unwrap();
+            let d = r.peek_avail(&mut mem, &mut clock).unwrap().unwrap();
             assert_eq!(d.addr, 0x40000 + i * 2048, "FIFO order");
             assert_eq!(d.len, 100 + i as u32);
             r.consume_avail();
@@ -283,7 +290,7 @@ mod tests {
         for i in 0..16u32 {
             let id = r.reserve().expect("ring never appears full");
             r.publish(&mut mem, &mut clock, id, 0x40000, i);
-            let d = r.peek_avail(&mut mem, &mut clock).unwrap();
+            let d = r.peek_avail(&mut mem, &mut clock).unwrap().unwrap();
             assert_eq!(d.len, i, "order survives the wrap");
             r.consume_avail();
             r.push_used(&mut mem, &mut clock, d.id, d.len);
@@ -306,7 +313,7 @@ mod tests {
         // Device consumes all four but publishes nothing to `used` yet:
         // the driver still cannot reuse any descriptor.
         let mut descs = Vec::new();
-        while let Some(d) = r.peek_avail(&mut mem, &mut clock) {
+        while let Some(Ok(d)) = r.peek_avail(&mut mem, &mut clock) {
             r.consume_avail();
             descs.push(d);
         }
@@ -328,7 +335,7 @@ mod tests {
         mem.read_bytes(0x10000, &mut buf);
         mem.write_bytes(0x30000, &buf);
         r.rebase(&mut mem, &mut clock, 0x20000);
-        let d = r.peek_avail(&mut mem, &mut clock).unwrap();
+        let d = r.peek_avail(&mut mem, &mut clock).unwrap().unwrap();
         assert_eq!(d.len, 7);
         assert_eq!(d.addr, 0x60000, "posted buffer address rewritten");
     }

@@ -17,7 +17,7 @@
 //!   container* and multi-process support is missing (the paper's
 //!   compatibility column).
 
-use guest_os::platform::{Hypercall, MapFault, Platform};
+use guest_os::platform::{MapFault, Platform};
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
@@ -198,10 +198,9 @@ impl Platform for GvisorPlatform {
         r
     }
 
-    fn hypercall(&mut self, m: &mut Machine, _call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine) {
         // Host services are reached through the Sentry's ordinary syscalls.
         m.cpu.clock.charge(Tag::Io, 600);
-        0
     }
 }
 
@@ -376,10 +375,9 @@ impl Platform for LibOsPlatform {
         cpu.mem_access(mem, va, access, None).map(|_| ())
     }
 
-    fn hypercall(&mut self, m: &mut Machine, _call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine) {
         // The libOS talks to the host through plain syscalls.
         m.cpu.clock.charge(Tag::Io, 260);
-        0
     }
 }
 

@@ -7,15 +7,14 @@
 //! whose handling requires VM exits — 2.1 µs bare-metal, and 30.9 µs nested
 //! where the L0 hypervisor must emulate a shadow EPT (Figure 10a, §2.4.1).
 
-use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::ExitCosts;
+use guest_os::platform::{MapFault, Platform};
+use netsim::{ExitCosts, NicBackendKind};
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Virt, PAGE_SIZE};
 
 use crate::ept::Ept;
-use crate::virtio::BlockBackend;
 
 /// HVM-specific statistics — a view over the machine's metrics registry
 /// (see [`HvmPlatform::stats`]).
@@ -25,7 +24,7 @@ pub struct HvmStats {
     pub vm_exits: u64,
     /// EPT violations handled.
     pub ept_faults: u64,
-    /// Hypercalls serviced.
+    /// Empty hypercalls serviced.
     pub hypercalls: u64,
 }
 
@@ -43,8 +42,6 @@ pub struct HvmPlatform {
     ept: Ept,
     guest_frames: FrameAllocator,
     exits: ExitCosts,
-    /// VirtIO block backend.
-    pub block: BlockBackend,
     pcid: u16,
     ids: HvmCounterIds,
 }
@@ -79,7 +76,6 @@ impl HvmPlatform {
             ept: Ept::new(m, base, vm_size),
             guest_frames: FrameAllocator::new(0, vm_size),
             exits,
-            block: BlockBackend::new(exits),
             pcid: 1,
             ids,
         }
@@ -377,25 +373,19 @@ impl Platform for HvmPlatform {
         m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine) {
         m.cpu.metrics.inc(self.ids.hypercalls);
         m.cpu.metrics.inc(self.ids.vm_exits);
-        match call {
-            Hypercall::BlockIo { bytes, .. } => {
-                let sp = m.cpu.span_enter("vmm.virtio.block");
-                self.block.submit(&mut m.cpu.clock, bytes);
-                m.cpu.span_exit(sp);
-                0
-            }
-            Hypercall::SetTimer { .. }
-            | Hypercall::SendIpi { .. }
-            | Hypercall::ConsoleWrite { .. }
-            | Hypercall::Nop => {
-                let sp = m.cpu.span_enter("vmm.vmexit");
-                m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
-                m.cpu.span_exit(sp);
-                0
-            }
+        let sp = m.cpu.span_enter("vmm.vmexit");
+        m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
+        m.cpu.span_exit(sp);
+    }
+
+    fn device_kind(&self) -> NicBackendKind {
+        if self.nested {
+            NicBackendKind::HvmNested
+        } else {
+            NicBackendKind::HvmBm
         }
     }
 }
@@ -471,7 +461,7 @@ mod tests {
     fn nested_hypercall_costs_6_7us() {
         let (mut k, mut m) = boot(true);
         let mark = m.cpu.clock.mark();
-        k.platform.hypercall(&mut m, Hypercall::Nop);
+        k.platform.hypercall(&mut m);
         let ns = m.cpu.clock.since_ns(mark);
         assert!((6000.0..7400.0).contains(&ns), "nested hypercall = {ns} ns");
     }

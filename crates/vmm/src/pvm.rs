@@ -15,13 +15,11 @@
 //! - No VM exits to L0 in nested clouds: PVM's costs are nearly identical
 //!   bare-metal and nested (Table 2).
 
-use guest_os::platform::{Hypercall, MapFault, Platform};
-use netsim::ExitCosts;
+use guest_os::platform::{MapFault, Platform};
+use netsim::{ExitCosts, NicBackendKind};
 use obs::CounterId;
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
-
-use crate::virtio::BlockBackend;
 
 /// PVM-specific statistics — a view over the machine's metrics registry
 /// (see [`PvmPlatform::stats`]).
@@ -31,7 +29,7 @@ pub struct PvmStats {
     pub switches: u64,
     /// Shadow-page-table emulations performed.
     pub spt_emulations: u64,
-    /// Hypercalls serviced.
+    /// Empty hypercalls serviced.
     pub hypercalls: u64,
     /// Syscalls redirected through the host.
     pub redirected_syscalls: u64,
@@ -50,8 +48,6 @@ pub struct PvmPlatform {
     /// Deployed inside an L1 VM (nested cloud)?
     pub nested: bool,
     exits: ExitCosts,
-    /// VirtIO block backend.
-    pub block: BlockBackend,
     pcid: u16,
     /// Inside the guest page-fault handler (host-mediated sync per fault).
     in_fault: bool,
@@ -87,7 +83,6 @@ impl PvmPlatform {
         Self {
             nested,
             exits,
-            block: BlockBackend::new(exits),
             pcid: 2,
             in_fault: false,
             unsynced: std::collections::HashSet::new(),
@@ -356,24 +351,18 @@ impl Platform for PvmPlatform {
         self.world_switch_pair(m);
     }
 
-    fn hypercall(&mut self, m: &mut Machine, call: Hypercall) -> u64 {
+    fn hypercall(&mut self, m: &mut Machine) {
         m.cpu.metrics.inc(self.ids.hypercalls);
-        match call {
-            Hypercall::BlockIo { bytes, .. } => {
-                let sp = m.cpu.span_enter("vmm.virtio.block");
-                self.block.submit(&mut m.cpu.clock, bytes);
-                m.cpu.span_exit(sp);
-                0
-            }
-            Hypercall::SetTimer { .. }
-            | Hypercall::SendIpi { .. }
-            | Hypercall::ConsoleWrite { .. }
-            | Hypercall::Nop => {
-                let sp = m.cpu.span_enter("vmm.switch");
-                m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
-                m.cpu.span_exit(sp);
-                0
-            }
+        let sp = m.cpu.span_enter("vmm.switch");
+        m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
+        m.cpu.span_exit(sp);
+    }
+
+    fn device_kind(&self) -> NicBackendKind {
+        if self.nested {
+            NicBackendKind::PvmNested
+        } else {
+            NicBackendKind::Pvm
         }
     }
 }
@@ -429,7 +418,7 @@ mod tests {
     fn pvm_hypercall_costs_466ns() {
         let (mut k, mut m) = boot(false);
         let mark = m.cpu.clock.mark();
-        k.platform.hypercall(&mut m, Hypercall::Nop);
+        k.platform.hypercall(&mut m);
         let ns = m.cpu.clock.since_ns(mark);
         assert!(
             (430.0..520.0).contains(&ns),
@@ -442,10 +431,10 @@ mod tests {
         let (mut k_bm, mut m_bm) = boot(false);
         let (mut k_nst, mut m_nst) = boot(true);
         let mark_bm = m_bm.cpu.clock.mark();
-        k_bm.platform.hypercall(&mut m_bm, Hypercall::Nop);
+        k_bm.platform.hypercall(&mut m_bm);
         let bm = m_bm.cpu.clock.since_ns(mark_bm);
         let mark_nst = m_nst.cpu.clock.mark();
-        k_nst.platform.hypercall(&mut m_nst, Hypercall::Nop);
+        k_nst.platform.hypercall(&mut m_nst);
         let nst = m_nst.cpu.clock.since_ns(mark_nst);
         assert!(
             nst > bm && nst < bm * 1.2,

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 
 use guest_os::{Env, Errno, Fd, Sys, SysResult};
 use netsim::{deliver_rx, drain_tx, payload_pattern, Coalesce, HostSwitch};
-use netsim::{Frame, Mac, NicBackendKind, PortId, MAX_PAYLOAD};
+use netsim::{Frame, Mac, PortId, MAX_PAYLOAD};
 use sim_mem::Virt;
 
 use crate::serving::SERVICE_PORT;
@@ -92,15 +92,15 @@ pub struct ClientFleet {
 }
 
 impl ClientFleet {
-    /// Attaches a NIC of the `kind` flavor to the server kernel behind
-    /// `env` and plugs it, and the fleet, into a fresh switch. Every
+    /// Attaches a NIC to the server kernel behind `env` and plugs it, and
+    /// the fleet, into a fresh switch. Every
     /// client's first request is ready for the first service pass.
     ///
     /// # Panics
     ///
     /// Panics if the kernel's platform has no frames left for the NIC, or
     /// if the clients would run out of port numbers.
-    pub fn attach(env: &mut Env<'_>, kind: NicBackendKind, cfg: Fleet) -> Self {
+    pub fn attach(env: &mut Env<'_>, cfg: Fleet) -> Self {
         assert!(
             cfg.clients <= (u16::MAX - CLIENT_PORT_BASE) as u32,
             "too many clients"
@@ -110,7 +110,7 @@ impl ClientFleet {
             ..Coalesce::default()
         };
         env.kernel
-            .attach_netif(env.machine, QUEUE, SERVER_MAC, kind, coalesce)
+            .attach_netif(env.machine, QUEUE, SERVER_MAC, coalesce)
             .expect("NIC frames from the server's memory");
         let mut switch = HostSwitch::new(SWITCH_DEPTH);
         let server_port = switch.attach(SERVER_MAC);
@@ -230,9 +230,8 @@ mod tests {
     use cki::{Backend, Stack, StackConfig};
 
     fn server(stack: &mut Stack, cfg: Fleet) -> (ClientFleet, Fd, Virt) {
-        let kind = stack.backend.nic_kind();
         let mut env = stack.env();
-        let fleet = ClientFleet::attach(&mut env, kind, cfg);
+        let fleet = ClientFleet::attach(&mut env, cfg);
         let fd = env.sys(Sys::NetSocket).unwrap() as Fd;
         env.sys(Sys::NetListen {
             fd,

@@ -18,7 +18,6 @@
 //! segments them), so an 8 KiB reply costs five TX descriptors.
 
 use guest_os::{Env, Errno, Fd, Sys};
-use netsim::NicBackendKind;
 
 use crate::fleet::{ClientFleet, Fleet, DISCARD_PORT, FLEET_MAC, UPSTREAM_PORT};
 use crate::report::{Probe, Report};
@@ -103,10 +102,9 @@ impl IoWorkload {
         }
     }
 
-    /// Attaches a `nic`-flavored NIC and the client fleet, then runs the
-    /// server loop.
-    pub fn run(&mut self, env: &mut Env<'_>, nic: NicBackendKind) -> Result<Report, Errno> {
-        let mut net = ClientFleet::attach(env, nic, self.fleet());
+    /// Attaches a NIC and the client fleet, then runs the server loop.
+    pub fn run(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
+        let mut net = ClientFleet::attach(env, self.fleet());
         let sock = env.sys(Sys::NetSocket)? as Fd;
         if self.case == IoCase::NetperfTx {
             env.sys(Sys::NetConnect {
@@ -210,9 +208,8 @@ mod tests {
 
     fn run_on(backend: Backend, case: IoCase, clients: u32) -> Report {
         let mut stack = Stack::new(backend, StackConfig::default());
-        let nic = backend.nic_kind();
         IoWorkload::new(case, 500, clients)
-            .run(&mut stack.env(), nic)
+            .run(&mut stack.env())
             .unwrap()
     }
 

@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 
 use guest_os::{Env, Errno, Fd, Sys};
-use netsim::NicBackendKind;
 use obs::rng::SmallRng;
 
 use crate::fleet::{ClientFleet, Fleet};
@@ -77,11 +76,11 @@ impl KvServerWorkload {
         }
     }
 
-    /// Attaches a `nic`-flavored NIC and the client fleet, then runs the
-    /// event loop until `requests` requests are served.
+    /// Attaches a NIC and the client fleet, then runs the event loop until
+    /// `requests` requests are served.
     ///
     /// Returns `Errno::WouldBlock` if there are no clients.
-    pub fn run(&mut self, env: &mut Env<'_>, nic: NicBackendKind) -> Result<Report, Errno> {
+    pub fn run(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
         let request_bytes = self.value_bytes + 40;
         let response_bytes = self.value_bytes + 16;
         let fleet = Fleet {
@@ -90,7 +89,7 @@ impl KvServerWorkload {
             response_bytes,
             upstream_bytes: 0,
         };
-        let mut net = ClientFleet::attach(env, nic, fleet);
+        let mut net = ClientFleet::attach(env, fleet);
         let sock = env.sys(Sys::NetSocket)? as Fd;
         env.sys(Sys::NetListen {
             fd: sock,
@@ -149,8 +148,7 @@ mod tests {
         requests: u64,
     ) -> Result<Report, Errno> {
         let mut stack = Stack::new(backend, StackConfig::default());
-        let nic = backend.nic_kind();
-        KvServerWorkload::new(kind, requests, clients).run(&mut stack.env(), nic)
+        KvServerWorkload::new(kind, requests, clients).run(&mut stack.env())
     }
 
     fn run_pvm(kind: KvKind, clients: u32, requests: u64) -> Report {

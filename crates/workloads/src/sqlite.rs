@@ -255,7 +255,7 @@ impl SqliteBlkWorkload {
     /// Runs one case against a freshly formatted block filesystem.
     pub fn run(&mut self, env: &mut Env<'_>, case: SqliteCase) -> Result<Report, Errno> {
         use guest_os::blockfs::{BlockFs, BLOCK_SIZE};
-        let mut fs = BlockFs::format(64 * 1024, self.cache_blocks);
+        let mut fs = BlockFs::format(env, 64 * 1024, self.cache_blocks);
         fs.create(env, "/db")?;
         fs.create(env, "/journal")?;
         let mut rng = SmallRng::seed_from_u64(self.seed);

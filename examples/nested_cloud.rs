@@ -28,10 +28,7 @@ fn microbench(backend: Backend) -> (f64, f64, f64) {
     stack.machine.cpu.mode = cki::sim_hw::Mode::Kernel;
     let t0 = stack.ns();
     for _ in 0..50 {
-        stack
-            .kernel
-            .platform
-            .hypercall(&mut stack.machine, cki::guest_os::Hypercall::Nop);
+        stack.kernel.platform.hypercall(&mut stack.machine);
     }
     let hypercall = (stack.ns() - t0) / 50.0;
     (syscall, pgfault, hypercall)

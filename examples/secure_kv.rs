@@ -11,7 +11,7 @@ use workloads::kv::{KvKind, KvServerWorkload};
 fn run(backend: Backend, clients: u32) -> f64 {
     let mut stack = Stack::new(backend, StackConfig::default());
     let report = KvServerWorkload::new(KvKind::Memcached, 3000, clients)
-        .run(&mut stack.env(), backend.nic_kind())
+        .run(&mut stack.env())
         .expect("kv server");
     report.ops_per_sec()
 }

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use cki_core::CkiPlatform;
 use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
-use netsim::{Coalesce, HostSwitch, Mac, NicBackendKind, NicStats, PortId, SwitchStats};
+use netsim::{Coalesce, HostSwitch, Mac, NicStats, PortId, SwitchStats};
 use obs::FlightRecorder;
 use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
@@ -665,13 +665,7 @@ impl CloudHost {
         };
         let mac = Self::container_mac(id);
         kernel
-            .attach_netif(
-                &mut self.machine,
-                net.cfg.queue,
-                mac,
-                NicBackendKind::Cki,
-                net.cfg.coalesce,
-            )
+            .attach_netif(&mut self.machine, net.cfg.queue, mac, net.cfg.coalesce)
             .expect("NIC ring frames from the delegated segment");
         let port = net.switch.attach(mac);
         let m = &mut self.machine.cpu.metrics;

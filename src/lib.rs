@@ -130,23 +130,6 @@ impl Backend {
         )
     }
 
-    /// The virtqueue-NIC flavor this backend notifies through — i.e. what
-    /// a doorbell costs it (shared-memory write, MMIO trap, hypercall).
-    pub fn nic_kind(&self) -> netsim::NicBackendKind {
-        match self {
-            Backend::RunC | Backend::Gvisor | Backend::LibOs => netsim::NicBackendKind::Native,
-            Backend::HvmBm | Backend::HvmBm2M => netsim::NicBackendKind::HvmBm,
-            Backend::HvmNested => netsim::NicBackendKind::HvmNested,
-            Backend::Pvm => netsim::NicBackendKind::Pvm,
-            Backend::PvmNested => netsim::NicBackendKind::PvmNested,
-            Backend::Cki
-            | Backend::CkiNested
-            | Backend::CkiWoOpt2
-            | Backend::CkiWoOpt3
-            | Backend::CkiGateMitigated => netsim::NicBackendKind::Cki,
-        }
-    }
-
     /// Builds this backend's platform on `machine` — the *single*
     /// construction path shared by [`Stack::new`], the cloud control plane
     /// ([`CloudHost`]), and the differential-testing executors.
