@@ -99,7 +99,7 @@ fn future_work() -> Matrix {
         "in-kernel syscall (PKS)",
         vec![machine.cpu.clock.since_ns(mark) / iters as f64],
     );
-    let model = machine.cpu.clock.model().clone();
+    let model = machine.cpu.clock.model();
     m.push_row(
         "ring-3 syscall (trap)",
         vec![model.cycles_to_ns(

@@ -188,21 +188,23 @@ fn bench_file(name: &str) -> String {
 }
 
 /// Runs every entry and writes `results/run_all.json`, which carries each
-/// entry's matrices, scalars and captured metrics snapshots. Returns the
-/// self-check failures.
+/// entry's host wall time, matrices, scalars and captured metrics
+/// snapshots, and the total wall time. Returns the self-check failures.
 pub fn all(scale: Scale) -> Vec<String> {
     let t = Instant::now();
     let mut failures = Vec::new();
     let mut entries = Vec::new();
     for e in EXPERIMENTS {
+        let started = Instant::now();
         let (o, metrics) = execute(e, scale);
+        let wall = started.elapsed().as_secs_f64();
         let mats: Vec<String> = o.matrices.iter().map(|m| m.to_json()).collect();
         let snaps: Vec<String> = metrics
             .iter()
             .map(|(tag, s)| format!("\"{}\":{}", json_escape(tag), metrics_json(s)))
             .collect();
         entries.push(format!(
-            "\"{}\":{{\"matrices\":[{}],\"scalars\":{},\"metrics\":{{{}}}}}",
+            "\"{}\":{{\"wall_seconds\":{wall:.3},\"matrices\":[{}],\"scalars\":{},\"metrics\":{{{}}}}}",
             e.name,
             mats.join(","),
             bench_json(scale, &o.scalars).trim_end(),

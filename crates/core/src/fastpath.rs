@@ -67,18 +67,18 @@ impl KernelApp {
     ) -> R {
         self.stats.fast_syscalls += 1;
         let mark = m.cpu.clock.mark();
-        let model = m.cpu.clock.model().clone();
+        let pks_check = m.cpu.clock.model().pks_check;
         m.cpu
             .exec(&mut m.mem, Instr::Wrpkrs { value: 0 })
             .expect("fast-syscall entry switch");
-        m.cpu.clock.charge(Tag::SyscallPath, model.pks_check);
+        m.cpu.clock.charge(Tag::SyscallPath, pks_check);
 
         let r = handler(m);
 
         m.cpu
             .exec(&mut m.mem, Instr::Wrpkrs { value: pkrs_kapp() })
             .expect("fast-syscall exit switch");
-        m.cpu.clock.charge(Tag::SyscallPath, model.pks_check);
+        m.cpu.clock.charge(Tag::SyscallPath, pks_check);
         self.stats.crossing_cycles += m.cpu.clock.since(mark);
         r
     }
@@ -110,7 +110,7 @@ mod tests {
         // (PTI CR3 toggles + IBRS). The PKS boundary needs neither, for the
         // same reason the KSM gate does not (§3.3): only container-private
         // data is visible across it.
-        let model = m.cpu.clock.model().clone();
+        let model = m.cpu.clock.model();
         let trap_ns = model
             .cycles_to_ns(model.syscall_entry + 2 * model.swapgs + costs::DISPATCH + model.sysret);
         let trap_mitigated_ns = trap_ns + model.cycles_to_ns(model.pti + model.ibrs);

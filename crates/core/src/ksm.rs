@@ -66,6 +66,16 @@ pub enum PageKind {
     },
 }
 
+/// Entries of a level-`level` PTP that the guest owns: all 512, except in
+/// a root, whose kernel half (256..512) the KSM manages.
+pub(crate) fn guest_entries(level: u8) -> usize {
+    if level == 4 {
+        256
+    } else {
+        512
+    }
+}
+
 /// Descriptor the KSM keeps for every delegated physical page (§4.3).
 #[derive(Debug, Clone, Copy)]
 pub struct PageDesc {
@@ -624,16 +634,13 @@ impl Ksm {
         for (pa, d) in descs {
             let new_pa = shift(pa);
             if let PageKind::Ptp { level } = d.kind {
-                let slots = if level == 4 { 0..256 } else { 0..512 };
-                for i in slots {
-                    let slot = new_pa + 8 * i as u64;
-                    let e = m.mem.read_u64(slot);
-                    if pte::present(e) && old.contains(pte::addr(e)) {
-                        m.mem
-                            .write_u64(slot, (e & !pte::ADDR_MASK) | shift(pte::addr(e)));
-                        rewrites += 1;
-                    }
-                }
+                rewrites += PageTables::rebase_entries(
+                    &mut m.mem,
+                    new_pa,
+                    guest_entries(level),
+                    old,
+                    new_seg.start,
+                );
             }
             self.descs.insert(new_pa, d);
         }
@@ -642,15 +649,7 @@ impl Ksm {
         // copy (host frames; kernel halves point at host table frames).
         for (root, roots) in std::mem::take(&mut self.root_copies) {
             for &copy in &roots {
-                for i in 0..256 {
-                    let slot = copy + 8 * i as u64;
-                    let e = m.mem.read_u64(slot);
-                    if pte::present(e) && old.contains(pte::addr(e)) {
-                        m.mem
-                            .write_u64(slot, (e & !pte::ADDR_MASK) | shift(pte::addr(e)));
-                        rewrites += 1;
-                    }
-                }
+                rewrites += PageTables::rebase_entries(&mut m.mem, copy, 256, old, new_seg.start);
             }
             self.root_copies.insert(shift(root), roots);
         }

@@ -17,12 +17,12 @@
 
 use guest_os::platform::{MapFault, Platform};
 use netsim::{ExitCosts, NicBackendKind};
-use sim_hw::{Fault, Instr, IretFrame, Machine, Tag};
+use sim_hw::{CostModel, Fault, Instr, IretFrame, Machine, Tag};
 use sim_mem::addr::pt_index;
-use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Segment, Virt, PAGE_SIZE};
+use sim_mem::{pte, FrameAllocator, MapFlags, PageTables, Phys, Segment, Virt, PAGE_SIZE};
 
 use crate::gates::{self, GateAbort};
-use crate::ksm::{pkrs_guest, Ksm, KsmError, PageKind};
+use crate::ksm::{guest_entries, pkrs_guest, Ksm, KsmError, PageKind};
 
 /// Configuration of a CKI container (ablations + deployment).
 #[derive(Debug, Clone, Copy)]
@@ -138,8 +138,7 @@ impl CkiPlatform {
         );
         assert_eq!(seg.len(), config.seg_bytes, "segment/config size mismatch");
         let ksm = Ksm::new(m, seg, config.vcpus, config.pcid);
-        let model = m.cpu.clock.model().clone();
-        let exits = ExitCosts::cki(&model);
+        let exits = ExitCosts::cki(m.cpu.clock.model());
         let ids = CkiCounterIds {
             hypercalls: m.cpu.metrics.counter_labeled("cki.hypercalls", Some("cki")),
             gate_aborts: m
@@ -199,18 +198,14 @@ impl CkiPlatform {
         // *before* adopting roots (per-vCPU copies snapshot root contents).
         let mut pte_rewrites = 0u64;
         for (pa, desc) in tmpl.ksm.pages() {
-            let PageKind::Ptp { level } = desc.kind else {
-                continue;
-            };
-            let slots = if level == 4 { 0..256 } else { 0..512 };
-            for i in slots {
-                let slot = shift(pa) + 8 * i as u64;
-                let e = m.mem.read_u64(slot);
-                if pte::present(e) && old.contains(pte::addr(e)) {
-                    m.mem
-                        .write_u64(slot, (e & !pte::ADDR_MASK) | shift(pte::addr(e)));
-                    pte_rewrites += 1;
-                }
+            if let PageKind::Ptp { level } = desc.kind {
+                pte_rewrites += PageTables::rebase_entries(
+                    &mut m.mem,
+                    shift(pa),
+                    guest_entries(level),
+                    old,
+                    new.start,
+                );
             }
         }
 
@@ -245,6 +240,19 @@ impl CkiPlatform {
     /// caller through `ksm.rebase`.
     pub fn rebase_guest_frames(&mut self, new_start: Phys) {
         self.guest_frames = self.guest_frames.rebased(new_start);
+    }
+
+    /// The page-table and PKS switches a syscall crossing pays on top of
+    /// `swapgs`/`sysret`, unless OPT2/OPT3 remove them.
+    fn crossing_switch_cycles(&self, model: &CostModel) -> u64 {
+        let mut cycles = 0;
+        if !self.config.opt2_no_pt_switch {
+            cycles += model.cr3_switch;
+        }
+        if !self.config.opt3_direct_sysret {
+            cycles += model.wrpkrs + model.pks_check;
+        }
+        cycles
     }
 
     /// Frees every host frame backing this container's KSM (container
@@ -531,31 +539,15 @@ impl Platform for CkiPlatform {
         if m.cpu.mode == sim_hw::Mode::User {
             let _ = m.cpu.syscall_entry();
         }
-        let model = m.cpu.clock.model().clone();
-        m.cpu.clock.charge(Tag::SyscallPath, model.swapgs);
-        if !self.config.opt2_no_pt_switch {
-            m.cpu.clock.charge(Tag::SyscallPath, model.cr3_switch);
-        }
-        if !self.config.opt3_direct_sysret {
-            m.cpu
-                .clock
-                .charge(Tag::SyscallPath, model.wrpkrs + model.pks_check);
-        }
+        let model = m.cpu.clock.model();
+        let cycles = model.swapgs + self.crossing_switch_cycles(model);
+        m.cpu.clock.charge(Tag::SyscallPath, cycles);
     }
 
     fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model().clone();
-        m.cpu
-            .clock
-            .charge(Tag::SyscallPath, model.swapgs + model.sysret);
-        if !self.config.opt2_no_pt_switch {
-            m.cpu.clock.charge(Tag::SyscallPath, model.cr3_switch);
-        }
-        if !self.config.opt3_direct_sysret {
-            m.cpu
-                .clock
-                .charge(Tag::SyscallPath, model.wrpkrs + model.pks_check);
-        }
+        let model = m.cpu.clock.model();
+        let cycles = model.swapgs + model.sysret + self.crossing_switch_cycles(model);
+        m.cpu.clock.charge(Tag::SyscallPath, cycles);
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
     }

@@ -122,7 +122,7 @@ impl DriverSandbox {
         self.stats.calls += 1;
         // Entry switch: wrpkrs to the driver view + check (Figure 8a's
         // switch_pks, reused verbatim for driver gates).
-        let model = m.cpu.clock.model().clone();
+        let pks_check = m.cpu.clock.model().pks_check;
         m.cpu
             .exec(
                 &mut m.mem,
@@ -131,7 +131,7 @@ impl DriverSandbox {
                 },
             )
             .expect("gate entry");
-        m.cpu.clock.charge(Tag::Other, model.pks_check);
+        m.cpu.clock.charge(Tag::Other, pks_check);
 
         let result = driver_body(m);
 
@@ -144,7 +144,7 @@ impl DriverSandbox {
                 },
             )
             .expect("gate exit");
-        m.cpu.clock.charge(Tag::Other, model.pks_check);
+        m.cpu.clock.charge(Tag::Other, pks_check);
 
         match result {
             Ok(v) => DriverOutcome::Ok(v),

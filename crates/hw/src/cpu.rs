@@ -259,7 +259,6 @@ impl Cpu {
     /// blocking extension (§4.1).
     pub fn exec(&mut self, mem: &mut PhysMem, instr: Instr) -> Result<ExecResult, Fault> {
         self.instructions += 1;
-        let m = self.clock.model().clone();
 
         // Ring check: privileged instructions fault in user mode.
         if self.mode == Mode::User && instr.is_privileged() {
@@ -295,36 +294,28 @@ impl Cpu {
             });
         }
 
-        match instr {
-            Instr::Alu { cycles } => {
-                self.clock.charge(Tag::Compute, cycles.max(1));
-                Ok(ExecResult::Done)
-            }
+        let (tag, cost, result) = match instr {
+            Instr::Alu { cycles } => (Tag::Compute, cycles.max(1), ExecResult::Done),
             Instr::Load { va } => {
                 self.mem_access(mem, va, Access::Read, None)?;
-                self.clock.charge(Tag::Compute, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Compute, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Store { va } => {
                 self.mem_access(mem, va, Access::Write, None)?;
-                self.clock.charge(Tag::Compute, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Compute, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Lidt { base } => {
                 self.idtr = base;
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::Lgdt { base } => {
                 self.gdtr = base;
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::Ltr { selector } => {
                 // Simplified: the selector is the TSS physical base >> 4.
                 self.tss_base = (selector as u64) << 4;
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::Wrmsr { msr, value } => {
                 if msr == MSR_IA32_PKRS {
@@ -332,8 +323,7 @@ impl Cpu {
                 } else {
                     self.msrs.insert(msr, value);
                 }
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::Rdmsr { msr } => {
                 let v = if msr == MSR_IA32_PKRS {
@@ -341,8 +331,7 @@ impl Cpu {
                 } else {
                     self.msrs.get(&msr).copied().unwrap_or(0)
                 };
-                self.clock.charge(Tag::Other, m.rdmsr);
-                Ok(ExecResult::Value(v))
+                (Tag::Other, self.clock.model().rdmsr, ExecResult::Value(v))
             }
             Instr::ReadCr { cr } => {
                 let v = match cr {
@@ -351,18 +340,15 @@ impl Cpu {
                     4 => self.cr4,
                     _ => return Err(Fault::GeneralProtection("bad control register")),
                 };
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Value(v))
+                (Tag::Other, self.clock.model().instr, ExecResult::Value(v))
             }
             Instr::WriteCr0 { value } => {
                 self.cr0 = value;
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::WriteCr4 { value } => {
                 self.cr4 = value;
-                self.clock.charge(Tag::Other, m.wrmsr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
             }
             Instr::WriteCr3 {
                 value,
@@ -373,25 +359,21 @@ impl Cpu {
                 if !preserve_tlb {
                     self.tlb.flush_pcid(self.pcid);
                 }
-                self.clock.charge(Tag::Other, m.cr3_switch);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().cr3_switch, ExecResult::Done)
             }
             Instr::Clac => {
                 self.ac = false;
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Stac => {
                 self.ac = true;
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Invlpg { va } => {
                 // Flushes only the current PCID (§4.1's performance-attack
                 // defence relies on this).
                 self.tlb.flush_va(va, self.pcid);
-                self.clock.charge(Tag::Mmu, m.invlpg);
-                Ok(ExecResult::Done)
+                (Tag::Mmu, self.clock.model().invlpg, ExecResult::Done)
             }
             Instr::Invpcid { mode } => {
                 match mode {
@@ -399,13 +381,15 @@ impl Cpu {
                     InvpcidMode::SingleContext { pcid } => self.tlb.flush_pcid(pcid),
                     InvpcidMode::AllContexts => self.tlb.flush_all(),
                 }
-                self.clock.charge(Tag::Mmu, m.invlpg);
-                Ok(ExecResult::Done)
+                (Tag::Mmu, self.clock.model().invlpg, ExecResult::Done)
             }
             Instr::Swapgs => {
                 std::mem::swap(&mut self.gs_base, &mut self.kernel_gs_base);
-                self.clock.charge(Tag::SyscallPath, m.swapgs);
-                Ok(ExecResult::Done)
+                (
+                    Tag::SyscallPath,
+                    self.clock.model().swapgs,
+                    ExecResult::Done,
+                )
             }
             Instr::Sysret { restore_if } => {
                 self.mode = Mode::User;
@@ -416,8 +400,11 @@ impl Cpu {
                 } else {
                     restore_if
                 };
-                self.clock.charge(Tag::SyscallPath, m.sysret);
-                Ok(ExecResult::Done)
+                (
+                    Tag::SyscallPath,
+                    self.clock.model().sysret,
+                    ExecResult::Done,
+                )
             }
             Instr::Iret { frame } => {
                 self.mode = if frame.user_mode {
@@ -430,41 +417,31 @@ impl Cpu {
                 if self.ext.iret_pkrs_restore {
                     self.pkrs = frame.pkrs;
                 }
-                self.clock.charge(Tag::Handler, m.iret);
-                Ok(ExecResult::Done)
+                (Tag::Handler, self.clock.model().iret, ExecResult::Done)
             }
             Instr::Hlt => {
                 self.halted = true;
-                self.clock.charge(Tag::Sched, m.hlt);
-                Ok(ExecResult::Halted)
+                (Tag::Sched, self.clock.model().hlt, ExecResult::Halted)
             }
             Instr::Cli => {
                 self.rflags_if = false;
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Sti => {
                 self.rflags_if = true;
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().instr, ExecResult::Done)
             }
             Instr::Popf { if_flag } => {
                 self.rflags_if = if_flag;
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().instr, ExecResult::Done)
             }
-            Instr::InPort { .. } => {
-                self.clock.charge(Tag::Io, m.rdmsr);
-                Ok(ExecResult::Value(0))
-            }
-            Instr::OutPort { .. } => {
-                self.clock.charge(Tag::Io, m.wrmsr);
-                Ok(ExecResult::Done)
-            }
-            Instr::Smsw => {
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::Value(self.cr0 & 0xffff))
-            }
+            Instr::InPort { .. } => (Tag::Io, self.clock.model().rdmsr, ExecResult::Value(0)),
+            Instr::OutPort { .. } => (Tag::Io, self.clock.model().wrmsr, ExecResult::Done),
+            Instr::Smsw => (
+                Tag::Other,
+                self.clock.model().instr,
+                ExecResult::Value(self.cr0 & 0xffff),
+            ),
             Instr::Wrpkrs { value } => {
                 let cycles = self.clock.cycles();
                 self.tracer.record(
@@ -475,23 +452,25 @@ impl Cpu {
                     },
                 );
                 self.pkrs = value;
-                self.clock.charge(Tag::KsmCall, m.wrpkrs);
-                Ok(ExecResult::Done)
+                (Tag::KsmCall, self.clock.model().wrpkrs, ExecResult::Done)
             }
-            Instr::Rdpkrs => {
-                self.clock.charge(Tag::KsmCall, m.instr);
-                Ok(ExecResult::Value(self.pkrs as u64))
-            }
+            Instr::Rdpkrs => (
+                Tag::KsmCall,
+                self.clock.model().instr,
+                ExecResult::Value(self.pkrs as u64),
+            ),
             Instr::Wrpkru { value } => {
                 self.pkru = value;
-                self.clock.charge(Tag::Other, m.wrpkrs);
-                Ok(ExecResult::Done)
+                (Tag::Other, self.clock.model().wrpkrs, ExecResult::Done)
             }
-            Instr::IntN { vector } => {
-                self.clock.charge(Tag::Other, m.instr);
-                Ok(ExecResult::SoftInt(vector))
-            }
-        }
+            Instr::IntN { vector } => (
+                Tag::Other,
+                self.clock.model().instr,
+                ExecResult::SoftInt(vector),
+            ),
+        };
+        self.clock.charge(tag, cost);
+        Ok(result)
     }
 
     /// `syscall` from user mode: switches to kernel mode, masks IF, and
@@ -749,7 +728,10 @@ impl Cpu {
         mut stage2: Option<&mut (dyn Stage2 + '_)>,
     ) -> Result<TlbEntry, Fault> {
         self.metrics.inc(self.ids.page_walks);
-        let m = self.clock.model().clone();
+        let (pt_load, stage2_load) = {
+            let m = self.clock.model();
+            (m.pt_load, m.stage2_load)
+        };
         let mut table_gpa = self.cr3_root;
         let mut writable = true;
         let mut user = true;
@@ -757,12 +739,12 @@ impl Cpu {
             // The table pointer is a gPA under virtualization: translate it.
             let table_hpa = match stage2.as_deref_mut() {
                 Some(s2) => {
-                    self.clock.charge(Tag::Mmu, m.stage2_load);
+                    self.clock.charge(Tag::Mmu, stage2_load);
                     s2.translate(mem, table_gpa, false, &mut self.clock)?
                 }
                 None => table_gpa,
             };
-            self.clock.charge(Tag::Mmu, m.pt_load);
+            self.clock.charge(Tag::Mmu, pt_load);
             let slot = table_hpa + 8 * pt_index(va, level) as u64;
             let entry = mem.read_u64(slot);
             if !pte::present(entry) {
@@ -788,7 +770,7 @@ impl Cpu {
                 let leaf_gpa = pte::addr(entry);
                 let leaf_hpa = match stage2.as_deref_mut() {
                     Some(s2) => {
-                        self.clock.charge(Tag::Mmu, m.stage2_load);
+                        self.clock.charge(Tag::Mmu, stage2_load);
                         s2.translate(mem, leaf_gpa, false, &mut self.clock)?
                     }
                     None => leaf_gpa,

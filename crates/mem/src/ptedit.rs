@@ -6,8 +6,9 @@
 //! editor used by kernels (and a raw walk used by both).
 
 use crate::addr::{pt_index, Phys, Virt, HUGE_PAGE_SIZE, PAGE_SIZE};
-use crate::phys::PhysMem;
+use crate::phys::{PhysMem, SlotEdit};
 use crate::pte;
+use crate::segment::Segment;
 
 /// Flags requested when mapping a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,15 +174,19 @@ impl PageTables {
         let mut done = 0;
         while done < pages {
             let va = va + done * PAGE_SIZE;
-            let mut slot = Self::ensure_table_path(mem, root, va, 1, alloc)?;
-            for _ in 0..Self::pages_left_in_table(va).min(pages - done) {
-                if pte::present(mem.read_u64(slot)) {
-                    return Err(MapError::AlreadyMapped);
+            let slot = Self::ensure_table_path(mem, root, va, 1, alloc)?;
+            let run = Self::pages_left_in_table(va).min(pages - done);
+            let mapped = mem.edit_slots(slot, run as usize, |i, old| {
+                if pte::present(old) {
+                    SlotEdit::Stop
+                } else {
+                    SlotEdit::Write(pte::make(pa + (done + i as u64) * PAGE_SIZE, bits))
                 }
-                mem.write_u64(slot, pte::make(pa + done * PAGE_SIZE, bits));
-                slot += 8;
-                done += 1;
+            }) as u64;
+            if mapped < run {
+                return Err(MapError::AlreadyMapped);
             }
+            done += run;
         }
         Ok(())
     }
@@ -202,18 +207,44 @@ impl PageTables {
         let mut done = 0;
         while done < pages {
             let va = start + done * PAGE_SIZE;
-            let mut slot = Self::leaf_table(mem, root, va).ok_or(va)? + 8 * pt_index(va, 1) as u64;
-            for _ in 0..Self::pages_left_in_table(va).min(pages - done) {
-                let old = mem.read_u64(slot);
-                if !pte::present(old) {
-                    return Err(start + done * PAGE_SIZE);
+            let slot = Self::leaf_table(mem, root, va).ok_or(va)? + 8 * pt_index(va, 1) as u64;
+            let run = Self::pages_left_in_table(va).min(pages - done);
+            let updated = mem.edit_slots(slot, run as usize, |_, old| {
+                if pte::present(old) {
+                    SlotEdit::Write(f(old))
+                } else {
+                    SlotEdit::Stop
                 }
-                mem.write_u64(slot, f(old));
-                slot += 8;
-                done += 1;
+            }) as u64;
+            if updated < run {
+                return Err(va + updated * PAGE_SIZE);
             }
+            done += run;
         }
         Ok(())
+    }
+
+    /// Rebases the present entries among the first `entries` slots of
+    /// `table` that point into `from`, so they point at the same offsets
+    /// from `to`, and returns how many it rewrote. Entries pointing
+    /// elsewhere (host tables, other segments) are left alone.
+    pub fn rebase_entries(
+        mem: &mut PhysMem,
+        table: Phys,
+        entries: usize,
+        from: Segment,
+        to: Phys,
+    ) -> u64 {
+        let mut rewrites = 0;
+        mem.edit_slots(table, entries, |_, e| {
+            if pte::present(e) && from.contains(pte::addr(e)) {
+                rewrites += 1;
+                SlotEdit::Write((e & !pte::ADDR_MASK) | (to + (pte::addr(e) - from.start)))
+            } else {
+                SlotEdit::Keep
+            }
+        });
+        rewrites
     }
 
     /// Number of 4 KiB pages from `va` to the end of its leaf table.

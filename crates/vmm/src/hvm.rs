@@ -59,11 +59,11 @@ impl HvmPlatform {
             .frames
             .alloc_contiguous(vm_size / PAGE_SIZE)
             .expect("backing for VM");
-        let model = m.cpu.clock.model().clone();
+        let model = m.cpu.clock.model();
         let exits = if nested {
-            ExitCosts::hvm_nested(&model)
+            ExitCosts::hvm_nested(model)
         } else {
-            ExitCosts::hvm_bm(&model)
+            ExitCosts::hvm_bm(model)
         };
         let label = if nested { "hvm-nst" } else { "hvm" };
         let ids = HvmCounterIds {
@@ -105,25 +105,28 @@ impl HvmPlatform {
         m.cpu.metrics.inc(self.ids.ept_faults);
         m.cpu.metrics.inc(self.ids.vm_exits);
         let sp = m.cpu.span_enter("vmm.vmexit");
-        let model = m.cpu.clock.model().clone();
-        if self.nested {
+        let model = m.cpu.clock.model();
+        let (exit, work_tag, work_span, work) = if self.nested {
             // L2 EPT violation: L0 intercepts, bounces to L1, which updates
             // its virtual EPT; L0 then rebuilds the shadow EPT — several
             // L0-mediated transitions plus emulation (32.5 µs total path).
             let transition =
                 model.vm_exit + model.nested_transition + model.vm_entry + model.nested_transition;
-            m.cpu.clock.charge(Tag::VmExit, 4 * transition);
-            let w = m.cpu.span_enter("vmm.sept_work");
-            m.cpu.clock.charge(Tag::SptEmul, model.sept_emulation_work);
-            m.cpu.span_exit(w);
+            let work = model.sept_emulation_work;
+            (4 * transition, Tag::SptEmul, "vmm.sept_work", work)
         } else {
-            m.cpu
-                .clock
-                .charge(Tag::VmExit, model.vm_exit + model.vm_entry);
-            let w = m.cpu.span_enter("vmm.ept_work");
-            m.cpu.clock.charge(Tag::EptFault, model.ept_violation_work);
-            m.cpu.span_exit(w);
-        }
+            let exit = model.vm_exit + model.vm_entry;
+            (
+                exit,
+                Tag::EptFault,
+                "vmm.ept_work",
+                model.ept_violation_work,
+            )
+        };
+        m.cpu.clock.charge(Tag::VmExit, exit);
+        let w = m.cpu.span_enter(work_span);
+        m.cpu.clock.charge(work_tag, work);
+        m.cpu.span_exit(w);
         self.ept.map_gpa(m, gpa);
         m.cpu.span_exit(sp);
     }
@@ -366,10 +369,9 @@ impl Platform for HvmPlatform {
         // re-arming (TSC-deadline wrmsr) exits — and in a nested cloud the
         // exit is L0-mediated.
         m.cpu.metrics.inc(self.ids.vm_exits);
-        let model = m.cpu.clock.model().clone();
-        m.cpu
-            .clock
-            .charge(Tag::Sched, model.exception_entry + 300 + model.iret);
+        let model = m.cpu.clock.model();
+        let handler = model.exception_entry + 300 + model.iret;
+        m.cpu.clock.charge(Tag::Sched, handler);
         m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
     }
 

@@ -62,8 +62,7 @@ impl PvmPlatform {
     /// Creates the PVM platform (`nested` only changes hypercall costs
     /// slightly — the design's point).
     pub fn new(m: &mut Machine, nested: bool) -> Self {
-        let model = m.cpu.clock.model().clone();
-        let exits = ExitCosts::pvm(&model, nested);
+        let exits = ExitCosts::pvm(m.cpu.clock.model(), nested);
         let label = if nested { "pvm-nst" } else { "pvm" };
         let ids = PvmCounterIds {
             switches: m
@@ -343,11 +342,10 @@ impl Platform for PvmPlatform {
         // The host receives the hardware timer and injects a virtual
         // interrupt into the user-mode guest kernel; returning needs the
         // host again: two world-switch pairs around the handler.
-        let model = m.cpu.clock.model().clone();
+        let model = m.cpu.clock.model();
+        let handler = model.exception_entry + 300 + model.iret;
         self.world_switch_pair(m);
-        m.cpu
-            .clock
-            .charge(Tag::Sched, model.exception_entry + 300 + model.iret);
+        m.cpu.clock.charge(Tag::Sched, handler);
         self.world_switch_pair(m);
     }
 

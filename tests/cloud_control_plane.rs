@@ -175,6 +175,13 @@ fn mem_accesses(h: &CloudHost) -> u64 {
     h.machine.mem.read_count() + h.machine.mem.write_count()
 }
 
+/// Frame-map and residency-index probes so far: the host work that the
+/// access counts miss, because a range copy probes pages it does not
+/// access and a slot run accesses many slots per probe.
+fn mem_lookups(h: &CloudHost) -> u64 {
+    h.machine.mem.lookup_count()
+}
+
 /// Host work of a segment migration or a clone start grows with the
 /// segment's resident frames and leaf tables, not with its size: at most
 /// 3 accesses per segment page (one read and one write rewrite a physmap
@@ -183,6 +190,11 @@ fn mem_accesses(h: &CloudHost) -> u64 {
 /// read and possibly rewritten, in the segment and in the per-vCPU root
 /// copies). A physmap rewrite that walks the tables once per page does
 /// ~9 accesses per page and fails this bound.
+///
+/// Map probes are bounded tighter: one per 8 segment pages, plus the same
+/// per-resident-frame allowance. Copying page by page, or rewriting the
+/// physmap one `read_u64`/`write_u64` pair at a time, probes at least
+/// once per segment page and fails this bound.
 #[test]
 fn segment_host_work_scales_with_resident_frames() {
     const SEG: u64 = 64 * MIB;
@@ -199,14 +211,23 @@ fn segment_host_work_scales_with_resident_frames() {
         h.stop_container(id).unwrap();
     }
 
-    let before = mem_accesses(&h);
+    let (before, probes_before) = (mem_accesses(&h), mem_lookups(&h));
     let report = h.compact();
     let compact = mem_accesses(&h) - before;
+    let probes = mem_lookups(&h) - probes_before;
     assert!(report.moved >= 3, "fixed pool must fragment: {report:?}");
     let bound = 3 * report.moved * seg_pages + PER_RESIDENT * report.pages_migrated;
     assert!(
         compact <= bound,
         "compaction did {compact} accesses for {} segments of {seg_pages} pages \
+         with {} resident frames (bound {bound})",
+        report.moved,
+        report.pages_migrated
+    );
+    let bound = report.moved * seg_pages / 8 + PER_RESIDENT * report.pages_migrated;
+    assert!(
+        probes <= bound,
+        "compaction did {probes} map probes for {} segments of {seg_pages} pages \
          with {} resident frames (bound {bound})",
         report.moved,
         report.pages_migrated
@@ -220,15 +241,22 @@ fn segment_host_work_scales_with_resident_frames() {
             .get("cloud.clone_pages_copied")
     };
     let copied0 = copied(&h);
-    let before = mem_accesses(&h);
+    let (before, probes_before) = (mem_accesses(&h), mem_lookups(&h));
     h.start(spec).unwrap();
     let start = mem_accesses(&h) - before;
+    let probes = mem_lookups(&h) - probes_before;
     let resident = copied(&h) - copied0;
     assert!(resident > 0);
     let bound = 3 * seg_pages + PER_RESIDENT * resident;
     assert!(
         start <= bound,
         "clone start did {start} accesses for a {seg_pages}-page segment \
+         with {resident} resident frames (bound {bound})"
+    );
+    let bound = seg_pages / 8 + PER_RESIDENT * resident;
+    assert!(
+        probes <= bound,
+        "clone start did {probes} map probes for a {seg_pages}-page segment \
          with {resident} resident frames (bound {bound})"
     );
 }
