@@ -352,10 +352,11 @@ impl Ksm {
 
     /// KSM call: write `new_pte` into slot `index` of declared PTP `ptp`.
     ///
-    /// Validation (§4.3): the target of a non-leaf entry must be a declared
-    /// PTP of the next level; the target of a leaf must be a delegated data
-    /// page that is not a PTP; new kernel-executable mappings are forbidden
-    /// (no fresh `wrpkrs` instructions can appear — §4.1).
+    /// Validation (§4.3): a non-leaf entry may not set `PS` (no huge
+    /// mappings) and its target must be a declared PTP of the next level;
+    /// the target of a leaf must be a delegated data page that is not a
+    /// PTP; new kernel-executable mappings are forbidden (no fresh `wrpkrs`
+    /// instructions can appear — §4.1).
     pub fn update_pte(
         &mut self,
         m: &mut Machine,
@@ -387,6 +388,13 @@ impl Ksm {
             }
             let tdesc = self.desc(target);
             if level > 1 {
+                // PS turns a non-leaf entry into a 2 MiB leaf for the
+                // hardware walk, over whatever the target holds (a declared
+                // PTP, say). No guest path maps huge pages.
+                if pte::huge(new_pte) {
+                    self.stats.rejected += 1;
+                    return Err(KsmError::BadPte("huge mapping"));
+                }
                 match tdesc.kind {
                     PageKind::Ptp { level: tl } if tl == level - 1 => {}
                     _ => {

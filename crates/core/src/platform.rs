@@ -394,10 +394,6 @@ impl Platform for CkiPlatform {
         self.guest_frames.free(pa);
     }
 
-    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
-        gpa // delegated hPAs are used directly
-    }
-
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
         let c = m.cpu.clock.model().frame_alloc;
         m.cpu.clock.charge(Tag::Handler, c);
@@ -459,20 +455,9 @@ impl Platform for CkiPlatform {
         root: Phys,
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
-        // Software walk (the guest can read its tables through the physmap).
-        let mut table = root;
-        for level in (2..=4u8).rev() {
-            let entry = self.read_slot(m, table, pt_index(va, level));
-            if !pte::present(entry) {
-                return Ok(None);
-            }
-            table = pte::addr(entry);
-        }
-        let idx = pt_index(va, 1);
-        let old = self.read_slot(m, table, idx);
-        if !pte::present(old) {
+        let Some((table, idx, old)) = leaf(m, root, va) else {
             return Ok(None);
-        }
+        };
         self.ksm_invoke(m, move |m, k| k.update_pte(m, table, idx, 0))?;
         // invlpg stays directly executable (PCID-isolated — §4.1).
         let _ = m.cpu.exec(&mut m.mem, Instr::Invlpg { va });
@@ -486,19 +471,8 @@ impl Platform for CkiPlatform {
         va: Virt,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let mut table = root;
-        for level in (2..=4u8).rev() {
-            let entry = self.read_slot(m, table, pt_index(va, level));
-            if !pte::present(entry) {
-                return Err(MapFault::Rejected("protect of unmapped page"));
-            }
-            table = pte::addr(entry);
-        }
-        let idx = pt_index(va, 1);
-        let old = self.read_slot(m, table, idx);
-        if !pte::present(old) {
-            return Err(MapFault::Rejected("protect of unmapped page"));
-        }
+        let (table, idx, old) =
+            leaf(m, root, va).ok_or(MapFault::Rejected("protect of unmapped page"))?;
         let new_pte = pte::make(pte::addr(old), flags.encode() & !pte::ADDR_MASK);
         self.ksm_invoke(m, move |m, k| k.update_pte(m, table, idx, new_pte))?;
         let _ = m.cpu.exec(&mut m.mem, Instr::Invlpg { va });
@@ -506,16 +480,7 @@ impl Platform for CkiPlatform {
     }
 
     fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
-        let mut table = root;
-        for level in (2..=4u8).rev() {
-            let entry = self.read_slot(m, table, pt_index(va, level));
-            if !pte::present(entry) {
-                return None;
-            }
-            table = pte::addr(entry);
-        }
-        let e = self.read_slot(m, table, pt_index(va, 1));
-        pte::present(e).then_some(e)
+        leaf(m, root, va).map(|(_, _, entry)| entry)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
@@ -550,14 +515,6 @@ impl Platform for CkiPlatform {
         m.cpu.clock.charge(Tag::SyscallPath, cycles);
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
-    }
-
-    fn fault_entry(&mut self, m: &mut Machine) {
-        // User page faults trap directly to the guest kernel through its
-        // IDT entry — no host involvement (§4.3).
-        let c = m.cpu.clock.model().exception_entry;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::Kernel;
     }
 
     fn fault_exit(&mut self, m: &mut Machine) {
@@ -648,6 +605,23 @@ impl Platform for CkiPlatform {
     fn device_kind(&self) -> NicBackendKind {
         NicBackendKind::Cki
     }
+}
+
+/// Guest-side software walk to the present leaf PTE for `va` (the guest
+/// reads its own tables through the physmap): the level-1 table, the slot
+/// index and the entry, or `None` if any level is not present.
+fn leaf(m: &mut Machine, root: Phys, va: Virt) -> Option<(Phys, usize, u64)> {
+    let mut table = root;
+    for level in (2..=4u8).rev() {
+        let entry = m.mem.read_u64(table + 8 * pt_index(va, level) as u64);
+        if !pte::present(entry) {
+            return None;
+        }
+        table = pte::addr(entry);
+    }
+    let idx = pt_index(va, 1);
+    let entry = m.mem.read_u64(table + 8 * idx as u64);
+    pte::present(entry).then_some((table, idx, entry))
 }
 
 impl std::fmt::Debug for CkiPlatform {

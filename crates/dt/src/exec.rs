@@ -52,7 +52,7 @@ impl Default for ExecConfig {
 /// Comparable functional state of one stack, captured after an op.
 ///
 /// Everything here must be architecture-independent: the same program must
-/// produce the same snapshot on all 8 backends. Cost-like state (clock,
+/// produce the same snapshot on all 9 backends. Cost-like state (clock,
 /// TLB fill, trace volume) deliberately stays out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateSnapshot {

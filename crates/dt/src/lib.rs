@@ -8,8 +8,9 @@
 //!   seeded generator and a text format for on-disk reproducers.
 //! - [`exec`]: a per-backend [`Executor`] interpreting the IR on a booted
 //!   stack.
-//! - [`oracle`]: the lockstep [`Oracle`] — one program across all 8
-//!   backends simultaneously, comparing op results and functional state
+//! - [`oracle`]: the lockstep [`Oracle`] — one program across all 9
+//!   backends (those four, their nested and 2 MiB-EPT variants, and
+//!   gVisor) simultaneously, comparing op results and functional state
 //!   after every op, reporting the first divergence with a structured
 //!   architectural diff.
 //! - [`shrink`]: ddmin reduction of a failing program to a minimal
@@ -27,7 +28,7 @@
 //! use dt::{Oracle, Program};
 //!
 //! let program = Program::generate(0x5EED, 12);
-//! let oracle = Oracle::new(); // all 8 backends in lockstep
+//! let oracle = Oracle::new(); // all 9 backends in lockstep
 //! oracle.run(&program, None).expect("no divergence");
 //! ```
 

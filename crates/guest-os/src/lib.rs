@@ -1,9 +1,10 @@
 //! The para-virtualized guest kernel.
 //!
-//! One kernel, four platforms: the same process/memory/VFS/network code
+//! One kernel, six platforms: the same process/memory/VFS/network code
 //! runs natively (RunC), under hardware virtualization (HVM), under
 //! software virtualization (PVM), and under CKI's PKS-based third privilege
-//! level — the comparison structure of the paper's evaluation (§7).
+//! level — the comparison structure of the paper's evaluation (§7) — and
+//! on the gVisor and LibOS designs of its Figure 3.
 //!
 //! The privileged-operation boundary is the [`platform::Platform`] trait;
 //! everything above it is platform-independent guest-kernel code.

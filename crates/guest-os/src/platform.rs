@@ -1,8 +1,8 @@
 //! The privileged-operation interface between the guest kernel and its
 //! platform.
 //!
-//! The same guest kernel (this crate) runs under four platforms, mirroring
-//! the paper's comparison targets:
+//! The same guest kernel (this crate) runs under six platforms, mirroring
+//! the paper's comparison targets and the rest of its design space:
 //!
 //! - **Native** (RunC, [`NativePlatform`]): the kernel *is* the host kernel;
 //!   privileged operations execute directly.
@@ -14,10 +14,17 @@
 //! - **CKI** (`cki-core`): the kernel runs deprivileged *inside kernel mode*
 //!   via PKS; private privileged operations become KSM calls through a PKS
 //!   gate and global ones become hypercalls (paper §3.3).
+//! - **gVisor** (`vmm::designspace`): syscalls are intercepted and served
+//!   by a user-space Sentry; the host handles page faults.
+//! - **LibOS** (`vmm::designspace`): syscalls are function calls into a
+//!   library kernel with no user/kernel split and no fork.
 //!
 //! This trait is exactly the set of operations the paper identifies as the
 //! performance-relevant interface (Figure 6): PTE updates, CR3 loads, iret,
-//! syscall/fault entry-exit, and host services (hypercalls).
+//! syscall/fault entry-exit, and host services (hypercalls). Its default
+//! method bodies are the native path, and the `host_*` functions are the
+//! native page-table edits; each platform overrides only the operations
+//! whose cost or mechanism differs from it.
 
 use sim_hw::{Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
@@ -51,7 +58,7 @@ impl std::error::Error for MapFault {}
 /// backend state (EPT, shadow tables, KSM handles) but never owns the
 /// machine, so one machine can host many containers.
 pub trait Platform {
-    /// Short name for reports ("runc", "hvm", "pvm", "cki").
+    /// Short name for reports ("runc", "hvm", "pvm", "cki", "gvisor", "libos").
     fn name(&self) -> &'static str;
 
     /// Downcasting hook so harnesses can reach backend-specific statistics.
@@ -68,16 +75,26 @@ pub trait Platform {
 
     // --- Guest physical memory -------------------------------------------------
 
-    /// Allocates one guest-physical data frame.
-    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys>;
+    /// Allocates one guest-physical data frame. The default takes a frame
+    /// from the machine allocator.
+    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
+        let c = m.cpu.clock.model().frame_alloc;
+        m.cpu.clock.charge(Tag::Handler, c);
+        m.frames.alloc()
+    }
 
     /// Frees a guest-physical data frame.
-    fn free_frame(&mut self, m: &mut Machine, pa: Phys);
+    fn free_frame(&mut self, m: &mut Machine, pa: Phys) {
+        m.frames.free(pa);
+    }
 
     /// Translates guest-physical to host-physical for *software* access by
     /// trusted simulation code (no architectural cost; the architectural
-    /// path is [`Platform::user_access`]).
-    fn gpa_to_hpa(&mut self, m: &mut Machine, gpa: Phys) -> Phys;
+    /// path is [`Platform::user_access`]). The default is the identity:
+    /// the guest sees host-physical addresses.
+    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
+        gpa
+    }
 
     // --- Page-table management --------------------------------------------------
 
@@ -86,7 +103,9 @@ pub trait Platform {
 
     /// Tears down an address-space root and its intermediate tables.
     /// Leaf data frames must already have been unmapped by the caller.
-    fn destroy_root(&mut self, m: &mut Machine, root: Phys);
+    fn destroy_root(&mut self, m: &mut Machine, root: Phys) {
+        free_table_recursive(m, root, 4);
+    }
 
     /// Maps the 4 KiB page `pa` at `va` under `root`, allocating (and under
     /// CKI, declaring) intermediate page-table pages as needed.
@@ -132,7 +151,9 @@ pub trait Platform {
     ) -> Result<(), MapFault>;
 
     /// Reads the leaf PTE at `va`, or `None` if unmapped.
-    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64>;
+    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
+        PageTables::walk(&mut m.mem, root, va).ok().map(|w| w.leaf)
+    }
 
     // --- Control flow -----------------------------------------------------------
 
@@ -140,31 +161,66 @@ pub trait Platform {
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault>;
 
     /// Charges the syscall entry path (user → guest kernel) and performs the
-    /// architectural mode switch.
-    fn syscall_entry(&mut self, m: &mut Machine);
+    /// architectural mode switch. The default is `syscall` plus `swapgs`.
+    fn syscall_entry(&mut self, m: &mut Machine) {
+        if m.cpu.mode == sim_hw::Mode::User {
+            let _ = m.cpu.syscall_entry();
+        }
+        let c = m.cpu.clock.model().swapgs;
+        m.cpu.clock.charge(Tag::SyscallPath, c);
+    }
 
-    /// Charges the syscall exit path (guest kernel → user).
-    fn syscall_exit(&mut self, m: &mut Machine);
+    /// Charges the syscall exit path (guest kernel → user). The default is
+    /// `swapgs` plus `sysret`.
+    fn syscall_exit(&mut self, m: &mut Machine) {
+        let model = m.cpu.clock.model();
+        let c = model.swapgs + model.sysret;
+        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu.mode = sim_hw::Mode::User;
+        m.cpu.rflags_if = true;
+    }
 
     /// Charges delivery of a user page fault to the guest kernel handler.
-    fn fault_entry(&mut self, m: &mut Machine);
+    /// The default is a direct exception entry through the IDT.
+    fn fault_entry(&mut self, m: &mut Machine) {
+        let c = m.cpu.clock.model().exception_entry;
+        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.mode = sim_hw::Mode::Kernel;
+    }
 
-    /// Charges the return from the fault handler to user mode.
-    fn fault_exit(&mut self, m: &mut Machine);
+    /// Charges the return from the fault handler to user mode. The default
+    /// is a direct `iret`.
+    fn fault_exit(&mut self, m: &mut Machine) {
+        let c = m.cpu.clock.model().iret;
+        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.mode = sim_hw::Mode::User;
+    }
 
     // --- Application memory access ------------------------------------------------
 
     /// Performs one user-mode access to `va` under `root`, handling
     /// *platform-level* faults internally (EPT violations, shadow-paging
     /// sync) and returning guest-visible page faults for the guest kernel
-    /// to handle.
+    /// to handle. The default is one single-stage walk in user mode.
     fn user_access(
         &mut self,
         m: &mut Machine,
         root: Phys,
         va: Virt,
         write: bool,
-    ) -> Result<(), Fault>;
+    ) -> Result<(), Fault> {
+        debug_assert_eq!(m.cpu.cr3_root(), root);
+        let access = if write {
+            sim_hw::Access::Write
+        } else {
+            sim_hw::Access::Read
+        };
+        let prev = m.cpu.mode;
+        m.cpu.mode = sim_hw::Mode::User;
+        let r = m.cpu.mem_access(&mut m.mem, va, access, None).map(|_| ());
+        m.cpu.mode = prev;
+        r
+    }
 
     // --- Host services -----------------------------------------------------------
 
@@ -200,10 +256,6 @@ impl NativePlatform {
     pub fn new(pcid: u16) -> Self {
         Self { pcid }
     }
-
-    fn charge(m: &mut Machine, tag: Tag, cycles: u64) {
-        m.cpu.clock.charge(tag, cycles);
-    }
 }
 
 impl Platform for NativePlatform {
@@ -219,30 +271,10 @@ impl Platform for NativePlatform {
         self
     }
 
-    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        let c = m.cpu.clock.model().frame_alloc;
-        Self::charge(m, Tag::Handler, c);
-        m.frames.alloc()
-    }
-
-    fn free_frame(&mut self, m: &mut Machine, pa: Phys) {
-        m.frames.free(pa);
-    }
-
-    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
-        gpa
-    }
-
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
         let c = m.cpu.clock.model().frame_alloc;
-        Self::charge(m, Tag::Handler, c);
-        let Machine { mem, frames, .. } = m;
-        PageTables::new_root(mem, &mut || frames.alloc()).ok_or(MapFault::OutOfMemory)
-    }
-
-    fn destroy_root(&mut self, m: &mut Machine, root: Phys) {
-        // Intermediate PTPs come from the machine allocator; walk and free.
-        free_table_recursive(m, root, 4);
+        m.cpu.clock.charge(Tag::Handler, c);
+        host_new_root(m)
     }
 
     fn map_page(
@@ -254,10 +286,8 @@ impl Platform for NativePlatform {
         flags: MapFlags,
     ) -> Result<(), MapFault> {
         let c = m.cpu.clock.model().pte_write;
-        Self::charge(m, Tag::Handler, c);
-        let Machine { mem, frames, .. } = m;
-        PageTables::map(mem, root, va, pa, flags, &mut || frames.alloc())
-            .map_err(|_| MapFault::OutOfMemory)
+        m.cpu.clock.charge(Tag::Handler, c);
+        host_map(m, root, va, pa, flags)
     }
 
     fn unmap_page(
@@ -267,10 +297,8 @@ impl Platform for NativePlatform {
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
         let c = m.cpu.clock.model().pte_write;
-        Self::charge(m, Tag::Handler, c);
-        let old = PageTables::unmap(&mut m.mem, root, va);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(old)
+        m.cpu.clock.charge(Tag::Handler, c);
+        Ok(host_unmap(m, root, va, self.pcid))
     }
 
     fn protect_page(
@@ -281,82 +309,71 @@ impl Platform for NativePlatform {
         flags: MapFlags,
     ) -> Result<(), MapFault> {
         let c = m.cpu.clock.model().pte_write;
-        Self::charge(m, Tag::Handler, c);
-        let old = PageTables::walk(&mut m.mem, root, va)
-            .map_err(|_| MapFault::Rejected("protect of unmapped page"))?;
-        let new = sim_mem::pte::make(
-            sim_mem::pte::addr(old.leaf),
-            flags.encode() & !sim_mem::pte::ADDR_MASK,
-        );
-        PageTables::update_leaf(&mut m.mem, root, va, new);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(())
-    }
-
-    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
-        PageTables::walk(&mut m.mem, root, va).ok().map(|w| w.leaf)
+        m.cpu.clock.charge(Tag::Handler, c);
+        host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
         let c = m.cpu.clock.model().cr3_switch;
-        Self::charge(m, Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, c);
         // One PCID per container: switching processes inside it must flush
         // (PCIDs isolate containers from each other, not processes — §4.1).
         m.cpu.set_cr3(root, self.pcid, false);
         Ok(())
     }
 
-    fn syscall_entry(&mut self, m: &mut Machine) {
-        if m.cpu.mode == sim_hw::Mode::User {
-            let _ = m.cpu.syscall_entry();
-        }
-        let c = m.cpu.clock.model().swapgs;
-        Self::charge(m, Tag::SyscallPath, c);
-    }
-
-    fn syscall_exit(&mut self, m: &mut Machine) {
-        let swapgs = m.cpu.clock.model().swapgs;
-        let sysret = m.cpu.clock.model().sysret;
-        Self::charge(m, Tag::SyscallPath, swapgs + sysret);
-        m.cpu.mode = sim_hw::Mode::User;
-        m.cpu.rflags_if = true;
-    }
-
-    fn fault_entry(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().exception_entry;
-        Self::charge(m, Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::Kernel;
-    }
-
-    fn fault_exit(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().iret;
-        Self::charge(m, Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::User;
-    }
-
-    fn user_access(
-        &mut self,
-        m: &mut Machine,
-        root: Phys,
-        va: Virt,
-        write: bool,
-    ) -> Result<(), Fault> {
-        debug_assert_eq!(m.cpu.cr3_root(), root);
-        let access = if write {
-            sim_hw::Access::Write
-        } else {
-            sim_hw::Access::Read
-        };
-        let prev = m.cpu.mode;
-        m.cpu.mode = sim_hw::Mode::User;
-        let r = m.cpu.mem_access(&mut m.mem, va, access, None).map(|_| ());
-        m.cpu.mode = prev;
-        r
-    }
-
     fn hypercall(&mut self, _m: &mut Machine) {
         // Native: no hypercall exists, and an empty one has nothing to do.
     }
+}
+
+/// Creates an empty address-space root from the machine allocator (host
+/// page tables, uncharged).
+pub fn host_new_root(m: &mut Machine) -> Result<Phys, MapFault> {
+    let Machine { mem, frames, .. } = m;
+    PageTables::new_root(mem, &mut || frames.alloc()).ok_or(MapFault::OutOfMemory)
+}
+
+/// Maps `pa` at `va` in host page tables, taking intermediate tables from
+/// the machine allocator (uncharged).
+pub fn host_map(
+    m: &mut Machine,
+    root: Phys,
+    va: Virt,
+    pa: Phys,
+    flags: MapFlags,
+) -> Result<(), MapFault> {
+    let Machine { mem, frames, .. } = m;
+    PageTables::map(mem, root, va, pa, flags, &mut || frames.alloc())
+        .map_err(|_| MapFault::OutOfMemory)
+}
+
+/// Removes the host mapping at `va` and flushes it from PCID `pcid`;
+/// returns the old leaf PTE if one existed (uncharged).
+pub fn host_unmap(m: &mut Machine, root: Phys, va: Virt, pcid: u16) -> Option<u64> {
+    let old = PageTables::unmap(&mut m.mem, root, va);
+    m.cpu.tlb.flush_va(va, pcid);
+    old
+}
+
+/// Rewrites the flags of the host leaf PTE at `va`, keeping its frame, and
+/// flushes it from PCID `pcid` (uncharged).
+pub fn host_protect(
+    m: &mut Machine,
+    root: Phys,
+    va: Virt,
+    flags: MapFlags,
+    pcid: u16,
+) -> Result<(), MapFault> {
+    let old = PageTables::walk(&mut m.mem, root, va)
+        .map_err(|_| MapFault::Rejected("protect of unmapped page"))?;
+    let new = sim_mem::pte::make(
+        sim_mem::pte::addr(old.leaf),
+        flags.encode() & !sim_mem::pte::ADDR_MASK,
+    );
+    PageTables::update_leaf(&mut m.mem, root, va, new);
+    m.cpu.tlb.flush_va(va, pcid);
+    Ok(())
 }
 
 /// Recursively frees a page-table subtree back to the machine allocator

@@ -17,9 +17,9 @@
 //!   container* and multi-process support is missing (the paper's
 //!   compatibility column).
 
-use guest_os::platform::{MapFault, Platform};
+use guest_os::platform::{host_map, host_new_root, host_protect, host_unmap, MapFault, Platform};
 use sim_hw::{Fault, Machine, Tag};
-use sim_mem::{MapFlags, PageTables, Phys, Virt};
+use sim_mem::{MapFlags, Phys, Virt};
 
 /// Cost of one Systrap interception + IPC to the Sentry and back, cycles.
 /// Real systrap syscalls measure in the 2-3 µs range.
@@ -59,29 +59,10 @@ impl Platform for GvisorPlatform {
         self
     }
 
-    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.frames.alloc()
-    }
-
-    fn free_frame(&mut self, m: &mut Machine, pa: Phys) {
-        m.frames.free(pa);
-    }
-
-    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
-        gpa
-    }
-
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
         // The Sentry asks the host to set up address spaces: host syscalls.
         m.cpu.clock.charge(Tag::Handler, 700);
-        let Machine { mem, frames, .. } = m;
-        PageTables::new_root(mem, &mut || frames.alloc()).ok_or(MapFault::OutOfMemory)
-    }
-
-    fn destroy_root(&mut self, m: &mut Machine, root: Phys) {
-        guest_os::platform::free_table_recursive(m, root, 4);
+        host_new_root(m)
     }
 
     fn map_page(
@@ -95,9 +76,7 @@ impl Platform for GvisorPlatform {
         // Sentry mmap → host syscall (~500 ns) + host PTE work.
         let c = m.cpu.clock.model().pte_write + 1200;
         m.cpu.clock.charge(Tag::Handler, c);
-        let Machine { mem, frames, .. } = m;
-        PageTables::map(mem, root, va, pa, flags, &mut || frames.alloc())
-            .map_err(|_| MapFault::OutOfMemory)
+        host_map(m, root, va, pa, flags)
     }
 
     fn unmap_page(
@@ -108,9 +87,7 @@ impl Platform for GvisorPlatform {
     ) -> Result<Option<u64>, MapFault> {
         let c = m.cpu.clock.model().pte_write + 1200;
         m.cpu.clock.charge(Tag::Handler, c);
-        let old = PageTables::unmap(&mut m.mem, root, va);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(old)
+        Ok(host_unmap(m, root, va, self.pcid))
     }
 
     fn protect_page(
@@ -122,19 +99,7 @@ impl Platform for GvisorPlatform {
     ) -> Result<(), MapFault> {
         let c = m.cpu.clock.model().pte_write + 1200;
         m.cpu.clock.charge(Tag::Handler, c);
-        let old = PageTables::walk(&mut m.mem, root, va)
-            .map_err(|_| MapFault::Rejected("protect of unmapped page"))?;
-        let new = sim_mem::pte::make(
-            sim_mem::pte::addr(old.leaf),
-            flags.encode() & !sim_mem::pte::ADDR_MASK,
-        );
-        PageTables::update_leaf(&mut m.mem, root, va, new);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(())
-    }
-
-    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
-        PageTables::walk(&mut m.mem, root, va).ok().map(|w| w.leaf)
+        host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
@@ -169,33 +134,6 @@ impl Platform for GvisorPlatform {
         let c = m.cpu.clock.model().exception_entry + 350;
         m.cpu.clock.charge(Tag::Handler, c);
         m.cpu.mode = sim_hw::Mode::Kernel;
-    }
-
-    fn fault_exit(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().iret;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::User;
-    }
-
-    fn user_access(
-        &mut self,
-        m: &mut Machine,
-        root: Phys,
-        va: Virt,
-        write: bool,
-    ) -> Result<(), Fault> {
-        debug_assert_eq!(m.cpu.cr3_root(), root);
-        let access = if write {
-            sim_hw::Access::Write
-        } else {
-            sim_hw::Access::Read
-        };
-        let prev = m.cpu.mode;
-        m.cpu.mode = sim_hw::Mode::User;
-        let Machine { cpu, mem, .. } = m;
-        let r = cpu.mem_access(mem, va, access, None).map(|_| ());
-        m.cpu.mode = prev;
-        r
     }
 
     fn hypercall(&mut self, m: &mut Machine) {
@@ -240,27 +178,8 @@ impl Platform for LibOsPlatform {
         false
     }
 
-    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.frames.alloc()
-    }
-
-    fn free_frame(&mut self, m: &mut Machine, pa: Phys) {
-        m.frames.free(pa);
-    }
-
-    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
-        gpa
-    }
-
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
-        let Machine { mem, frames, .. } = m;
-        PageTables::new_root(mem, &mut || frames.alloc()).ok_or(MapFault::OutOfMemory)
-    }
-
-    fn destroy_root(&mut self, m: &mut Machine, root: Phys) {
-        guest_os::platform::free_table_recursive(m, root, 4);
+        host_new_root(m)
     }
 
     fn map_page(
@@ -279,9 +198,7 @@ impl Platform for LibOsPlatform {
             user: true,
             ..flags
         };
-        let Machine { mem, frames, .. } = m;
-        PageTables::map(mem, root, va, pa, flags, &mut || frames.alloc())
-            .map_err(|_| MapFault::OutOfMemory)
+        host_map(m, root, va, pa, flags)
     }
 
     fn unmap_page(
@@ -292,9 +209,7 @@ impl Platform for LibOsPlatform {
     ) -> Result<Option<u64>, MapFault> {
         let c = m.cpu.clock.model().pte_write;
         m.cpu.clock.charge(Tag::Handler, c);
-        let old = PageTables::unmap(&mut m.mem, root, va);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(old)
+        Ok(host_unmap(m, root, va, self.pcid))
     }
 
     fn protect_page(
@@ -306,23 +221,11 @@ impl Platform for LibOsPlatform {
     ) -> Result<(), MapFault> {
         let c = m.cpu.clock.model().pte_write;
         m.cpu.clock.charge(Tag::Handler, c);
-        let old = PageTables::walk(&mut m.mem, root, va)
-            .map_err(|_| MapFault::Rejected("protect of unmapped page"))?;
         let flags = MapFlags {
             user: true,
             ..flags
         };
-        let new = sim_mem::pte::make(
-            sim_mem::pte::addr(old.leaf),
-            flags.encode() & !sim_mem::pte::ADDR_MASK,
-        );
-        PageTables::update_leaf(&mut m.mem, root, va, new);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(())
-    }
-
-    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
-        PageTables::walk(&mut m.mem, root, va).ok().map(|w| w.leaf)
+        host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
@@ -343,18 +246,6 @@ impl Platform for LibOsPlatform {
     fn syscall_exit(&mut self, m: &mut Machine) {
         m.cpu.clock.charge(Tag::SyscallPath, 4);
         m.cpu.rflags_if = true;
-    }
-
-    fn fault_entry(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().exception_entry;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::Kernel;
-    }
-
-    fn fault_exit(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().iret;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::User;
     }
 
     fn user_access(

@@ -309,34 +309,6 @@ impl Platform for HvmPlatform {
         Ok(())
     }
 
-    fn syscall_entry(&mut self, m: &mut Machine) {
-        if m.cpu.mode == sim_hw::Mode::User {
-            let _ = m.cpu.syscall_entry();
-        }
-        let c = m.cpu.clock.model().swapgs;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
-    }
-
-    fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let c = model.swapgs + model.sysret;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
-        m.cpu.mode = sim_hw::Mode::User;
-        m.cpu.rflags_if = true;
-    }
-
-    fn fault_entry(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().exception_entry;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::Kernel;
-    }
-
-    fn fault_exit(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().iret;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.cpu.mode = sim_hw::Mode::User;
-    }
-
     fn user_access(
         &mut self,
         m: &mut Machine,

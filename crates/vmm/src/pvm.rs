@@ -15,11 +15,13 @@
 //! - No VM exits to L0 in nested clouds: PVM's costs are nearly identical
 //!   bare-metal and nested (Table 2).
 
-use guest_os::platform::{MapFault, Platform};
+use guest_os::platform::{
+    free_table_recursive, host_map, host_new_root, host_protect, host_unmap, MapFault, Platform,
+};
 use netsim::{ExitCosts, NicBackendKind};
 use obs::CounterId;
-use sim_hw::{Fault, Machine, Tag};
-use sim_mem::{MapFlags, PageTables, Phys, Virt};
+use sim_hw::{Machine, Tag};
+use sim_mem::{MapFlags, Phys, Virt};
 
 /// PVM-specific statistics — a view over the machine's metrics registry
 /// (see [`PvmPlatform::stats`]).
@@ -43,7 +45,9 @@ struct PvmCounterIds {
     redirected_syscalls: CounterId,
 }
 
-/// The PVM platform.
+/// The PVM platform. Guest frames come from the host allocator and the
+/// shadow tables store them directly, so PVM keeps the trait's native
+/// frame allocation, identity `gpa_to_hpa` and single-stage user walk.
 pub struct PvmPlatform {
     /// Deployed inside an L1 VM (nested cloud)?
     pub nested: bool,
@@ -155,36 +159,17 @@ impl Platform for PvmPlatform {
         self
     }
 
-    fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        // Host allocates the backing page on behalf of the guest (gPA is
-        // associated with the hypervisor process's VMAs).
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
-        m.frames.alloc()
-    }
-
-    fn free_frame(&mut self, m: &mut Machine, pa: Phys) {
-        m.frames.free(pa);
-    }
-
-    fn gpa_to_hpa(&mut self, _m: &mut Machine, gpa: Phys) -> Phys {
-        // The shadow tables store hPAs directly; the "gPA" the guest sees is
-        // already the host address in this simulation's bookkeeping.
-        gpa
-    }
-
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
         // The guest creates a gPT root; the host mirrors it with a shadow
         // root — one trap plus emulation.
         self.world_switch_pair(m);
         self.spt_emulate(m);
-        let Machine { mem, frames, .. } = m;
-        PageTables::new_root(mem, &mut || frames.alloc()).ok_or(MapFault::OutOfMemory)
+        host_new_root(m)
     }
 
     fn destroy_root(&mut self, m: &mut Machine, root: Phys) {
         self.world_switch_pair(m);
-        guest_os::platform::free_table_recursive(m, root, 4);
+        free_table_recursive(m, root, 4);
     }
 
     fn map_page(
@@ -205,9 +190,7 @@ impl Platform for PvmPlatform {
         } else {
             self.batched_gpt_update(m, root, va);
         }
-        let Machine { mem, frames, .. } = m;
-        PageTables::map(mem, root, va, pa, flags, &mut || frames.alloc())
-            .map_err(|_| MapFault::OutOfMemory)
+        host_map(m, root, va, pa, flags)
     }
 
     fn unmap_page(
@@ -227,9 +210,7 @@ impl Platform for PvmPlatform {
             let c = m.cpu.clock.model().spt_emulation_work / 6;
             m.cpu.clock.charge(Tag::SptEmul, c);
         }
-        let old = PageTables::unmap(&mut m.mem, root, va);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(old)
+        Ok(host_unmap(m, root, va, self.pcid))
     }
 
     fn protect_page(
@@ -250,19 +231,7 @@ impl Platform for PvmPlatform {
             let c = m.cpu.clock.model().spt_emulation_work / 8;
             m.cpu.clock.charge(Tag::SptEmul, c);
         }
-        let old = PageTables::walk(&mut m.mem, root, va)
-            .map_err(|_| MapFault::Rejected("protect of unmapped page"))?;
-        let new = sim_mem::pte::make(
-            sim_mem::pte::addr(old.leaf),
-            flags.encode() & !sim_mem::pte::ADDR_MASK,
-        );
-        PageTables::update_leaf(&mut m.mem, root, va, new);
-        m.cpu.tlb.flush_va(va, self.pcid);
-        Ok(())
-    }
-
-    fn read_pte(&mut self, m: &mut Machine, root: Phys, va: Virt) -> Option<u64> {
-        PageTables::walk(&mut m.mem, root, va).ok().map(|w| w.leaf)
+        host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
@@ -314,28 +283,6 @@ impl Platform for PvmPlatform {
         self.world_switch_pair(m);
         self.in_fault = false;
         m.cpu.mode = sim_hw::Mode::User;
-    }
-
-    fn user_access(
-        &mut self,
-        m: &mut Machine,
-        root: Phys,
-        va: Virt,
-        write: bool,
-    ) -> Result<(), Fault> {
-        debug_assert_eq!(m.cpu.cr3_root(), root);
-        // The hardware walks the shadow table: single-stage, no EPT.
-        let access = if write {
-            sim_hw::Access::Write
-        } else {
-            sim_hw::Access::Read
-        };
-        let prev = m.cpu.mode;
-        m.cpu.mode = sim_hw::Mode::User;
-        let Machine { cpu, mem, .. } = m;
-        let r = cpu.mem_access(mem, va, access, None).map(|_| ());
-        m.cpu.mode = prev;
-        r
     }
 
     fn timer_tick(&mut self, m: &mut Machine) {

@@ -4,7 +4,7 @@
 //!
 //! The heavy lifting (op IR, lockstep comparison, state snapshots,
 //! divergence reporting) lives in `crates/dt`; this file drives the
-//! oracle over all 8 backends and keeps a couple of hand-written checks
+//! oracle over all 9 backends and keeps a couple of hand-written checks
 //! for paths the IR does not model (execve) and for cost separation.
 
 use cki::guest_os::Sys;
@@ -13,7 +13,7 @@ use dt::{Op, Oracle, Program, Schedule, ALL_BACKENDS};
 
 /// A hand-written "application" driven through the lockstep oracle: the
 /// op results *and* the functional state snapshot (process table, VFS
-/// view, mapped-region contents) must agree across all 8 backends after
+/// view, mapped-region contents) must agree across all 9 backends after
 /// every single op.
 #[test]
 fn same_program_same_results_everywhere() {
@@ -76,7 +76,7 @@ fn same_program_same_results_everywhere() {
 }
 
 /// Every checked-in reproducer in `tests/corpus/` must replay clean —
-/// with its seeded fault-injection schedule — across all 8 backends.
+/// with its seeded fault-injection schedule — across all 9 backends.
 #[test]
 fn corpus_reproducers_stay_green() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");

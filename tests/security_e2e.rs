@@ -5,6 +5,7 @@ use cki::cki_core::{self, gates, CkiPlatform, KsmError};
 use cki::guest_os::Sys;
 use cki::sim_hw::instr::InvpcidMode;
 use cki::sim_hw::{Access, Fault, Instr, IretFrame, Machine, Mode, TraceEvent, TraceKind};
+use cki::sim_mem::addr::pt_index;
 use cki::sim_mem::pte;
 use cki::{Backend, Stack, StackConfig};
 
@@ -191,6 +192,54 @@ fn ksm_rejects_kernel_executable_mappings() {
     assert_eq!(
         r.unwrap_err(),
         KsmError::BadPte("non-leaf target is not a declared PTP")
+    );
+}
+
+#[test]
+fn ksm_rejects_huge_mappings_of_declared_ptps() {
+    // A level-2 entry naming a declared level-1 PTP passes the non-leaf
+    // target check, but with PS set the hardware walk treats it as a
+    // 2 MiB leaf: user-writable (or kernel-executable) access to a live
+    // page-table page. The KSM rejects every huge mapping (§6).
+    let mut stack = attack_stack();
+    let base = *stack.kernel.proc(1).aspace.pages.keys().next().unwrap();
+    let root = stack.kernel.proc(1).aspace.root;
+    as_guest_kernel(&mut stack);
+    let Stack {
+        machine: m, kernel, ..
+    } = &mut stack;
+    let p = kernel
+        .platform
+        .as_any_mut()
+        .downcast_mut::<CkiPlatform>()
+        .unwrap();
+    let mut table = root;
+    for level in [4u8, 3] {
+        table = pte::addr(m.mem.read_u64(table + 8 * pt_index(base, level) as u64));
+    }
+    let l2 = table;
+    let l1 = pte::addr(m.mem.read_u64(l2 + 8 * pt_index(base, 2) as u64));
+    let idx = (pt_index(base, 2) + 1) % 512;
+    assert!(!pte::present(m.mem.read_u64(l2 + 8 * idx as u64)));
+    let alias = (base & !((1u64 << 30) - 1)) | ((idx as u64) << 21);
+
+    for flags in [
+        pte::P | pte::W | pte::PS,                    // kernel-executable PTP
+        pte::P | pte::W | pte::U | pte::NX | pte::PS, // user-writable PTP
+    ] {
+        let evil = pte::make(l1, flags);
+        let r = gates::ksm_call(m, &mut p.ksm, |m, k| k.update_pte(m, l2, idx, evil))
+            .expect("gate traversal");
+        assert_eq!(r.unwrap_err(), KsmError::BadPte("huge mapping"));
+    }
+    assert!(!pte::present(m.mem.read_u64(l2 + 8 * idx as u64)));
+
+    // The aliasing user write finds nothing mapped.
+    m.cpu.mode = Mode::User;
+    let r = m.cpu.mem_access(&mut m.mem, alias, Access::Write, None);
+    assert!(
+        matches!(r, Err(Fault::PageFault { code, .. }) if code & pte::fault_code::PRESENT == 0),
+        "{r:?}"
     );
 }
 
