@@ -565,3 +565,101 @@ fn unbound_socket_data_calls_are_inval() {
         }
     }
 }
+
+/// A kernel whose NIC (MAC 0xAA) loops back through a switch, a listener
+/// on port 80 and a client connected to it, plus a user buffer and the
+/// host service pass.
+struct Loopback {
+    k: Kernel,
+    m: Machine,
+    sw: netsim::HostSwitch,
+    port: netsim::PortId,
+    srv: Fd,
+    cli: Fd,
+    buf: u64,
+}
+
+impl Loopback {
+    fn new() -> Self {
+        let (mut k, mut m) = boot();
+        k.attach_netif(&mut m, 8, 0xAA, netsim::Coalesce::default())
+            .unwrap();
+        let mut sw = netsim::HostSwitch::new(8);
+        let port = sw.attach(0xAA);
+        let buf = k
+            .syscall(
+                &mut m,
+                Sys::Mmap {
+                    len: 4 * PAGE_SIZE,
+                    write: true,
+                },
+            )
+            .unwrap();
+        let srv = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
+        k.syscall(&mut m, Sys::NetListen { fd: srv, port: 80 })
+            .unwrap();
+        let cli = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
+        k.syscall(
+            &mut m,
+            Sys::NetConnect {
+                fd: cli,
+                mac: 0xAA,
+                port: 80,
+            },
+        )
+        .unwrap();
+        Self {
+            k,
+            m,
+            sw,
+            port,
+            srv,
+            cli,
+            buf,
+        }
+    }
+
+    fn send(&mut self, len: usize) -> u64 {
+        let (fd, buf) = (self.cli, self.buf);
+        self.k
+            .syscall(&mut self.m, Sys::NetSend { fd, buf, len })
+            .unwrap()
+    }
+
+    fn service(&mut self) {
+        let nic = self.k.netif_mut().expect("nic");
+        let (mem, clock) = (&mut self.m.mem, &mut self.m.cpu.clock);
+        netsim::drain_tx(mem, clock, nic, &mut self.sw, self.port);
+        netsim::deliver_rx(mem, clock, nic, &mut self.sw, self.port);
+    }
+
+    fn recv(&mut self) -> Result<u64, Errno> {
+        let (fd, buf) = (self.srv, self.buf);
+        self.k
+            .syscall(&mut self.m, Sys::NetRecv { fd, buf, len: 2048 })
+    }
+}
+
+/// `NetSend` and `NetRecv` return values as the byte-serial payload path
+/// produced them: a one-frame send, then a four-frame send whose receives
+/// return one hash per frame.
+#[test]
+fn net_send_and_recv_return_values_are_pinned() {
+    let mut lo = Loopback::new();
+    assert_eq!(lo.send(600), 0x0978_2298_a8b2_2952);
+    lo.service();
+    assert_eq!(lo.recv(), Ok(0x0978_2298_a8b2_2952));
+    assert_eq!(lo.send(3 * netsim::MAX_PAYLOAD + 1), 0x5e06_582d_e206_a962);
+    lo.service();
+    let got: Vec<u64> = (0..4).map(|_| lo.recv().unwrap()).collect();
+    assert_eq!(
+        got,
+        [
+            0x6566_c2ad_5e32_3327,
+            0x6387_6e9e_5fae_bc46,
+            0x654e_1cb6_2477_f11c,
+            0x2f63_de4c_8601_eff2
+        ]
+    );
+    assert_eq!(lo.recv(), Err(Errno::WouldBlock));
+}

@@ -175,6 +175,37 @@ mod tests {
         assert_eq!(payload_pattern(1, MAX_PAYLOAD + 999).len(), MAX_PAYLOAD);
     }
 
+    /// Payload bytes and hashes as the byte-serial generator and FNV-1a
+    /// produced them; any rewrite of either must reproduce these.
+    #[test]
+    fn payloads_and_hashes_are_pinned() {
+        let seed = (49152 << 32) | 7;
+        for (len, want) in [
+            (0, 0xcbf2_9ce4_8422_2325),
+            (1, 0xaf64_464c_8602_a0aa),
+            (64, 0x57ec_6ed1_7639_1a23),
+            (600, 0xf223_bb7c_16ef_921a),
+            (1044, 0xcdee_decd_7627_ce27),
+            (MAX_PAYLOAD, 0xffa6_4d2d_a460_bfea),
+            (MAX_PAYLOAD + 999, 0xffa6_4d2d_a460_bfea),
+        ] {
+            assert_eq!(fnv1a(&payload_pattern(seed, len)), want, "len {len}");
+        }
+        let seg = |seed, len| Frame {
+            dst: 0,
+            src: 0,
+            dst_port: 0,
+            src_port: 0,
+            payload: payload_pattern(seed, len),
+        };
+        let message = [
+            seg(seed, MAX_PAYLOAD),
+            seg(seed + 1, MAX_PAYLOAD),
+            seg(seed + 2, 1),
+        ];
+        assert_eq!(message_hash(&message), 0x70b9_ca33_a6f0_4140);
+    }
+
     #[test]
     fn payload_hash_is_non_negative_as_i64() {
         for seed in 0..64u64 {
