@@ -7,10 +7,11 @@
 //!    bare-metal, and nested HVM, with uncoalesced doorbells
 //!    (`kick_batch = 1`) so each backend pays its raw notification cost.
 //!    Asserts the paper's ordering (CKI ≥ PVM > HVM > nested HVM), that
-//!    HVM pays at least one VM exit per kick, and that CKI pays none.
+//!    HVM pays at least one VM exit per kick, that CKI pays none, and that
+//!    every received payload hash matches a message in flight.
 //! 2. **Mitigation sweep** — the same HVM cluster at kick batch 1/4/16:
 //!    NAPI-style coalescing must strictly reduce doorbell exits per
-//!    request.
+//!    request, again with no payload mismatch.
 //! 3. **Cloud serving SLO** — two containers on a [`cki::CloudHost`]
 //!    serve requests through the host switch while a `serving_p99`
 //!    watchdog rule with a deliberately tight budget runs; the breach
@@ -39,7 +40,12 @@ fn serve(backend: cki::Backend, clients: usize, requests: u64, kick_batch: u32) 
         ..ServingConfig::default()
     };
     cfg.coalesce.kick_batch = kick_batch;
-    serving::run(&cfg)
+    let r = serving::run(&cfg);
+    assert_eq!(
+        r.payload_mismatches, 0,
+        "{backend:?} kick_batch {kick_batch}: every received payload hash matches one sent"
+    );
+    r
 }
 
 /// Runs the three phases and returns their scalars.
@@ -202,6 +208,7 @@ pub fn run(scale: Scale) -> Outcome {
         o.push(format!("{name}_kick_hypercalls"), r.nics.kick_hypercalls);
         o.push(format!("{name}_irqs"), r.nics.irqs);
         o.fixed(format!("{name}_exits_per_request"), r.exits_per_request, 4);
+        o.push(format!("{name}_payload_mismatches"), r.payload_mismatches);
     }
     for (batch, r) in &sweep {
         let key = format!("sweep_batch{batch}");

@@ -50,8 +50,10 @@ struct NetSock {
     last_from: Option<(netsim::Mac, u16)>,
     /// Send sequence number; seeds the deterministic payload pattern.
     seq: u64,
-    /// Frames demultiplexed to this socket, not yet received.
-    rxq: std::collections::VecDeque<netsim::Frame>,
+    /// Frames demultiplexed to this socket, not yet received, each with
+    /// its payload hash. [`Kernel::net_demux`] computes the hash from the
+    /// bytes the NIC read out of guest memory, never from the sender's.
+    rxq: std::collections::VecDeque<(netsim::Frame, u64)>,
 }
 
 /// Aggregate kernel statistics — a *view* reconstructed from the kernel's
@@ -1136,43 +1138,49 @@ impl Kernel {
         self.bound_sock(fd)?;
         self.net_demux(m);
         match self.bound_sock(fd)?.rxq.front() {
-            Some(f) => Ok((f.src << 16) | f.src_port as u64),
+            Some((f, _)) => Ok((f.src << 16) | f.src_port as u64),
             None => Err(Errno::WouldBlock),
         }
     }
 
-    /// Drains the NIC's RX ring, demultiplexing frames into bound sockets
-    /// by destination port. Frames to unbound ports are dropped, as a real
-    /// stack would drop to a closed port.
+    /// Drains the NIC's RX ring, hashes the drained payloads as one batch
+    /// ([`netsim::hash_payloads`]), and demultiplexes the frames into bound
+    /// sockets by destination port. Frames to unbound ports are dropped, as
+    /// a real stack would drop to a closed port.
     fn net_demux(&mut self, m: &mut Machine) {
         let Some(nic) = &mut self.netif else { return };
+        let mut batch = Vec::new();
         while let Some(f) = nic.recv(&mut m.mem, &mut m.cpu.clock) {
+            batch.push(f);
+        }
+        let hashes = netsim::hash_payloads(&batch);
+        for (f, hash) in batch.into_iter().zip(hashes) {
             let target = self
                 .socks
                 .iter_mut()
                 .flatten()
                 .find(|n| n.port == f.dst_port);
             if let Some(n) = target {
-                n.rxq.push_back(f);
+                n.rxq.push_back((f, hash));
             }
         }
     }
 
     /// Receive: pop one frame from this socket's demux queue, recording
     /// the sender for reply routing. Returns the payload hash (the
-    /// cross-container integrity token). An empty queue flushes pending TX
-    /// (the doorbell the event loop owes) and returns `WouldBlock`.
+    /// cross-container integrity token) that [`Kernel::net_demux`] stored
+    /// with it. An empty queue flushes pending TX (the doorbell the event
+    /// loop owes) and returns `WouldBlock`.
     fn sys_net_recv(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
         m.cpu.clock.charge(Tag::Handler, costs::FD_LOOKUP);
         self.bound_sock(fd)?;
         self.net_demux(m);
         let net = self.bound_sock(fd)?;
         match net.rxq.pop_front() {
-            Some(f) => {
+            Some((f, hash)) => {
                 net.last_from = Some((f.src, f.src_port));
                 m.cpu.clock.charge(Tag::Handler, costs::TCP_STACK);
                 let n = f.payload.len().min(len);
-                let hash = f.payload_hash();
                 self.copy_user(m, buf, n, true)?;
                 Ok(hash)
             }
@@ -1188,7 +1196,9 @@ impl Kernel {
     /// Send: materialize `len` deterministic payload bytes as
     /// `MAX_PAYLOAD`-byte frames and queue them all on the TX ring
     /// (doorbells per the NIC's coalescing policy). Returns the hash of the
-    /// whole payload — for a one-frame send, that frame's payload hash.
+    /// whole payload — for a one-frame send, that frame's payload hash —
+    /// folded in while the bytes are generated, one running state across
+    /// the segments.
     /// A full ring surfaces as `WouldBlock` with nothing queued; a send
     /// needing more frames than the ring holds is `Inval`.
     fn sys_net_send(&mut self, m: &mut Machine, fd: Fd, buf: Virt, len: usize) -> SysResult {
@@ -1206,23 +1216,26 @@ impl Kernel {
         if segments > nic.queue() as usize {
             return Err(Errno::Inval);
         }
+        let mut hash = netsim::FNV_OFFSET;
         let frames: Vec<netsim::Frame> = (0..segments)
             .map(|i| {
                 let seed = ((net.port as u64) << 32) | (net.seq + i as u64);
                 let bytes = (len - i * netsim::MAX_PAYLOAD).min(netsim::MAX_PAYLOAD);
+                let (payload, h) = netsim::payload_pattern_hashed(seed, bytes, hash);
+                hash = h;
                 netsim::Frame {
                     dst,
                     src: nic.mac,
                     dst_port,
                     src_port: net.port,
-                    payload: netsim::payload_pattern(seed, bytes),
+                    payload,
                 }
             })
             .collect();
         match nic.send(&mut m.mem, &mut m.cpu.clock, &frames) {
             Ok(()) => {
                 net.seq += segments as u64;
-                Ok(netsim::message_hash(&frames))
+                Ok(netsim::finish_hash(hash))
             }
             Err(netsim::NetError::RingFull) => Err(Errno::WouldBlock),
             Err(_) => Err(Errno::Pipe),

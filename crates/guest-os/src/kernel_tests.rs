@@ -663,3 +663,44 @@ fn net_send_and_recv_return_values_are_pinned() {
     );
     assert_eq!(lo.recv(), Err(Errno::WouldBlock));
 }
+
+/// Flips one payload byte of the frame in the buffer slot at `slot` and
+/// returns the hash of the corrupted payload (`len` bytes).
+fn corrupt_slot(m: &mut Machine, slot: u64, len: usize) -> u64 {
+    let at = slot + netsim::frame::HEADER_BYTES as u64 + 5;
+    let b = m.mem.read_u8(at);
+    m.mem.write_u8(at, b ^ 0x40);
+    let mut payload = vec![0; len];
+    m.mem
+        .read_bytes(slot + netsim::frame::HEADER_BYTES as u64, &mut payload);
+    netsim::finish_hash(netsim::fnv1a(&payload))
+}
+
+/// The hash `NetRecv` returns is computed from the bytes in the RX slot,
+/// not carried over from the sender: a byte flipped there after delivery
+/// changes it.
+#[test]
+fn recv_hash_reads_the_rx_slot() {
+    let mut lo = Loopback::new();
+    let sent = lo.send(600);
+    lo.service();
+    let slot = lo.k.netif().unwrap().rx_slots()[0];
+    let corrupted = corrupt_slot(&mut lo.m, slot, 600);
+    let got = lo.recv().unwrap();
+    assert_ne!(got, sent);
+    assert_eq!(got, corrupted);
+}
+
+/// A byte flipped in the TX slot before the host's service pass reaches
+/// the receiver: the host reads the frame out of guest memory too.
+#[test]
+fn recv_hash_follows_a_tx_slot_flipped_before_service() {
+    let mut lo = Loopback::new();
+    let sent = lo.send(600);
+    let slot = lo.k.netif().unwrap().tx_slots()[0];
+    let corrupted = corrupt_slot(&mut lo.m, slot, 600);
+    lo.service();
+    let got = lo.recv().unwrap();
+    assert_ne!(got, sent);
+    assert_eq!(got, corrupted);
+}

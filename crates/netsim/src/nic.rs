@@ -345,6 +345,16 @@ impl VirtioNic {
         self.tx.free_descs()
     }
 
+    /// Physical address of each TX buffer slot, by descriptor id.
+    pub fn tx_slots(&self) -> &[u64] {
+        &self.tx_bufs
+    }
+
+    /// Physical address of each RX buffer slot, by descriptor id.
+    pub fn rx_slots(&self) -> &[u64] {
+        &self.rx_bufs
+    }
+
     /// Shifts every physical address the NIC holds — ring layout, posted
     /// descriptor entries, buffer slots — by `delta` (segment migration,
     /// after the page image was copied to the new range).
@@ -400,13 +410,13 @@ impl VirtioNic {
         }
         for frame in frames {
             let id = self.tx.reserve().expect("free descriptors checked above");
-            let bytes = frame.encode();
             let addr = self.tx_bufs[id as usize];
-            mem.write_bytes(addr, &bytes);
-            Self::charge_copy(clock, bytes.len());
-            self.tx.publish(mem, clock, id, addr, bytes.len() as u32);
+            let bytes = frame.wire_bytes();
+            frame.write_to(mem, addr);
+            Self::charge_copy(clock, bytes);
+            self.tx.publish(mem, clock, id, addr, bytes as u32);
             self.stats.tx_frames += 1;
-            self.stats.tx_bytes += bytes.len() as u64;
+            self.stats.tx_bytes += bytes as u64;
             self.pending_kick += 1;
             let now = clock.cycles();
             if self.pending_kick >= self.coalesce.kick_batch
@@ -445,16 +455,15 @@ impl VirtioNic {
             self.irq_pending = false;
         }
         let (id, len) = self.rx.pop_used(mem, clock)?;
-        let mut bytes = vec![0u8; (len as u64).min(BUF_SIZE) as usize];
-        mem.read_bytes(self.rx_bufs[id as usize], &mut bytes);
-        Self::charge_copy(clock, bytes.len());
-        let frame = Frame::decode(&bytes);
+        let bytes = (len as u64).min(BUF_SIZE) as usize;
+        let frame = Frame::read_from(mem, self.rx_bufs[id as usize], bytes);
+        Self::charge_copy(clock, bytes);
         // Repost a buffer for the slot we just drained.
         self.post_rx(mem, clock);
         match frame {
             Some(f) => {
                 self.stats.rx_frames += 1;
-                self.stats.rx_bytes += bytes.len() as u64;
+                self.stats.rx_bytes += bytes as u64;
                 Some(f)
             }
             None => {
@@ -503,10 +512,9 @@ impl VirtioNic {
                 clock,
                 |len| len as u64 <= BUF_SIZE,
             )?;
-            let mut bytes = vec![0u8; d.len as usize];
-            mem.read_bytes(d.addr, &mut bytes);
-            Self::charge_copy(clock, bytes.len());
-            match Frame::decode(&bytes) {
+            let frame = Frame::read_from(mem, d.addr, d.len as usize);
+            Self::charge_copy(clock, d.len as usize);
+            match frame {
                 Some(f) => {
                     self.last_peek = Some(d);
                     return Some(f);
@@ -536,21 +544,21 @@ impl VirtioNic {
         clock: &mut Clock,
         frame: &Frame,
     ) -> Result<(), NetError> {
-        let bytes = frame.encode();
+        let bytes = frame.wire_bytes();
         let Some(d) = Self::next_valid(
             &mut self.rx,
             &self.rx_bufs,
             &mut self.stats,
             mem,
             clock,
-            |len| bytes.len() as u64 <= len as u64,
+            |len| bytes as u64 <= len as u64,
         ) else {
             return Err(NetError::NoRxBuf);
         };
-        mem.write_bytes(d.addr, &bytes);
-        Self::charge_copy(clock, bytes.len());
+        frame.write_to(mem, d.addr);
+        Self::charge_copy(clock, bytes);
         self.rx.consume_avail();
-        self.rx.push_used(mem, clock, d.id, bytes.len() as u32);
+        self.rx.push_used(mem, clock, d.id, bytes as u32);
         self.rx_since_irq += 1;
         Ok(())
     }
@@ -848,6 +856,36 @@ mod tests {
         let mut after = vec![0u8; BUF_SIZE as usize];
         mem.read_bytes(slot, &mut after);
         assert_eq!(after, before, "the short buffer was not written");
+        assert_eq!(outside_nic(&mut mem), img);
+    }
+
+    #[test]
+    fn malformed_frames_in_valid_descriptors_are_counted_decode_errors() {
+        let (mut mem, mut clock, mut nic, img) = forge_setup();
+        // A descriptor shorter than the frame header.
+        nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
+        mem.write_u32(TX_RING + 8, 10);
+        assert!(nic.host_peek_tx(&mut mem, &mut clock).is_none());
+        // A length field larger than the descriptor.
+        nic.send(&mut mem, &mut clock, &[frame(2)]).unwrap();
+        for &slot in nic.tx_slots() {
+            mem.write_u32(slot + 20, 1000);
+        }
+        assert!(nic.host_peek_tx(&mut mem, &mut clock).is_none());
+        assert_eq!((nic.stats.decode_errors, nic.stats.bad_descs), (2, 0));
+
+        // The same lie in an RX slot, after the host delivered into it.
+        nic.host_deliver(&mut mem, &mut clock, &frame(3)).unwrap();
+        mem.write_u32(nic.rx_slots()[0] + 20, 201);
+        assert!(nic.recv(&mut mem, &mut clock).is_none());
+        assert_eq!(nic.stats.decode_errors, 3);
+        assert_eq!(nic.stats.rx_frames, 0);
+        // Honest frames still go through both halves.
+        nic.send(&mut mem, &mut clock, &[frame(4)]).unwrap();
+        let f = nic.host_peek_tx(&mut mem, &mut clock).unwrap();
+        assert_eq!(f, frame(4));
+        nic.host_deliver(&mut mem, &mut clock, &frame(5)).unwrap();
+        assert_eq!(nic.recv(&mut mem, &mut clock), Some(frame(5)));
         assert_eq!(outside_nic(&mut mem), img);
     }
 }

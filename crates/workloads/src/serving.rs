@@ -12,13 +12,17 @@
 //! backlog and answers each request after a fixed slab of KV compute, and
 //! per-request latency lands in the machine's metrics registry — globally
 //! (`net.request_cycles`), per NIC (`net.request_cycles{c<i>}`), and per
-//! flow (`net.flow_cycles{c<i>->s}`).
+//! flow (`net.flow_cycles{c<i>->s}`). Every hash `NetSend` returns is kept
+//! until a `NetRecv` returns it; a receive whose hash matches no request
+//! (at the server) or reply (at a client) in flight is a payload mismatch.
 //!
 //! What the paper's serving comparison measures falls out of the doorbell
 //! and interrupt *mechanism*, not tuned constants: clients never call
 //! [`Sys::NetFlush`], so doorbells follow [`Coalesce::kick_batch`] and the
 //! timer fallback, HVM pays a VM exit per uncoalesced kick, PVM a
 //! hypercall, and CKI nothing at all.
+
+use std::collections::BTreeMap;
 
 use cki::Backend;
 use guest_os::{Errno, Fd, Kernel, Sys};
@@ -95,6 +99,31 @@ pub struct ServingReport {
     pub exits_per_request: f64,
     /// Doorbell hypercalls per completed request.
     pub hypercalls_per_request: f64,
+    /// Receives whose payload hash matched no message in flight to that
+    /// side: a frame the dataplane corrupted or delivered to the wrong node.
+    pub payload_mismatches: u64,
+}
+
+/// Payload hashes in flight, with their multiplicity.
+#[derive(Default)]
+struct InFlight(BTreeMap<u64, u32>);
+
+impl InFlight {
+    fn put(&mut self, hash: u64) {
+        *self.0.entry(hash).or_insert(0) += 1;
+    }
+
+    /// Removes one copy of `hash`; false if none is in flight.
+    fn take(&mut self, hash: u64) -> bool {
+        let Some(n) = self.0.get_mut(&hash) else {
+            return false;
+        };
+        *n -= 1;
+        if *n == 0 {
+            self.0.remove(&hash);
+        }
+        true
+    }
 }
 
 /// One server + N client kernels sharing a machine and a host switch.
@@ -306,6 +335,8 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
     let mut sent_at: Vec<Option<u64>> = vec![None; cfg.clients];
     let mut remaining = vec![cfg.requests_per_client; cfg.clients];
     let mut done = 0u64;
+    let (mut requests, mut replies) = (InFlight::default(), InFlight::default());
+    let mut payload_mismatches = 0u64;
     let mark = cl.machine.cpu.clock.mark();
     let mut waves = 0u64;
 
@@ -333,7 +364,8 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                     len: cfg.request_bytes,
                 },
             ) {
-                Ok(_) => {
+                Ok(hash) => {
+                    requests.put(hash);
                     sent_at[c] = Some(cl.machine.cpu.clock.cycles());
                     remaining[c] -= 1;
                 }
@@ -356,20 +388,23 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                     len: 2048,
                 },
             ) {
-                Ok(_) => {
+                Ok(hash) => {
+                    payload_mismatches += u64::from(!requests.take(hash));
                     cl.machine
                         .cpu
                         .clock
                         .charge(Tag::Compute, cfg.kv_compute_cycles);
-                    cl.sys(
-                        0,
-                        Sys::NetSend {
-                            fd: srv,
-                            buf: bufs[0],
-                            len: cfg.response_bytes,
-                        },
-                    )
-                    .expect("server TX ring sized for one reply per peer");
+                    let reply = cl
+                        .sys(
+                            0,
+                            Sys::NetSend {
+                                fd: srv,
+                                buf: bufs[0],
+                                len: cfg.response_bytes,
+                            },
+                        )
+                        .expect("server TX ring sized for one reply per peer");
+                    replies.put(reply);
                 }
                 Err(Errno::WouldBlock) => break,
                 Err(e) => panic!("server recv failed: {e:?}"),
@@ -390,7 +425,8 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                     len: 2048,
                 },
             ) {
-                Ok(_) => {
+                Ok(hash) => {
+                    payload_mismatches += u64::from(!replies.take(hash));
                     let lat = cl.machine.cpu.clock.cycles() - t0;
                     let m = &mut cl.machine.cpu.metrics;
                     m.record(sketches.all, lat);
@@ -423,6 +459,7 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
         p99_cycles: m.sketch_quantile(sketches.all, 0.99),
         exits_per_request: nics.kick_exits as f64 / done.max(1) as f64,
         hypercalls_per_request: nics.kick_hypercalls as f64 / done.max(1) as f64,
+        payload_mismatches,
         nics,
         switch: cl.switch.stats.clone(),
     }
@@ -452,6 +489,7 @@ mod tests {
         assert!(r.p50_cycles > 0);
         assert_eq!(r.switch.dropped_unknown_dst, 0);
         assert_eq!(r.switch.dropped_dead_port, 0);
+        assert_eq!(r.payload_mismatches, 0);
     }
 
     #[test]
@@ -466,6 +504,7 @@ mod tests {
             assert_eq!(r.requests, 16);
             assert_eq!(r.nics.kicks, 2 * r.requests, "{backend:?}");
             assert_eq!(r.exits_per_request, exits_per_request, "{backend:?}");
+            assert_eq!(r.payload_mismatches, 0, "{backend:?}");
         }
     }
 
