@@ -673,7 +673,7 @@ fn corrupt_slot(m: &mut Machine, slot: u64, len: usize) -> u64 {
     let mut payload = vec![0; len];
     m.mem
         .read_bytes(slot + netsim::frame::HEADER_BYTES as u64, &mut payload);
-    netsim::finish_hash(netsim::fnv1a(&payload))
+    netsim::finish_hash(netsim::frame::fnv1a(&payload))
 }
 
 /// The hash `NetRecv` returns is computed from the bytes in the RX slot,

@@ -213,7 +213,7 @@ pub fn hash_payloads(frames: &[Frame]) -> Vec<u64> {
 mod tests {
     use super::*;
 
-    /// The byte-serial generator [`payload_pattern_hashed`] replaced.
+    /// Byte-serial reference for the bytes [`payload_pattern_hashed`] makes.
     fn pattern_reference(seed: u64, len: usize) -> Vec<u8> {
         let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut out = Vec::new();

@@ -47,8 +47,8 @@ pub mod switch;
 pub use blk::VirtioBlk;
 pub use exits::ExitCosts;
 pub use frame::{
-    finish_hash, fnv1a, hash_payloads, message_hash, payload_pattern, payload_pattern_hashed,
-    Frame, Mac, BUF_SIZE, FNV_OFFSET, MAX_PAYLOAD,
+    finish_hash, hash_payloads, message_hash, payload_pattern, payload_pattern_hashed, Frame, Mac,
+    BUF_SIZE, FNV_OFFSET, MAX_PAYLOAD,
 };
 pub use nic::{
     Coalesce, Doorbell, DoorbellPath, IrqPath, NetError, NicBackendKind, NicLayout, NicStats,
