@@ -6,18 +6,21 @@
 //! repro all         # run every experiment, also writes results/run_all.json
 //! repro gate        # run the benchmarks and compare them with the
 //!                   # committed results/BENCH_<name>.json (±10%)
+//! repro micro       # host ns per page fault and TLB-miss walk, checked
+//!                   # against results/host/BENCH_micro.json (fails at 2x)
 //! ```
 //!
 //! Outputs go to `results/` under the working directory. `CKI_BENCH_SCALE`
 //! (`quick` or `full`, default `full`) sizes every experiment.
 
+use cki_bench::micro;
 use cki_bench::repro::{self, EXPERIMENTS};
 use cki_bench::Scale;
 
 fn usage() -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     let names = names.join(" ");
-    eprintln!("usage: repro <name>... | all | gate\nnames: {names}");
+    eprintln!("usage: repro <name>... | all | gate | micro\nnames: {names}");
     std::process::exit(2);
 }
 
@@ -33,6 +36,7 @@ fn main() {
     let failures = match (&args[..], entries) {
         (["all"], _) => repro::all(scale),
         (["gate"], _) => repro::gate(scale),
+        (["micro"], _) => micro::run(),
         ([_, ..], Some(entries)) => entries
             .into_iter()
             .flat_map(|e| repro::execute(e, scale).0.failures)

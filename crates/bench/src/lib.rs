@@ -6,8 +6,9 @@
 //! [`cloud_churn`], [`net_serving`], [`perf_report`], [`slo_report`]) have
 //! modules of their own. [`repro::EXPERIMENTS`] lists them all, and the
 //! `repro` binary runs them by name, all at once, or as the regression
-//! gate. The DESIGN.md per-experiment index maps each entry to the paper
-//! artifact it regenerates.
+//! gate; [`micro`] times the page-walk path on the host clock. The
+//! DESIGN.md per-experiment index maps each entry to the paper artifact it
+//! regenerates.
 //!
 //! Set `CKI_BENCH_SCALE=quick` for CI-sized runs; the default `full` scale
 //! is sized so every effect the paper reports is out of the noise while a
@@ -17,6 +18,7 @@ pub mod ablations;
 pub mod cloud_churn;
 pub mod experiments;
 pub mod harness;
+pub mod micro;
 pub mod net_serving;
 pub mod outcome;
 pub mod perf_report;

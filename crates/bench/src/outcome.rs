@@ -96,8 +96,13 @@ impl<const N: usize> From<[Matrix; N]> for Outcome {
 /// Renders scalars as a `BENCH_<name>.json` document.
 pub fn bench_json(scale: Scale, scalars: &[(String, Value)]) -> String {
     let scale = ("scale".to_owned(), Value::Str(scale.name().to_owned()));
-    let lines: Vec<String> = std::iter::once(&scale)
-        .chain(scalars)
+    flat_json(&[&[scale], scalars].concat())
+}
+
+/// Renders scalars as a flat JSON object, one `"key": value` per line.
+pub fn flat_json(scalars: &[(String, Value)]) -> String {
+    let lines: Vec<String> = scalars
+        .iter()
         .map(|(k, v)| format!("  \"{}\": {}", json_escape(k), v.render()))
         .collect();
     format!("{{\n{}\n}}\n", lines.join(",\n"))

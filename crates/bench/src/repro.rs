@@ -263,6 +263,8 @@ mod tests {
             let unique: std::collections::BTreeSet<_> = list.iter().collect();
             assert_eq!(unique.len(), list.len(), "duplicates among {list:?}");
         }
-        assert!(find("all").or(find("gate")).is_none(), "modes, not names");
+        for mode in ["all", "gate", "micro"] {
+            assert!(find(mode).is_none(), "{mode} is a mode, not a name");
+        }
     }
 }

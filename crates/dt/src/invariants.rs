@@ -14,9 +14,14 @@
 //! 3. **Obs self-time** — the span profiler's exclusive-time bookkeeping
 //!    survived the injected control-flow (no unbalanced enter/exit, no
 //!    self > total).
+//! 4. **Lookup indexes** — the summaries that let the walk skip host
+//!    lookups still describe what they summarize: the EPT presence bitmap
+//!    equals the gfns a walk of the stage-2 table finds, and the TLB's
+//!    2 MiB/global count equals the number of such cached entries.
 
+use cki::vmm::HvmPlatform;
 use cki::{Backend, Stack};
-use sim_mem::{pte, PAGE_SIZE};
+use sim_mem::{pte, PhysMem, SlotEdit, PAGE_SIZE};
 
 /// PKRS quiescent-state legality (§4.1: the third privilege level).
 pub fn check_pkrs(stack: &Stack) -> Result<(), String> {
@@ -109,9 +114,69 @@ pub fn check_obs(stack: &Stack) -> Result<(), String> {
     }
 }
 
+/// Lookup-index invariants: the EPT presence bitmap (HVM backends) and the
+/// TLB's count of 2 MiB and global entries agree with what they index.
+pub fn check_indexes(stack: &mut Stack) -> Result<(), String> {
+    let tlb = &stack.machine.cpu.tlb;
+    let counted = tlb.huge_or_global_len();
+    let cached = tlb
+        .iter()
+        .filter(|&(_, pcid, e)| pcid == 0xffff || e.page_size != PAGE_SIZE)
+        .count();
+    if counted != cached {
+        return Err(format!(
+            "TLB index: {counted} 2 MiB/global tags counted, {cached} cached on {}",
+            stack.backend.name()
+        ));
+    }
+    let Some(hvm) = stack.kernel.platform.as_any().downcast_ref::<HvmPlatform>() else {
+        return Ok(());
+    };
+    let ept = hvm.ept();
+    let window = ept.size.div_ceil(PAGE_SIZE);
+    let mut walked = Vec::new();
+    stage2_gfns(&mut stack.machine.mem, ept.root(), 4, 0, &mut walked);
+    walked.retain(|&gfn| gfn < window);
+    let indexed: Vec<u64> = ept.present_gfns().collect();
+    if walked != indexed {
+        let first = walked.iter().zip(&indexed).position(|(a, b)| a != b);
+        return Err(format!(
+            "EPT bitmap: {} gfns set, {} mapped by the stage-2 table, first \
+             difference at entry {first:?} on {}",
+            indexed.len(),
+            walked.len(),
+            stack.backend.name()
+        ));
+    }
+    Ok(())
+}
+
+/// Appends, ascending, every 4 KiB gfn mapped under the stage-2 `table`
+/// at `level`, whose first gfn is `gfn`. Visits present entries only, as
+/// `free_table_recursive` does, reading each table in one slot run.
+fn stage2_gfns(mem: &mut PhysMem, table: u64, level: u8, gfn: u64, out: &mut Vec<u64>) {
+    let span = 1u64 << (9 * (level - 1));
+    let mut present = Vec::new();
+    mem.edit_slots(table, 512, |idx, entry| {
+        if pte::present(entry) {
+            present.push((idx as u64, entry));
+        }
+        SlotEdit::Keep
+    });
+    for (idx, entry) in present {
+        let first = gfn + idx * span;
+        if level == 1 || (level == 2 && pte::huge(entry)) {
+            out.extend(first..first + span);
+        } else {
+            stage2_gfns(mem, pte::addr(entry), level - 1, first, out);
+        }
+    }
+}
+
 /// Runs all invariant families; returns the first violation.
 pub fn check_all(stack: &mut Stack) -> Result<(), String> {
     check_pkrs(stack)?;
     check_tlb(stack)?;
-    check_obs(stack)
+    check_obs(stack)?;
+    check_indexes(stack)
 }

@@ -5,7 +5,7 @@
 //! it changes, mirroring the paper's setup where one para-virtualized Linux
 //! runs under RunC/HVM/PVM/CKI.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use obs::{CounterId, MetricsRegistry};
 
@@ -79,7 +79,9 @@ pub struct Stats {
 pub struct Kernel {
     /// The platform providing privileged operations.
     pub platform: Box<dyn Platform>,
-    procs: HashMap<Pid, Process>,
+    /// Process table in pid order; [`Kernel::touch`] reads it on every
+    /// access.
+    procs: BTreeMap<Pid, Process>,
     next_pid: Pid,
     /// The currently running process.
     pub current: Pid,
@@ -132,7 +134,7 @@ impl Kernel {
         };
         let mut k = Self {
             platform,
-            procs: HashMap::new(),
+            procs: BTreeMap::new(),
             next_pid: 1,
             current: 0,
             vfs: TmpFs::new(),

@@ -60,6 +60,13 @@ fn tag(va: Virt, huge: bool, pcid: u16) -> u64 {
     (va >> shift) << VPN_SHIFT | u64::from(huge) << 16 | u64::from(pcid)
 }
 
+/// Whether `key` is a 2 MiB or a global tag, the kinds [`Tlb::find`]
+/// probes only while some are cached.
+#[inline]
+fn huge_or_global(key: u64) -> bool {
+    key & (1 << 16) != 0 || key as u16 == GLOBAL_PCID
+}
+
 /// Inverse of [`tag`]: the page-aligned VA and the PCID.
 fn untag(key: u64) -> (Virt, u16) {
     let shift = if key & (1 << 16) != 0 { 21 } else { 12 };
@@ -85,10 +92,13 @@ struct Slot {
 /// in recency order by `u32` indices; a tag-to-slot index finds them. A hit
 /// moves the entry to the most-recently-used end, and an insert into a full
 /// TLB evicts the least-recently-used one, both in O(1). Flushes by PCID
-/// walk only the occupied slots.
+/// walk only the occupied slots. A count of cached 2 MiB and global tags
+/// lets a lookup probe only the own-PCID 4 KiB tag while there are none.
 pub struct Tlb {
     slots: Vec<Slot>,
     index: HashMap<u64, u32, BuildHasherDefault<PfnHasher>>,
+    /// Tags in `index` that are 2 MiB or global (see [`huge_or_global`]).
+    huge_or_global: usize,
     /// Most recently used slot.
     head: u32,
     /// Least recently used slot: the next victim.
@@ -114,6 +124,7 @@ impl Tlb {
         Self {
             slots: Vec::new(),
             index: HashMap::default(),
+            huge_or_global: 0,
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -152,6 +163,7 @@ impl Tlb {
                     (self.slots.len() - 1) as u32
                 });
                 self.index.insert(key, slot);
+                self.huge_or_global += usize::from(huge_or_global(key));
                 slot
             }
         };
@@ -172,11 +184,9 @@ impl Tlb {
     /// `invlpg`: drops the entry for `va` in `pcid` only (both page sizes).
     /// Global entries are also dropped, per the SDM.
     pub fn flush_va(&mut self, va: Virt, pcid: u16) {
-        for huge in [false, true] {
-            for p in [pcid, GLOBAL_PCID] {
-                if let Some(slot) = self.index.remove(&tag(va, huge, p)) {
-                    self.release(slot);
-                }
+        for key in self.candidate_tags(va, pcid) {
+            if let Some(slot) = self.index.remove(&key) {
+                self.release(slot);
             }
         }
     }
@@ -199,6 +209,7 @@ impl Tlb {
     pub fn flush_all(&mut self) {
         self.slots.clear();
         self.index.clear();
+        self.huge_or_global = 0;
         self.head = NIL;
         self.tail = NIL;
         self.free = NIL;
@@ -247,16 +258,35 @@ impl Tlb {
         })
     }
 
+    /// Number of cached 2 MiB or global translations (invariant checks:
+    /// it must equal the count [`Tlb::iter`] yields).
+    pub fn huge_or_global_len(&self) -> usize {
+        self.huge_or_global
+    }
+
     /// Slot caching `va` for `pcid`: 4 KiB before 2 MiB, the context's own
-    /// entry before a global one.
+    /// entry before a global one. One index probe while no 2 MiB or
+    /// global tag is cached, up to four otherwise.
     #[inline]
     fn find(&self, va: Virt, pcid: u16) -> Option<u32> {
-        [false, true].into_iter().find_map(|huge| {
-            self.index
-                .get(&tag(va, huge, pcid))
-                .or_else(|| self.index.get(&tag(va, huge, GLOBAL_PCID)))
-                .copied()
-        })
+        self.candidate_tags(va, pcid)
+            .find_map(|key| self.index.get(&key).copied())
+    }
+
+    /// The tags that may cache `va` for `pcid`, in [`Tlb::find`]'s order.
+    /// While no 2 MiB or global tag is cached, only the context's own
+    /// 4 KiB tag can be present, so it is the only one.
+    #[inline]
+    fn candidate_tags(&self, va: Virt, pcid: u16) -> impl Iterator<Item = u64> {
+        let n = if self.huge_or_global == 0 { 1 } else { 4 };
+        [
+            tag(va, false, pcid),
+            tag(va, false, GLOBAL_PCID),
+            tag(va, true, pcid),
+            tag(va, true, GLOBAL_PCID),
+        ]
+        .into_iter()
+        .take(n)
     }
 
     /// A reused slot for a new tag, unlinked: a flushed one, else the
@@ -273,12 +303,19 @@ impl Tlb {
         let victim = self.tail;
         self.index.remove(&self.slots[victim as usize].key);
         self.unlink(victim);
+        self.forget(self.slots[victim as usize].key);
         Some(victim)
+    }
+
+    /// Updates the 2 MiB/global count for a tag that left the index.
+    fn forget(&mut self, key: u64) {
+        self.huge_or_global -= usize::from(huge_or_global(key));
     }
 
     /// Unlinks an occupied slot whose tag is already out of the index and
     /// puts it on the free list.
     fn release(&mut self, slot: u32) {
+        self.forget(self.slots[slot as usize].key);
         self.unlink(slot);
         self.slots[slot as usize].next = self.free;
         self.free = slot;
@@ -482,8 +519,20 @@ mod tests {
         }
 
         pub(super) fn rand_entry(rng: &mut SmallRng, va: Virt, pcid: u16) -> TlbEntry {
-            let huge = rng.gen_bool(0.2);
-            let global = rng.gen_bool(0.15);
+            rand_entry_with(rng, va, pcid, 0.2, 0.15)
+        }
+
+        /// A random entry that is 2 MiB with probability `p_huge` and
+        /// global with probability `p_global`.
+        pub(super) fn rand_entry_with(
+            rng: &mut SmallRng,
+            va: Virt,
+            pcid: u16,
+            p_huge: f64,
+            p_global: f64,
+        ) -> TlbEntry {
+            let huge = rng.gen_bool(p_huge);
+            let global = rng.gen_bool(p_global);
             TlbEntry {
                 // Tag the frame with its identity so a cross-PCID or stale
                 // hit is unmistakable.
@@ -684,65 +733,130 @@ mod tests {
             }
         }
 
-        #[test]
-        fn replacement_matches_a_reference_lru() {
-            for cap in [1usize, 8, 32] {
-                for seed in 0..4u64 {
-                    let mut rng = SmallRng::seed_from_u64(0x1e0_0000 + cap as u64 * 16 + seed);
-                    let mut t = Tlb::new(cap);
-                    let mut model = RefLru {
-                        cap,
-                        q: VecDeque::new(),
-                    };
-                    let pcids = [1u16, 2, 3];
-                    // Up to ~100 live tags: heavy eviction at every capacity.
-                    let va_of = |i: u64| (i % 48) * PAGE_SIZE + (i % 3) * 0x20_0000;
-                    for step in 0..3000u64 {
-                        let va = va_of(rng.gen::<u64>());
-                        let pcid = pcids[rng.gen_range(0usize..3)];
-                        match rng.gen_range(0u32..16) {
-                            0..=5 => {
-                                let e = prop::rand_entry(&mut rng, va, pcid);
-                                t.insert(va, pcid, e);
-                                model.insert(va, pcid, e);
-                            }
-                            6 => {
-                                t.mark_dirty(va, pcid);
-                                model.mark_dirty(va, pcid);
-                            }
-                            7 => {
-                                t.flush_va(va, pcid);
-                                model.flush_va(va, pcid);
-                            }
-                            8 => {
-                                t.flush_pcid(pcid);
-                                model.flush_pcid(pcid);
-                            }
-                            9 if step % 61 == 0 => {
-                                t.flush_all();
-                                model.q.clear();
-                            }
-                            _ => assert_eq!(
-                                t.lookup(va, pcid),
-                                model.lookup(va, pcid),
-                                "cap {cap} seed {seed} step {step}: lookup va={va:#x} pcid={pcid}"
-                            ),
+        /// How a random run draws its entries and how often it flushes
+        /// everything.
+        struct Mix {
+            p_huge: f64,
+            p_global: f64,
+            flush_all_every: u64,
+        }
+
+        /// Drives a TLB of `cap` entries and the reference with one random
+        /// sequence, checking after every step that they agree on every
+        /// lookup, on the contents and recency order, and that the 2 MiB/
+        /// global count matches the entries. Returns how many lookups ran
+        /// with that count at zero (the one-probe path) and above it.
+        fn drive(cap: usize, seed: u64, mix: &Mix) -> (u64, u64) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = Tlb::new(cap);
+            let mut model = RefLru {
+                cap,
+                q: VecDeque::new(),
+            };
+            let mut lookups = (0, 0);
+            let pcids = [1u16, 2, 3];
+            // Up to ~100 live tags: heavy eviction at every capacity.
+            let va_of = |i: u64| (i % 48) * PAGE_SIZE + (i % 3) * 0x20_0000;
+            for step in 0..3000u64 {
+                let va = va_of(rng.gen::<u64>());
+                let pcid = pcids[rng.gen_range(0usize..3)];
+                match rng.gen_range(0u32..16) {
+                    0..=5 => {
+                        let e = prop::rand_entry_with(&mut rng, va, pcid, mix.p_huge, mix.p_global);
+                        t.insert(va, pcid, e);
+                        model.insert(va, pcid, e);
+                    }
+                    6 => {
+                        t.mark_dirty(va, pcid);
+                        model.mark_dirty(va, pcid);
+                    }
+                    7 => {
+                        t.flush_va(va, pcid);
+                        model.flush_va(va, pcid);
+                    }
+                    8 => {
+                        t.flush_pcid(pcid);
+                        model.flush_pcid(pcid);
+                    }
+                    9 if step % mix.flush_all_every == 0 => {
+                        t.flush_all();
+                        model.q.clear();
+                    }
+                    _ => {
+                        if t.huge_or_global_len() == 0 {
+                            lookups.0 += 1;
+                        } else {
+                            lookups.1 += 1;
                         }
                         assert_eq!(
-                            t.iter().collect::<Vec<_>>(),
-                            model.entries(),
-                            "cap {cap} seed {seed} step {step}: contents or recency order"
+                            t.lookup(va, pcid),
+                            model.lookup(va, pcid),
+                            "cap {cap} seed {seed} step {step}: lookup va={va:#x} pcid={pcid}"
                         );
-                        assert_eq!(t.len(), model.q.len());
-                        for p in pcids {
-                            assert_eq!(
-                                t.count_pcid(p),
-                                model.q.iter().filter(|(k, _)| k.2 == p).count()
-                            );
-                        }
                     }
                 }
+                let entries = t.iter().collect::<Vec<_>>();
+                assert_eq!(
+                    entries,
+                    model.entries(),
+                    "cap {cap} seed {seed} step {step}: contents or recency order"
+                );
+                assert_eq!(
+                    t.huge_or_global_len(),
+                    entries
+                        .iter()
+                        .filter(|(_, p, e)| *p == GLOBAL_PCID || e.page_size != PAGE_SIZE)
+                        .count(),
+                    "cap {cap} seed {seed} step {step}: 2 MiB/global count"
+                );
+                assert_eq!(t.len(), model.q.len());
+                for p in pcids {
+                    assert_eq!(
+                        t.count_pcid(p),
+                        model.q.iter().filter(|(k, _)| k.2 == p).count()
+                    );
+                }
             }
+            lookups
+        }
+
+        #[test]
+        fn replacement_matches_a_reference_lru() {
+            let mix = Mix {
+                p_huge: 0.2,
+                p_global: 0.15,
+                flush_all_every: 61,
+            };
+            for cap in [1usize, 8, 32] {
+                for seed in 0..4u64 {
+                    drive(cap, 0x1e0_0000 + cap as u64 * 16 + seed, &mix);
+                }
+            }
+        }
+
+        #[test]
+        fn one_probe_and_four_probe_lookups_both_match_the_reference() {
+            // Rare 2 MiB and global entries and frequent full flushes: the
+            // count keeps returning to zero, so lookups alternate between
+            // the one-probe path and the four-probe one.
+            let mix = Mix {
+                p_huge: 0.03,
+                p_global: 0.03,
+                flush_all_every: 7,
+            };
+            let (mut one, mut four) = (0, 0);
+            for cap in [1usize, 8, 32] {
+                for seed in 0..4u64 {
+                    let (a, b) = drive(cap, 0x0b1e_0000 + cap as u64 * 16 + seed, &mix);
+                    one += a;
+                    four += b;
+                }
+            }
+            let all = one + four;
+            assert!(
+                one * 5 > all && four * 5 > all,
+                "each path runs for over a fifth of lookups: {one} one-probe, {four} four-probe"
+            );
         }
 
         #[test]

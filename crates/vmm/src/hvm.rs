@@ -101,7 +101,10 @@ impl HvmPlatform {
         }
     }
 
-    fn handle_ept_fault(&mut self, m: &mut Machine, gpa: Phys) {
+    /// Takes the VM exit for an EPT violation at `gpa` and maps it.
+    /// Returns whether a mapping was made. The exit is charged either
+    /// way; a gPA past the VM window is never mapped.
+    fn handle_ept_fault(&mut self, m: &mut Machine, gpa: Phys) -> bool {
         m.cpu.metrics.inc(self.ids.ept_faults);
         m.cpu.metrics.inc(self.ids.vm_exits);
         let sp = m.cpu.span_enter("vmm.vmexit");
@@ -127,8 +130,9 @@ impl HvmPlatform {
         let w = m.cpu.span_enter(work_span);
         m.cpu.clock.charge(work_tag, work);
         m.cpu.span_exit(w);
-        self.ept.map_gpa(m, gpa);
+        let mapped = self.ept.map_gpa(m, gpa);
         m.cpu.span_exit(sp);
+        mapped
     }
 
     /// Walks the guest page table (whose pointers are gPAs) in software.
@@ -330,7 +334,11 @@ impl Platform for HvmPlatform {
             m.cpu.mode = prev;
             match r {
                 Ok(_) => return Ok(()),
-                Err(Fault::EptViolation { gpa, .. }) => self.handle_ept_fault(m, gpa),
+                Err(f @ Fault::EptViolation { gpa, .. }) => {
+                    if !self.handle_ept_fault(m, gpa) {
+                        return Err(f);
+                    }
+                }
                 Err(f) => return Err(f),
             }
         }
@@ -465,6 +473,28 @@ mod tests {
             faults,
             "warm accesses take no EPT faults"
         );
+    }
+
+    #[test]
+    fn a_2d_walk_reads_only_the_guest_tables() {
+        // The EPT answers presence from its bitmap: a TLB miss reads the
+        // four guest PTEs from memory, not 4 + 5 × 4 with stage-2 walks.
+        let (mut k, mut m) = boot(false);
+        let va = k
+            .syscall(
+                &mut m,
+                Sys::Mmap {
+                    len: PAGE_SIZE,
+                    write: true,
+                },
+            )
+            .unwrap();
+        k.touch(&mut m, va, true).unwrap();
+        m.cpu.tlb.flush_all();
+        let (reads, walks) = (m.mem.read_count(), m.cpu.page_walks());
+        k.touch(&mut m, va, false).unwrap();
+        assert_eq!(m.cpu.page_walks() - walks, 1);
+        assert_eq!(m.mem.read_count() - reads, 4);
     }
 
     #[test]

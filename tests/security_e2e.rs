@@ -2,11 +2,12 @@
 //! live container stack and verified to be contained.
 
 use cki::cki_core::{self, gates, CkiPlatform, KsmError};
-use cki::guest_os::Sys;
+use cki::guest_os::{Errno, Sys};
 use cki::sim_hw::instr::InvpcidMode;
 use cki::sim_hw::{Access, Fault, Instr, IretFrame, Machine, Mode, TraceEvent, TraceKind};
 use cki::sim_mem::addr::pt_index;
 use cki::sim_mem::pte;
+use cki::vmm::HvmPlatform;
 use cki::{Backend, Stack, StackConfig};
 
 /// Kinds of all traced events, oldest first.
@@ -241,6 +242,84 @@ fn ksm_rejects_huge_mappings_of_declared_ptps() {
         matches!(r, Err(Fault::PageFault { code, .. }) if code & pte::fault_code::PRESENT == 0),
         "{r:?}"
     );
+}
+
+/// HVM-BM guest memory in the tests below: a 256 MiB EPT window.
+const HVM_WINDOW: u64 = 256 * 1024 * 1024;
+
+/// Boots HVM-BM with one touched page; returns the stack and the page.
+fn hvm_attack_stack() -> (Stack, u64) {
+    let mut stack = Stack::new(
+        Backend::HvmBm,
+        StackConfig {
+            vm_bytes: HVM_WINDOW,
+            ..StackConfig::default()
+        },
+    );
+    let mut env = stack.env();
+    let va = env.mmap(4096).expect("mmap");
+    env.touch(va, true).expect("touch");
+    (stack, va)
+}
+
+fn hvm(stack: &Stack) -> &HvmPlatform {
+    stack.kernel.platform.as_any().downcast_ref().unwrap()
+}
+
+/// Host address of the guest PTE translating `va` at `level`. Guest
+/// tables hold gPAs, so each step goes through the VM window.
+fn guest_pte_slot(stack: &mut Stack, va: u64, level: u8) -> u64 {
+    let root = stack.kernel.proc(stack.kernel.current).aspace.root;
+    let Stack {
+        machine: m, kernel, ..
+    } = stack;
+    let ept = kernel
+        .platform
+        .as_any()
+        .downcast_ref::<HvmPlatform>()
+        .unwrap()
+        .ept();
+    let mut table = root;
+    for l in (level + 1..=4).rev() {
+        let entry = m
+            .mem
+            .read_u64(ept.sw_translate(table) + 8 * pt_index(va, l) as u64);
+        table = pte::addr(entry);
+    }
+    ept.sw_translate(table) + 8 * pt_index(va, level) as u64
+}
+
+#[test]
+fn hvm_guest_cannot_map_host_memory_past_its_window() {
+    // A guest kernel owns its page tables, so it can point a leaf (level
+    // 1) or a table pointer (level 2) at any gPA. A gPA at or past the
+    // end of the window must take an EPT violation that maps nothing:
+    // mapping `base + gpa` would hand the guest host memory outside its
+    // VM, or make the walk read host memory as a guest page table.
+    for level in [1u8, 2] {
+        for gpa in [HVM_WINDOW, HVM_WINDOW + 0x5000, 1 << 40] {
+            let (mut stack, va) = hvm_attack_stack();
+            let slot = guest_pte_slot(&mut stack, va, level);
+            let old = stack.machine.mem.read_u64(slot);
+            let forged = pte::make(gpa, old & !pte::ADDR_MASK);
+            stack.machine.mem.write_u64(slot, forged);
+            stack.machine.cpu.tlb.flush_all();
+            let mappings = hvm(&stack).ept().mappings;
+            let exits = hvm(&stack).stats(&stack.machine).ept_faults;
+
+            let r = stack.env().touch(va, false);
+
+            let case = format!("level {level} entry naming gPA {gpa:#x}");
+            assert_eq!(r, Err(Errno::Fault), "{case}");
+            let p = hvm(&stack);
+            assert_eq!(p.ept().mappings, mappings, "{case}: stage-2 mapping made");
+            assert_eq!(
+                p.stats(&stack.machine).ept_faults,
+                exits + 1,
+                "{case}: the violation still exits once"
+            );
+        }
+    }
 }
 
 #[test]
