@@ -14,7 +14,7 @@ use sim_mem::SegmentAllocator;
 use crate::experiments::pgfault_ns;
 use crate::{Matrix, Outcome, Scale};
 
-fn gate_sidechannel(scale: Scale) -> Matrix {
+fn ksm_gate_mitigations(scale: Scale) -> Matrix {
     let pages = scale.n(512);
     let mut m = Matrix::new(
         "Ablation: PTI/IBRS on the KSM gate (paper removes them, §3.3)",
@@ -176,7 +176,7 @@ fn pervcpu_cost(scale: Scale) -> Matrix {
 /// The four ablation matrices, in the order of their TSV stems.
 pub fn run(scale: Scale) -> Outcome {
     [
-        gate_sidechannel(scale),
+        ksm_gate_mitigations(scale),
         pervcpu_cost(scale),
         fragmentation(),
         future_work(),

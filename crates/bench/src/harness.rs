@@ -25,10 +25,6 @@ const WARMUP: Duration = Duration::from_millis(30);
 pub enum BatchSize {
     /// Small inputs: many per batch.
     SmallInput,
-    /// Large inputs: few per batch.
-    LargeInput,
-    /// One input per measured call.
-    PerIteration,
 }
 
 /// A benchmark identifier within a group.
@@ -38,11 +34,6 @@ impl BenchmarkId {
     /// Builds an id from the parameter value alone.
     pub fn from_parameter<D: Display>(p: D) -> Self {
         Self(p.to_string())
-    }
-
-    /// Builds an id from a function name and a parameter.
-    pub fn new<D: Display>(name: &str, p: D) -> Self {
-        Self(format!("{name}/{p}"))
     }
 }
 

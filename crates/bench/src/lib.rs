@@ -5,8 +5,8 @@
 //! returning structured rows; the larger benchmarks ([`ablations`],
 //! [`cloud_churn`], [`net_serving`], [`perf_report`], [`slo_report`]) have
 //! modules of their own. [`repro::EXPERIMENTS`] lists them all, and the
-//! `repro` binary runs them by name, all at once, or as the regression
-//! gate; [`micro`] times the page-walk path on the host clock. The
+//! `repro` binary runs them by name, all at once, or as a byte-for-byte
+//! check; [`micro`] times the page-walk path on the host clock. The
 //! DESIGN.md per-experiment index maps each entry to the paper artifact it
 //! regenerates.
 //!

@@ -17,7 +17,7 @@
 //!    watchdog rule with a deliberately tight budget runs; the breach
 //!    must produce an incident with a flight-recorder dump.
 //!
-//! Emits `results/BENCH_net_serving.json` (gated by `repro gate`).
+//! Emits `results/BENCH_net_serving.json` (checked by `repro check`).
 //!
 //! ```sh
 //! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin repro -- net_serving

@@ -1,21 +1,14 @@
-//! What an experiment returns, the one result schema, and the gate's
-//! comparison.
+//! What an experiment returns and the one result schema.
 //!
 //! Every experiment returns an [`Outcome`]: its matrices (written as TSVs)
 //! plus an ordered list of named scalars. Scalars are written by
 //! [`bench_json`] as `results/BENCH_<name>.json`, a flat JSON object with
 //! `"scale"` first and one `"key": value` per line; [`parse_bench_json`]
-//! reads that format back, and [`compare`] is the regression gate's check
-//! of fresh scalars against committed ones.
+//! reads that format back.
 
 use obs::export::json_escape;
 
 use crate::util::{Matrix, Scale};
-
-/// Relative drift a numeric metric may show before the gate fails.
-pub const TOLERANCE: f64 = 0.10;
-/// Absolute drift always allowed, so `0`-vs-small counters compare cleanly.
-pub const ABS_SLACK: f64 = 2.0;
 
 /// One scalar result.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,14 +24,6 @@ pub enum Value {
 }
 
 impl Value {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Fixed(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as written to a result file.
     pub fn render(&self) -> String {
         match self {
@@ -172,64 +157,6 @@ fn parse_string(s: &str) -> Option<(String, &str)> {
     None
 }
 
-/// Compares fresh scalars against committed ones (both with `"scale"`),
-/// returning how many metrics were compared and every violation.
-///
-/// Numbers may drift by ±[`TOLERANCE`] or [`ABS_SLACK`], whichever is
-/// larger; booleans and strings must match exactly. A key present on only
-/// one side is schema drift and fails, as does a scale mismatch.
-pub fn compare(
-    name: &str,
-    committed: &[(String, Value)],
-    fresh: &[(String, Value)],
-) -> (usize, Vec<String>) {
-    fn get<'a>(set: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        set.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    let scale = |set| get(set, "scale").map_or("none".to_owned(), Value::render);
-    if scale(committed) != scale(fresh) {
-        let (now, was) = (scale(fresh), scale(committed));
-        let msg = format!("{name}: produced at scale {now} but committed at {was}");
-        return (0, vec![msg]);
-    }
-    let mut compared = 0;
-    let mut violations = Vec::new();
-    for (key, base) in committed.iter().filter(|(k, _)| k != "scale") {
-        let Some(cur) = get(fresh, key) else {
-            violations.push(format!("{name}.{key}: committed but no longer produced"));
-            continue;
-        };
-        compared += 1;
-        match (base.as_f64(), cur.as_f64()) {
-            (Some(b), Some(c)) => {
-                let allowed = (TOLERANCE * b.abs()).max(ABS_SLACK);
-                if (c - b).abs() > allowed {
-                    let pct = |x: f64| 100.0 * x / b.abs().max(f64::MIN_POSITIVE);
-                    violations.push(format!(
-                        "{name}.{key}: {c} vs committed {b} ({:+.1}%, allowed ±{:.1}%)",
-                        pct(c - b),
-                        pct(allowed)
-                    ));
-                }
-            }
-            _ if base != cur => violations.push(format!(
-                "{name}.{key}: {} vs committed {}",
-                cur.render(),
-                base.render()
-            )),
-            _ => {}
-        }
-    }
-    for (key, _) in fresh {
-        if get(committed, key).is_none() {
-            violations.push(format!(
-                "{name}.{key}: new key, not in the committed results"
-            ));
-        }
-    }
-    (compared, violations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,50 +193,5 @@ mod tests {
         ] {
             assert!(parse_bench_json(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn gate_applies_tolerance_slack_schema_and_scale_checks() {
-        // A committed file, or a fresh one with `key` set to `value`
-        // (an empty value drops the key).
-        let base = [("c", "1000"), ("z", "0"), ("ok", "true")];
-        let file = |scale: &str, key: &str, value: &str| {
-            let mut pairs: Vec<(&str, &str)> = base.to_vec();
-            pairs.retain(|(k, _)| *k != key);
-            pairs.extend((!value.is_empty()).then_some((key, value)));
-            let lines: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-            let text = format!("{{\n\"scale\": \"{scale}\",\n{}\n}}", lines.join(",\n"));
-            parse_bench_json(&text).unwrap()
-        };
-        let committed = file("quick", "", "");
-        // (key, fresh value, expected violation prefix or "" for a pass)
-        let cases = [
-            ("c", "1099", ""),
-            ("c", "901.0", ""),
-            ("z", "2", ""),
-            ("c", "1101", "x.c: 1101 vs committed 1000 (+10.1%"),
-            ("c", "880.0", "x.c: 880 vs committed 1000 (-12.0%"),
-            ("z", "3", "x.z: 3 vs committed 0"),
-            ("ok", "false", "x.ok: false vs committed true"),
-            ("z", "", "x.z: committed but no longer produced"),
-            ("new", "1", "x.new: new key"),
-        ];
-        for (key, value, expected) in cases {
-            let (compared, violations) = compare("x", &committed, &file("quick", key, value));
-            assert_eq!(compared, 3 - value.is_empty() as usize, "{key}={value}");
-            match expected {
-                "" => assert!(violations.is_empty(), "{key}={value}: {violations:?}"),
-                _ => {
-                    assert_eq!(violations.len(), 1, "{key}={value}: {violations:?}");
-                    assert!(violations[0].starts_with(expected), "{violations:?}");
-                }
-            }
-        }
-        let (compared, violations) = compare("x", &committed, &file("full", "", ""));
-        assert_eq!(compared, 0);
-        assert_eq!(
-            violations,
-            ["x: produced at scale \"full\" but committed at \"quick\""]
-        );
     }
 }

@@ -225,7 +225,7 @@ pub fn run() -> Outcome {
     );
 
     // Machine-readable summary: per-backend end-to-end latencies plus the
-    // drift-check tally, gated by `repro gate`.
+    // drift-check tally, checked by `repro check`.
     let mut o = Outcome::from([fig10a, fig10b]);
     for (prefix, cases) in [("pgfault", &pf), ("syscall", &sc)] {
         for (name, b, _) in cases {

@@ -1,20 +1,22 @@
 //! The experiment table and the three ways to run it: by name, `all`
-//! (which also writes `results/run_all.json`) and `gate`.
+//! (which also writes `results/run_all.json`) and `check`.
 //!
 //! Every table and figure of the paper, the extension experiments and the
 //! machine-readable benchmarks are one [`Experiment`] entry in
-//! [`EXPERIMENTS`]. Running an entry prints its matrices and paper note,
-//! writes each matrix to `results/<stem>.tsv`, its scalars to
-//! `results/BENCH_<name>.json` (see [`crate::outcome`]) and any further
-//! files it returned.
+//! [`EXPERIMENTS`]. [`render`] runs an entry and renders each matrix as
+//! `<stem>.tsv`, its scalars as `BENCH_<name>.json` (see [`crate::outcome`])
+//! and any further files it returned; [`execute`] prints the entry and
+//! writes those files under `results/`, [`check`] compares them with the
+//! committed ones.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
 use obs::export::{json_escape, metrics_json};
 use obs::MetricsSnapshot;
 
-use crate::outcome::{bench_json, compare, parse_bench_json, Outcome, TOLERANCE};
+use crate::outcome::{bench_json, parse_bench_json, Outcome, Value};
 use crate::util::{sink, Scale};
 use crate::{ablations, cloud_churn, experiments, net_serving, perf_report, slo_report};
 
@@ -151,40 +153,40 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// Runs one entry inside a metrics-capture window, prints it and writes
-/// its files under [`RESULTS`]. Returns the outcome and the per-backend
-/// metrics snapshots captured while it ran.
-pub fn execute(e: &Experiment, scale: Scale) -> (Outcome, Vec<(String, MetricsSnapshot)>) {
+/// Runs one entry inside a metrics-capture window. Returns the outcome,
+/// its `files` now holding every file the entry writes as (name, text):
+/// its TSVs, its `BENCH_<name>.json` when it has scalars, then the files it
+/// returned; and the per-backend metrics snapshots captured while it ran.
+pub fn render(e: &Experiment, scale: Scale) -> (Outcome, Vec<(String, MetricsSnapshot)>) {
     sink::begin();
-    let o = (e.run)(scale);
+    let mut o = (e.run)(scale);
     let metrics = sink::end();
     assert_eq!(o.matrices.len(), e.tsv.len(), "{}: TSV stems", e.name);
-    let dir = Path::new(RESULTS);
-    std::fs::create_dir_all(dir).expect("create results dir");
-    for (i, (stem, m)) in e.tsv.iter().zip(&o.matrices).enumerate() {
-        match e.display.filter(|_| i == 0) {
-            Some(col) => print!("{}", m.normalized_to(col).render()),
-            None => print!("{}", m.render()),
-        }
-        m.save_tsv(&dir.join(format!("{stem}.tsv")));
+    let tsvs = e.tsv.iter().zip(&o.matrices);
+    let tsvs = tsvs.map(|(stem, m)| (format!("{stem}.tsv"), m.tsv()));
+    let bench = format!("BENCH_{}.json", e.name);
+    let bench = (!o.scalars.is_empty()).then(|| (bench, bench_json(scale, &o.scalars)));
+    o.files = tsvs.chain(bench).chain(o.files).collect();
+    (o, metrics)
+}
+
+/// [`render`]s one entry, prints it and writes its files under [`RESULTS`].
+pub fn execute(e: &Experiment, scale: Scale) -> (Outcome, Vec<(String, MetricsSnapshot)>) {
+    let (o, metrics) = render(e, scale);
+    for (i, m) in o.matrices.iter().enumerate() {
+        let shown = e.display.filter(|_| i == 0).map(|col| m.normalized_to(col));
+        print!("{}", shown.as_ref().unwrap_or(m).render());
     }
     if !e.paper.is_empty() {
         println!("{}", e.paper);
     }
-    let bench =
-        (!o.scalars.is_empty()).then(|| (bench_file(e.name), bench_json(scale, &o.scalars)));
-    if let Some((_, json)) = &bench {
-        print!("{json}");
-    }
-    for (file, text) in bench.iter().chain(&o.files) {
+    let dir = Path::new(RESULTS);
+    std::fs::create_dir_all(dir).expect("create results dir");
+    for (file, text) in &o.files {
         std::fs::write(dir.join(file), text).unwrap_or_else(|err| panic!("write {file}: {err}"));
         println!("wrote {RESULTS}/{file}");
     }
     (o, metrics)
-}
-
-fn bench_file(name: &str) -> String {
-    format!("BENCH_{name}.json")
 }
 
 /// Runs every entry and writes `results/run_all.json`, which carries each
@@ -223,36 +225,100 @@ pub fn all(scale: Scale) -> Vec<String> {
     failures
 }
 
-/// Runs every entry and compares each one that has scalars, or a
-/// committed `BENCH_<name>.json`, against that file, read before the run
-/// overwrites it. Returns every violation and self-check failure.
-pub fn gate(scale: Scale) -> Vec<String> {
-    let mut compared = 0;
-    let mut violations = Vec::new();
-    for e in EXPERIMENTS {
-        let path = Path::new(RESULTS).join(bench_file(e.name));
-        let committed = std::fs::read_to_string(&path).ok();
-        let (o, _) = execute(e, scale);
-        violations.extend(o.failures);
-        let fresh = parse_bench_json(&bench_json(scale, &o.scalars)).expect("writer output parses");
-        match committed.map(|text| parse_bench_json(&text)) {
-            None if o.scalars.is_empty() => {}
-            None => violations.push(format!("{}: not committed", path.display())),
-            Some(Err(err)) => violations.push(format!("{}: {err}", path.display())),
-            Some(Ok(committed)) => {
-                let (n, v) = compare(e.name, &committed, &fresh);
-                compared += n;
-                violations.extend(v);
-            }
+/// Runs `entries` at the scale of the results committed in `dir` and
+/// compares every file they render with the committed one, byte for byte.
+/// Writes nothing. Returns every failure: a scale mismatch (before anything
+/// runs), a self-check failure, and each file that differs (at its first
+/// differing line), is not committed, or is in `dir` but rendered by none.
+pub fn check(dir: &Path, entries: &[Experiment], requested: Option<Scale>) -> Vec<String> {
+    let mut committed = committed_files(dir);
+    let scale = match committed_scale(&committed, requested) {
+        Ok(scale) => scale,
+        Err(err) => return vec![format!("{}: {err}", dir.display())],
+    };
+    let (mut failures, mut compared) = (Vec::new(), 0);
+    for e in entries {
+        let (o, _) = render(e, scale);
+        failures.extend(o.failures);
+        for (file, text) in o.files {
+            let why = match committed.remove(&file) {
+                Some(was) => first_difference(&was, &text),
+                None => Some(" not committed".to_owned()),
+            };
+            failures.extend(why.map(|why| format!("{}:{why}", dir.join(file).display())));
+            compared += 1;
         }
     }
-    let (pct, n) = (TOLERANCE * 100.0, violations.len());
-    println!("repro gate: {compared} metrics compared at ±{pct:.0}%, {n} violation(s)");
-    violations
+    for file in committed.into_keys() {
+        failures.push(format!("{}: no entry writes it", dir.join(file).display()));
+    }
+    let (n, scale) = (failures.len(), scale.name());
+    println!("repro check: {compared} files compared at {scale} scale, {n} failure(s)");
+    failures
+}
+
+/// `<line>: committed <line> but rendered <line>` for the first line where
+/// the texts differ, or `None` when they are equal.
+fn first_difference(committed: &str, rendered: &str) -> Option<String> {
+    if committed == rendered {
+        return None;
+    }
+    let mut was = committed.split_inclusive('\n');
+    let mut now = rendered.split_inclusive('\n');
+    let show = |line: Option<&str>| line.map_or("end of file".to_owned(), |l| format!("{l:?}"));
+    for n in 1.. {
+        let (was, now) = (show(was.next()), show(now.next()));
+        if was != now {
+            return Some(format!("{n}: committed {was} but rendered {now}"));
+        }
+    }
+    unreachable!("unequal texts differ in some line")
+}
+
+/// Every file directly in `dir` but `run_all.json` (host wall time): name
+/// and text.
+fn committed_files(dir: &Path) -> BTreeMap<String, String> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    let files = entries.filter_map(|entry| {
+        let name = entry.file_name().into_string().ok()?;
+        let text = String::from_utf8_lossy(&std::fs::read(entry.path()).ok()?).into_owned();
+        (name != "run_all.json").then_some((name, text))
+    });
+    files.collect()
+}
+
+/// The scale `check` runs at: the `"scale"` of every committed
+/// `BENCH_*.json` and `requested` (`CKI_BENCH_SCALE`, when set), which must
+/// all agree; full when there is none of them. The error names two sources
+/// that disagree, or a benchmark file without a scale.
+fn committed_scale(
+    committed: &BTreeMap<String, String>,
+    requested: Option<Scale>,
+) -> Result<Scale, String> {
+    let mut sources = Vec::new();
+    for (file, text) in committed.iter().filter(|(f, _)| f.starts_with("BENCH_")) {
+        let scale = match parse_bench_json(text).map(|scalars| scalars.into_iter().next()) {
+            Ok(Some((key, Value::Str(name)))) if key == "scale" => Scale::parse(&name).ok(),
+            _ => None,
+        };
+        let scale = scale.ok_or_else(|| format!("{file}: no \"scale\" first"))?;
+        sources.push((file.as_str(), scale));
+    }
+    sources.extend(requested.map(|scale| ("CKI_BENCH_SCALE", scale)));
+    let (first, scale) = *sources.first().unwrap_or(&("", Scale::Full));
+    match sources.iter().find(|(_, other)| *other != scale) {
+        Some((source, other)) => {
+            let (was, now) = (scale.name(), other.name());
+            Err(format!("{first} is at {was} scale but {source} at {now}"))
+        }
+        None => Ok(scale),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -260,11 +326,71 @@ mod tests {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         let stems: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.tsv).copied().collect();
         for list in [names, stems] {
-            let unique: std::collections::BTreeSet<_> = list.iter().collect();
+            let unique: BTreeSet<_> = list.iter().collect();
             assert_eq!(unique.len(), list.len(), "duplicates among {list:?}");
         }
-        for mode in ["all", "gate", "micro"] {
+        for mode in ["all", "check", "micro"] {
             assert!(find(mode).is_none(), "{mode} is a mode, not a name");
         }
+    }
+
+    #[test]
+    fn check_compares_every_file_byte_for_byte_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("cki-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (tsv, stale) = (dir.join("fig02.tsv"), dir.join("stale.tsv"));
+        let committed = include_str!("../../../results/fig02.tsv");
+        let files = || -> BTreeSet<_> {
+            let paths = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+            paths.map(|p| (std::fs::read(&p).unwrap(), p)).collect()
+        };
+        let check = || {
+            let before = files();
+            let failures = check(&dir, std::slice::from_ref(find("fig02").unwrap()), None);
+            assert_eq!(files(), before, "check wrote into {dir:?}");
+            failures
+        };
+        std::fs::write(&tsv, committed).unwrap();
+        assert_eq!(check(), Vec::<String>::new());
+        std::fs::write(&tsv, committed.replacen("\t42\t", "\t43\t", 1)).unwrap();
+        let [failure] = &check()[..] else {
+            panic!("one failure")
+        };
+        let line = format!("{}:4: committed \"Use-After-Free\\t43\\t", tsv.display());
+        assert!(failure.starts_with(&line), "{failure}");
+        std::fs::remove_file(&tsv).unwrap();
+        assert_eq!(check(), [format!("{}: not committed", tsv.display())]);
+        std::fs::write(&tsv, committed).unwrap();
+        std::fs::write(&stale, "").unwrap();
+        let extra = format!("{}: no entry writes it", stale.display());
+        assert_eq!(check(), [extra]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scale_mismatch_fails_before_any_entry_runs() {
+        let files = |scales: &[Scale]| -> BTreeMap<String, String> {
+            let bench = |(i, s): (usize, &Scale)| (format!("BENCH_{i}.json"), bench_json(*s, &[]));
+            scales.iter().enumerate().map(bench).collect()
+        };
+        let (q, f) = (Scale::Quick, Scale::Full);
+        let scale = |scales: &[Scale], requested| committed_scale(&files(scales), requested);
+        assert_eq!(scale(&[], None), Ok(f));
+        assert_eq!(scale(&[], Some(q)), Ok(q));
+        assert_eq!(scale(&[q, q], None), Ok(q));
+        let err = "BENCH_0.json is at quick scale but CKI_BENCH_SCALE at full";
+        assert_eq!(scale(&[q, q], Some(f)), Err(err.to_owned()));
+        let err = "BENCH_0.json is at quick scale but BENCH_1.json at full";
+        assert_eq!(scale(&[q, f], Some(q)), Err(err.to_owned()));
+        // `check` resolves the scale before it runs anything.
+        let dir = std::env::temp_dir().join(format!("cki-scale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, text) in files(&[q, f]) {
+            std::fs::write(dir.join(file), text).unwrap();
+        }
+        let boom = [Experiment::new("boom", &[], |_| panic!("ran"))];
+        let err = format!("{}: {err}", dir.display());
+        assert_eq!(check(&dir, &boom, None), [err]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,7 +1,6 @@
 //! Harness utilities: scaling, result matrices, rendering, TSV output.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Experiment sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,16 +12,15 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `CKI_BENCH_SCALE` (`quick`/`full`), defaulting to `Full` when
-    /// it is unset.
+    /// Reads `CKI_BENCH_SCALE` (`quick`/`full`); `None` when it is unset.
     ///
     /// # Errors
     ///
     /// Any other value is rejected rather than silently run at full scale.
-    pub fn from_env() -> Result<Self, String> {
+    pub fn from_env() -> Result<Option<Self>, String> {
         match std::env::var("CKI_BENCH_SCALE") {
-            Err(std::env::VarError::NotPresent) => Ok(Scale::Full),
-            Ok(v) => Self::parse(&v),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Ok(v) => Self::parse(&v).map(Some),
             Err(e) => Err(format!("CKI_BENCH_SCALE: {e}")),
         }
     }
@@ -173,12 +171,9 @@ impl Matrix {
         )
     }
 
-    /// Writes the matrix as a TSV file into an existing directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors — the harness treats those as fatal.
-    pub fn save_tsv(&self, path: &Path) {
+    /// Renders the matrix as a TSV document: a `# title [unit]` line, a
+    /// header row, then one line per row with raw values.
+    pub fn tsv(&self) -> String {
         let mut s = String::new();
         let _ = write!(s, "# {} [{}]\nrow", self.title, self.unit);
         for c in &self.cols {
@@ -192,7 +187,7 @@ impl Matrix {
             }
             let _ = writeln!(s);
         }
-        std::fs::write(path, s).expect("write tsv");
+        s
     }
 }
 
