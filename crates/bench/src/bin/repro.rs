@@ -6,8 +6,9 @@
 //! repro all         # run every experiment, also writes results/run_all.json
 //! repro check       # compare every file the experiments render with the
 //!                   # committed one, byte for byte; writes nothing
-//! repro micro       # host ns per page fault and TLB-miss walk, checked
-//!                   # against results/host/BENCH_micro.json (fails at 2x)
+//! repro micro       # host ns per page fault, TLB-miss walk and compacted
+//!                   # page, checked against results/host/BENCH_micro.json
+//!                   # (fails at 2x)
 //! ```
 //!
 //! Outputs go to `results/` under the working directory. `CKI_BENCH_SCALE`

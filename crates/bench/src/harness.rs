@@ -7,7 +7,7 @@
 //! `iter`/`iter_batched`, `criterion_group!`/`criterion_main!`.
 //!
 //! Measurement model: per benchmark, a short warm-up sizes the batch so one
-//! sample takes roughly [`SAMPLE_TARGET`]; then `sample_size` samples are
+//! sample takes roughly `SAMPLE_TARGET` (20 ms); then `sample_size` samples are
 //! timed and the **median** ns/iter is reported (robust against scheduler
 //! noise). `CKI_BENCH_SAMPLES` overrides the sample count.
 

@@ -1,4 +1,5 @@
-//! `repro micro`: host time per simulated event on the page-walk path.
+//! `repro micro`: host time per simulated event on the page-walk path
+//! and in compaction.
 //!
 //! Boots CKI (1-D walks) and HVM-BM (2-D walks through the EPT) as
 //! perfbench's `memwalk` does, then times two phases on the host clock:
@@ -11,8 +12,13 @@
 //!   `WALK_BATCH`; host ns per page walk. The few TLB hits among the
 //!   reads are counted in the time, not in the walks.
 //!
+//! A third phase times CKI compaction: a `COMPACT_POOL`-byte cloud host is
+//! filled with cloned `COMPACT_SEG`-byte containers, every other one is
+//! stopped, and one `compact()` slides the rest down; host ns per
+//! resident page it migrates.
+//!
 //! Each backend is booted `RUNS` times, alternating, and each value is
-//! the median over the batches of all its runs. The simulated side is the
+//! the median over the batches of all its runs (one compaction per run). The simulated side is the
 //! same in every run; only host time varies, so the result lives in
 //! `FILE`, outside `results/BENCH_*.json`, and is checked loosely: a
 //! value fails only when it exceeds `REGRESSION` times the committed
@@ -23,7 +29,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use cki::{Backend, Stack, StackConfig};
+use cki::{Backend, CloudHost, Stack, StackConfig, StartSpec};
 use obs::rng::SmallRng;
 
 use crate::outcome::{flat_json, parse_bench_json, Value};
@@ -43,8 +49,13 @@ const WALK_BATCHES: usize = 25;
 const WALK_BATCH: usize = 20_000;
 /// Fresh boots per backend.
 const RUNS: usize = 5;
+/// Physical memory of the compaction phase's cloud host.
+const COMPACT_POOL: u64 = 1024 * MIB;
+/// Segment of each container the compaction phase starts.
+const COMPACT_SEG: u64 = 32 * MIB;
 
 const PAGE: u64 = 4096;
+const MIB: u64 = 1024 * 1024;
 
 /// Median of `v` (the upper one of an even count).
 fn median(mut v: Vec<f64>) -> f64 {
@@ -93,14 +104,35 @@ fn measure(backend: Backend, per_fault: &mut Vec<f64>, per_walk: &mut Vec<f64>) 
     }
 }
 
+/// Host ns per resident page one CKI compaction of a fragmented pool
+/// migrates.
+fn measure_compaction() -> f64 {
+    let mut host = CloudHost::new(COMPACT_POOL, COMPACT_POOL / 8);
+    let spec = StartSpec::new(COMPACT_SEG).with_warmup_pages(64).cloned();
+    let mut ids = Vec::new();
+    while let Ok(id) = host.start(spec) {
+        ids.push(id);
+    }
+    for &id in ids.iter().step_by(2) {
+        host.stop_container(id).expect("running container");
+    }
+    let t = Instant::now();
+    let report = host.compact();
+    let ns = t.elapsed().as_nanos() as f64;
+    assert!(report.moved > 0, "the pool must fragment: {report:?}");
+    ns / report.pages_migrated as f64
+}
+
 /// Measures both backends and returns the medians as named scalars.
 fn measure_all() -> Vec<(String, Value)> {
     let backends = [(Backend::Cki, "cki"), (Backend::HvmBm, "hvm")];
     let mut batches = vec![(Vec::new(), Vec::new()); backends.len()];
+    let mut compactions = Vec::new();
     for _ in 0..RUNS {
         for ((backend, _), (faults, walks)) in backends.iter().zip(&mut batches) {
             measure(*backend, faults, walks);
         }
+        compactions.push(measure_compaction());
     }
     let mut out = Vec::new();
     for ((_, name), (faults, walks)) in backends.iter().zip(batches) {
@@ -113,6 +145,10 @@ fn measure_all() -> Vec<(String, Value)> {
             Value::Fixed(median(walks), 1),
         ));
     }
+    out.push((
+        "cki.compact_page_ns".to_owned(),
+        Value::Fixed(median(compactions), 1),
+    ));
     out
 }
 
@@ -194,17 +230,19 @@ mod tests {
     fn committed_file_covers_every_measured_key() {
         let text = std::fs::read_to_string(Path::new("../..").join(FILE)).expect("committed");
         let committed = parse_bench_json(&text).expect("parses");
-        for backend in ["cki", "hvm"] {
-            for what in ["demand_fault_ns", "tlb_miss_walk_ns"] {
-                for prefix in ["", "parent."] {
-                    let key = format!("{prefix}{backend}.{what}");
-                    assert!(
-                        committed
-                            .iter()
-                            .any(|(k, v)| *k == key && matches!(v, Value::Fixed(..))),
-                        "{key} missing"
-                    );
-                }
+        let keys = ["cki", "hvm"]
+            .iter()
+            .flat_map(|b| ["demand_fault_ns", "tlb_miss_walk_ns"].map(|w| format!("{b}.{w}")))
+            .chain(["cki.compact_page_ns".to_owned()]);
+        for key in keys {
+            for prefix in ["", "parent."] {
+                let key = format!("{prefix}{key}");
+                assert!(
+                    committed
+                        .iter()
+                        .any(|(k, v)| *k == key && matches!(v, Value::Fixed(..))),
+                    "{key} missing"
+                );
             }
         }
     }

@@ -273,10 +273,9 @@ mod tests {
         let mut m = Matrix::new("Demo", "ns", &["A"]);
         m.push_row("row1", vec![1234.5]);
         let out = m.render();
-        assert!(
-            out.contains("Demo") && out.contains("row1") && out.contains("1234")
-                || out.contains("1235")
-        );
+        assert!(out.contains("Demo"), "{out}");
+        assert!(out.contains("row1"), "{out}");
+        assert!(out.contains("1234") || out.contains("1235"), "{out}");
     }
 
     #[test]

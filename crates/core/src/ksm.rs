@@ -17,12 +17,12 @@
 //! constant virtual address on every vCPU without trusting `kernel_gs`
 //! (§4.2, Figure 8c), and it owns the IDT/TSS/IST memory (§4.4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use sim_hw::idt::{self, IdtEntry};
 use sim_hw::{pkrs_deny_access, pkrs_deny_write, Machine};
 use sim_mem::addr::pt_index;
-use sim_mem::{pte, MapFlags, PageTables, Phys, Segment, Virt, PAGE_SIZE};
+use sim_mem::{pte, MapFlags, PageTables, PfnMap, Phys, Segment, Virt, PAGE_SIZE};
 
 /// Protection key of KSM-private pages (access-disabled for the guest).
 pub const KEY_KSM: u8 = 1;
@@ -120,7 +120,7 @@ pub struct KsmStats {
 pub struct Ksm {
     /// The delegated physical segment.
     pub seg: Segment,
-    descs: HashMap<Phys, PageDesc>,
+    descs: PfnMap<Phys, PageDesc>,
     /// Template of the kernel half of every address space (physmap, KSM
     /// region, IDT; everything except the per-vCPU slot).
     template_root: Phys,
@@ -216,7 +216,7 @@ impl Ksm {
 
         let mut ksm = Self {
             seg,
-            descs: HashMap::new(),
+            descs: PfnMap::default(),
             template_root,
             vcpu_areas,
             vcpu_pdpts,
@@ -546,11 +546,13 @@ impl Ksm {
         self.template_root
     }
 
-    /// Iterates over every page descriptor the KSM tracks (snapshot/clone
-    /// support: the host control plane exports the authoritative page-kind
-    /// map of a template container).
-    pub fn pages(&self) -> impl Iterator<Item = (Phys, PageDesc)> + '_ {
-        self.descs.iter().map(|(&pa, &d)| (pa, d))
+    /// Every page descriptor the KSM tracks, in address order
+    /// (snapshot/clone support: the host control plane exports the
+    /// authoritative page-kind map of a template container).
+    pub fn pages(&self) -> impl Iterator<Item = (Phys, PageDesc)> {
+        let mut pages: Vec<(Phys, PageDesc)> = self.descs.iter().map(|(&pa, &d)| (pa, d)).collect();
+        pages.sort_unstable_by_key(|&(pa, _)| pa);
+        pages.into_iter()
     }
 
     /// Host-side import of a page descriptor during a snapshot clone.

@@ -13,7 +13,7 @@
 //!   gVisor) simultaneously, comparing op results and functional state
 //!   after every op, reporting the first divergence with a structured
 //!   architectural diff.
-//! - [`shrink`]: ddmin reduction of a failing program to a minimal
+//! - [`shrink`](mod@shrink): ddmin reduction of a failing program to a minimal
 //!   reproducer (persisted under `tests/corpus/`).
 //! - [`inject`]: seeded fault-injection schedules (TLB shootdowns, timer
 //!   ticks, mid-gate interrupts, forced fault paths) applied in lockstep.

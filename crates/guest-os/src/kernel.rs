@@ -11,7 +11,7 @@ use obs::{CounterId, MetricsRegistry};
 
 use sim_hw::{Clock, Machine, Tag};
 use sim_mem::addr::{page_align_down, page_align_up};
-use sim_mem::{MapFlags, Phys, PhysMem, Virt, PAGE_SIZE};
+use sim_mem::{MapFlags, PfnMap, Phys, PhysMem, Virt, PAGE_SIZE};
 
 use crate::costs;
 use crate::platform::Platform;
@@ -97,7 +97,10 @@ pub struct Kernel {
     netif: Option<netsim::VirtioNic>,
     /// Next ephemeral port for `NetConnect` (49152..).
     next_eph: u16,
-    frame_refs: HashMap<Phys, u32>,
+    /// Mapping counts of the user frames mapped more than once (shared
+    /// after a fork), by frame address. Every other user frame is mapped
+    /// once, so a demand fault adds nothing here.
+    frame_refs: PfnMap<Phys, u32>,
     /// Preemption timer: quantum in cycles and the next-tick deadline.
     timer: Option<(u64, u64)>,
     /// Timer ticks delivered.
@@ -115,6 +118,22 @@ struct OsCounterIds {
     cow_breaks: CounterId,
     ctx_switches: CounterId,
     forks: CounterId,
+    /// `os.syscall{<name>}` by [`Sys::nr`], each registered on its first
+    /// use, so registration order follows the syscalls made.
+    syscall: [Option<CounterId>; Sys::KINDS],
+}
+
+impl OsCounterIds {
+    fn register(metrics: &mut MetricsRegistry) -> Self {
+        Self {
+            syscalls: metrics.counter("os.syscalls"),
+            pgfaults: metrics.counter("os.pgfaults"),
+            cow_breaks: metrics.counter("os.cow_breaks"),
+            ctx_switches: metrics.counter("os.ctx_switches"),
+            forks: metrics.counter("os.forks"),
+            syscall: [None; Sys::KINDS],
+        }
+    }
 }
 
 impl Kernel {
@@ -125,13 +144,7 @@ impl Kernel {
     /// Panics if the platform cannot allocate the first address space.
     pub fn boot(platform: Box<dyn Platform>, m: &mut Machine) -> Self {
         let mut metrics = MetricsRegistry::new();
-        let ids = OsCounterIds {
-            syscalls: metrics.counter("os.syscalls"),
-            pgfaults: metrics.counter("os.pgfaults"),
-            cow_breaks: metrics.counter("os.cow_breaks"),
-            ctx_switches: metrics.counter("os.ctx_switches"),
-            forks: metrics.counter("os.forks"),
-        };
+        let ids = OsCounterIds::register(&mut metrics);
         let mut k = Self {
             platform,
             procs: BTreeMap::new(),
@@ -142,7 +155,7 @@ impl Kernel {
             socks: Vec::new(),
             netif: None,
             next_eph: 49152,
-            frame_refs: HashMap::new(),
+            frame_refs: PfnMap::default(),
             timer: None,
             timer_ticks: 0,
             metrics,
@@ -178,13 +191,7 @@ impl Kernel {
         relocate: impl Fn(Phys) -> Phys,
     ) -> Kernel {
         let mut metrics = MetricsRegistry::new();
-        let ids = OsCounterIds {
-            syscalls: metrics.counter("os.syscalls"),
-            pgfaults: metrics.counter("os.pgfaults"),
-            cow_breaks: metrics.counter("os.cow_breaks"),
-            ctx_switches: metrics.counter("os.ctx_switches"),
-            forks: metrics.counter("os.forks"),
-        };
+        let ids = OsCounterIds::register(&mut metrics);
         let procs = self
             .procs
             .iter()
@@ -478,7 +485,6 @@ impl Kernel {
         self.platform
             .map_page(m, root, page, frame, flags)
             .map_err(|_| Errno::NoMem)?;
-        self.frame_refs.insert(frame, 1);
         self.procs
             .get_mut(&self.current)
             .expect("current proc")
@@ -539,8 +545,7 @@ impl Kernel {
                 MapFlags::user_rw().with_write(vma_write),
             )
             .map_err(|_| Errno::NoMem)?;
-        *self.frame_refs.entry(old_pa).or_insert(1) -= 1;
-        self.frame_refs.insert(new_pa, 1);
+        self.unshare(old_pa);
         let info = self
             .procs
             .get_mut(&self.current)
@@ -607,7 +612,8 @@ impl Kernel {
     /// platform entry/exit path.
     pub fn syscall(&mut self, m: &mut Machine, sys: Sys<'_>) -> SysResult {
         self.metrics.inc(self.ids.syscalls);
-        let per = self.metrics.counter_labeled("os.syscall", Some(sys.name()));
+        let per = *self.ids.syscall[sys.nr()]
+            .get_or_insert_with(|| self.metrics.counter_labeled("os.syscall", Some(sys.name())));
         self.metrics.inc(per);
         self.maybe_timer_tick(m);
         let sp = m.cpu.span_enter("os.syscall");
@@ -1253,11 +1259,21 @@ impl Kernel {
 
     // --- Teardown helpers -------------------------------------------------------
 
+    /// Drops one mapping of the shared frame `pa`.
+    fn unshare(&mut self, pa: Phys) {
+        match self.frame_refs.get_mut(&pa) {
+            Some(refs) if *refs > 2 => *refs -= 1,
+            _ => {
+                self.frame_refs.remove(&pa);
+            }
+        }
+    }
+
+    /// Drops one mapping of the user frame `pa`, freeing it with its last.
     fn drop_frame_ref(&mut self, m: &mut Machine, pa: Phys) {
-        let refs = self.frame_refs.entry(pa).or_insert(1);
-        *refs -= 1;
-        if *refs == 0 {
-            self.frame_refs.remove(&pa);
+        if self.frame_refs.contains_key(&pa) {
+            self.unshare(pa);
+        } else {
             self.platform.free_frame(m, pa);
         }
     }

@@ -211,44 +211,92 @@ pub enum Sys<'a> {
 }
 
 impl Sys<'_> {
-    /// Short name for tracing and per-syscall statistics.
-    pub fn name(&self) -> &'static str {
+    /// Number of syscall kinds; [`Sys::nr`] is below it.
+    pub const KINDS: usize = 28;
+
+    /// Dense number of the syscall's kind, in declaration order (for
+    /// per-kind tables such as the kernel's per-syscall counter ids).
+    pub fn nr(&self) -> usize {
         match self {
-            Sys::Getpid => "getpid",
-            Sys::Read { .. } => "read",
-            Sys::Write { .. } => "write",
-            Sys::Pread { .. } => "pread",
-            Sys::Pwrite { .. } => "pwrite",
-            Sys::Open { .. } => "open",
-            Sys::Close { .. } => "close",
-            Sys::Stat { .. } => "stat",
-            Sys::Fsync { .. } => "fsync",
-            Sys::Unlink { .. } => "unlink",
-            Sys::Mmap { .. } => "mmap",
-            Sys::Munmap { .. } => "munmap",
-            Sys::Mprotect { .. } => "mprotect",
-            Sys::Brk { .. } => "brk",
-            Sys::Fork => "fork",
-            Sys::Execve => "execve",
-            Sys::Exit { .. } => "exit",
-            Sys::Wait => "wait",
-            Sys::PipeCreate => "pipe",
-            Sys::SocketPair => "socketpair",
-            Sys::NetSocket => "socket",
-            Sys::NetListen { .. } => "listen",
-            Sys::NetConnect { .. } => "connect",
-            Sys::NetAccept { .. } => "accept",
-            Sys::NetRecv { .. } => "recv",
-            Sys::NetSend { .. } => "send",
-            Sys::NetFlush { .. } => "flush",
-            Sys::Yield => "yield",
+            Sys::Getpid => 0,
+            Sys::Read { .. } => 1,
+            Sys::Write { .. } => 2,
+            Sys::Pread { .. } => 3,
+            Sys::Pwrite { .. } => 4,
+            Sys::Open { .. } => 5,
+            Sys::Close { .. } => 6,
+            Sys::Stat { .. } => 7,
+            Sys::Fsync { .. } => 8,
+            Sys::Unlink { .. } => 9,
+            Sys::Mmap { .. } => 10,
+            Sys::Munmap { .. } => 11,
+            Sys::Mprotect { .. } => 12,
+            Sys::Brk { .. } => 13,
+            Sys::Fork => 14,
+            Sys::Execve => 15,
+            Sys::Exit { .. } => 16,
+            Sys::Wait => 17,
+            Sys::PipeCreate => 18,
+            Sys::SocketPair => 19,
+            Sys::NetSocket => 20,
+            Sys::NetListen { .. } => 21,
+            Sys::NetConnect { .. } => 22,
+            Sys::NetAccept { .. } => 23,
+            Sys::NetRecv { .. } => 24,
+            Sys::NetSend { .. } => 25,
+            Sys::NetFlush { .. } => 26,
+            Sys::Yield => 27,
         }
     }
+
+    /// Short name for tracing and per-syscall statistics.
+    pub fn name(&self) -> &'static str {
+        NAMES[self.nr()]
+    }
 }
+
+/// [`Sys::name`] by [`Sys::nr`].
+const NAMES: [&str; Sys::KINDS] = [
+    "getpid",
+    "read",
+    "write",
+    "pread",
+    "pwrite",
+    "open",
+    "close",
+    "stat",
+    "fsync",
+    "unlink",
+    "mmap",
+    "munmap",
+    "mprotect",
+    "brk",
+    "fork",
+    "execve",
+    "exit",
+    "wait",
+    "pipe",
+    "socketpair",
+    "socket",
+    "listen",
+    "connect",
+    "accept",
+    "recv",
+    "send",
+    "flush",
+    "yield",
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_are_distinct() {
+        for (i, a) in NAMES.iter().enumerate() {
+            assert!(!NAMES[..i].contains(a), "{a} twice");
+        }
+    }
 
     #[test]
     fn names_are_stable() {

@@ -630,19 +630,19 @@ impl Cpu {
         let as_user = self.mode == Mode::User;
 
         let entry = match self.tlb.lookup(va, self.pcid) {
-            Some(e) => {
+            Ok(e) => {
                 self.metrics.inc(self.ids.tlb_hit);
                 let c = self.clock.model().tlb_hit;
                 self.clock.charge(Tag::Mmu, c);
                 e
             }
-            None => {
+            Err(miss) => {
                 self.metrics.inc(self.ids.tlb_miss);
                 let sp = self.span_enter("hw.walk");
                 let walked = self.walk(mem, va, stage2);
                 self.span_exit(sp);
                 let e = walked?;
-                self.tlb.insert(va, self.pcid, e);
+                self.tlb.fill(miss, e);
                 e
             }
         };
@@ -1082,9 +1082,9 @@ mod tests {
         c.set_cr3(root1, 1, false);
         c.mem_access(&mut mem, 0xa000, Access::Read, None).unwrap();
         // Fill an entry for PCID 2 via direct TLB insert (container 2).
-        c.tlb.insert(
-            0xa000,
-            2,
+        let miss = c.tlb.lookup(0xa000, 2).unwrap_err();
+        c.tlb.fill(
+            miss,
             crate::tlb::TlbEntry {
                 page_pa: 0x30_0000,
                 page_size: PAGE_SIZE,
@@ -1098,8 +1098,8 @@ mod tests {
             },
         );
         c.exec(&mut mem, Instr::Invlpg { va: 0xa000 }).unwrap();
-        assert!(c.tlb.lookup(0xa000, 1).is_none(), "own entry flushed");
-        assert!(c.tlb.lookup(0xa000, 2).is_some(), "other PCID untouched");
+        assert!(c.tlb.lookup(0xa000, 1).is_err(), "own entry flushed");
+        assert!(c.tlb.lookup(0xa000, 2).is_ok(), "other PCID untouched");
     }
 
     #[test]
@@ -1189,9 +1189,9 @@ mod tests {
     fn invpcid_variants() {
         let (mut c, mut mem) = cpu(HwExtensions::cki());
         for (pcid, va) in [(1u16, 0x1000u64), (1, 0x2000), (2, 0x1000)] {
-            c.tlb.insert(
-                va,
-                pcid,
+            let miss = c.tlb.lookup(va, pcid).unwrap_err();
+            c.tlb.fill(
+                miss,
                 crate::tlb::TlbEntry {
                     page_pa: 0x10_0000,
                     page_size: PAGE_SIZE,
@@ -1215,8 +1215,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(c.tlb.lookup(0x1000, 1).is_none());
-        assert!(c.tlb.lookup(0x2000, 1).is_some());
+        assert!(c.tlb.lookup(0x1000, 1).is_err());
+        assert!(c.tlb.lookup(0x2000, 1).is_ok());
         c.exec(
             &mut mem,
             Instr::Invpcid {
@@ -1224,8 +1224,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(c.tlb.lookup(0x2000, 1).is_none());
-        assert!(c.tlb.lookup(0x1000, 2).is_some());
+        assert!(c.tlb.lookup(0x2000, 1).is_err());
+        assert!(c.tlb.lookup(0x1000, 2).is_ok());
         c.exec(
             &mut mem,
             Instr::Invpcid {

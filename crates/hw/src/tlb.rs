@@ -8,14 +8,11 @@
 //! behaviour the security tests need.
 //!
 //! Replacement is deterministic. Which entry a full TLB evicts depends only
-//! on the sequence of lookups, inserts and flushes, never on hash seeds or
+//! on the sequence of lookups, fills and flushes, never on hash seeds or
 //! table layout, so a workload that overflows the TLB gives the same hits,
 //! misses and cycles in every process.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use sim_mem::{PfnHasher, Phys, Virt, PAGE_SIZE};
+use sim_mem::{Phys, Virt, PAGE_SIZE};
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,30 +71,56 @@ fn untag(key: u64) -> (Virt, u16) {
     (vpn << shift, key as u16)
 }
 
+/// A TLB miss, as [`Tlb::lookup`] reports it: what [`Tlb::fill`] needs to
+/// cache the translation the page walk then finds.
+#[derive(Debug)]
+#[must_use = "a miss is filled with the walked translation"]
+pub struct Miss {
+    va: Virt,
+    pcid: u16,
+}
+
+/// Buckets of an empty TLB's tag index (a power of two).
+const MIN_BUCKETS: usize = 8;
+
 /// End-of-list marker for the recency links.
 const NIL: u32 = u32::MAX;
 
 /// One TLB slot, linked into the recency list (or the free list, through
-/// `next`).
+/// `next`) and, while occupied, into its tag's hash chain.
 struct Slot {
     key: u64,
     entry: TlbEntry,
     prev: u32,
     next: u32,
+    /// Next slot in the same hash chain.
+    chain: u32,
 }
 
 /// Finite, PCID-tagged, fully associative TLB with exact LRU replacement.
 ///
 /// Entries live in a slot array of at most `capacity` slots, doubly linked
-/// in recency order by `u32` indices; a tag-to-slot index finds them. A hit
-/// moves the entry to the most-recently-used end, and an insert into a full
-/// TLB evicts the least-recently-used one, both in O(1). Flushes by PCID
-/// walk only the occupied slots. A count of cached 2 MiB and global tags
-/// lets a lookup probe only the own-PCID 4 KiB tag while there are none.
+/// in recency order by `u32` indices. A hit moves the entry to the
+/// most-recently-used end, and the fill after a miss evicts the
+/// least-recently-used one from a full TLB, both in O(1).
+///
+/// A tag index finds the slots: a bucket array, each bucket the head of a
+/// chain of slots linked through the slots themselves. A miss costs three
+/// index operations: the lookup's probe, the victim's unlinking and the
+/// fill's push onto its chain. The array doubles whenever the entries
+/// outnumber half its buckets, so most probes for an absent tag read one
+/// bucket and no slot, and a TLB that never fills stays small. Flushes by
+/// PCID walk only the occupied slots. A count of cached 2 MiB and global
+/// tags lets a lookup probe only the own-PCID 4 KiB tag while there are
+/// none.
 pub struct Tlb {
     slots: Vec<Slot>,
-    index: HashMap<u64, u32, BuildHasherDefault<PfnHasher>>,
-    /// Tags in `index` that are 2 MiB or global (see [`huge_or_global`]).
+    /// First slot of each hash chain, by [`Tlb::bucket`]; a power of two
+    /// long.
+    buckets: Box<[u32]>,
+    /// Occupied slots.
+    len: usize,
+    /// Cached tags that are 2 MiB or global (see [`huge_or_global`]).
     huge_or_global: usize,
     /// Most recently used slot.
     head: u32,
@@ -123,7 +146,8 @@ impl Tlb {
         assert!(capacity < NIL as usize, "TLB capacity exceeds slot links");
         Self {
             slots: Vec::new(),
-            index: HashMap::default(),
+            buckets: vec![NIL; MIN_BUCKETS].into_boxed_slice(),
+            len: 0,
             huge_or_global: 0,
             head: NIL,
             tail: NIL,
@@ -133,44 +157,51 @@ impl Tlb {
     }
 
     /// Looks up `va` in context `pcid`. Global entries match any PCID.
-    /// A hit becomes the most recently used entry.
-    pub fn lookup(&mut self, va: Virt, pcid: u16) -> Option<TlbEntry> {
-        let slot = self.find(va, pcid)?;
+    /// A hit becomes the most recently used entry; a miss is handed to
+    /// [`Tlb::fill`] after the page walk.
+    pub fn lookup(&mut self, va: Virt, pcid: u16) -> Result<TlbEntry, Miss> {
+        let Some(slot) = self.find(va, pcid) else {
+            return Err(Miss { va, pcid });
+        };
         self.unlink(slot);
         self.push_front(slot);
-        Some(self.slots[slot as usize].entry)
+        Ok(self.slots[slot as usize].entry)
     }
 
-    /// Inserts a translation for `va` in context `pcid`, evicting the least
-    /// recently used entry if the TLB is full. Re-inserting a cached tag
-    /// updates it in place and evicts nothing.
-    pub fn insert(&mut self, va: Virt, pcid: u16, entry: TlbEntry) {
-        let pcid = if entry.global { GLOBAL_PCID } else { pcid };
-        let key = tag(va, entry.page_size != PAGE_SIZE, pcid);
-        let slot = match self.index.get(&key) {
-            Some(&slot) => {
-                self.unlink(slot);
-                slot
-            }
-            None => {
-                let slot = self.reuse_slot().unwrap_or_else(|| {
-                    self.slots.push(Slot {
-                        key,
-                        entry,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    (self.slots.len() - 1) as u32
-                });
-                self.index.insert(key, slot);
-                self.huge_or_global += usize::from(huge_or_global(key));
-                slot
-            }
-        };
+    /// Caches `entry`, the translation walked after `miss`, as the most
+    /// recently used entry, evicting the least recently used one if the
+    /// TLB is full. The miss probed every tag that can cache its VA, so
+    /// the fill does not probe again: it only links the entry in. Filling
+    /// two misses of one translation would cache its tag twice (a debug
+    /// build panics).
+    pub fn fill(&mut self, miss: Miss, entry: TlbEntry) {
+        let pcid = if entry.global { GLOBAL_PCID } else { miss.pcid };
+        let key = tag(miss.va, entry.page_size != PAGE_SIZE, pcid);
+        let slot = self.reuse_slot().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                key,
+                entry,
+                prev: NIL,
+                next: NIL,
+                chain: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        debug_assert!(
+            self.get(key).is_none(),
+            "TLB fill of the cached tag {key:#x}"
+        );
+        let bucket = self.bucket(key);
         let s = &mut self.slots[slot as usize];
         s.key = key;
         s.entry = entry;
+        s.chain = std::mem::replace(&mut self.buckets[bucket], slot);
+        self.len += 1;
+        self.huge_or_global += usize::from(huge_or_global(key));
         self.push_front(slot);
+        if 2 * self.len > self.buckets.len() {
+            self.grow();
+        }
     }
 
     /// Marks the cached entry for `va`/`pcid` dirty (after a write hit).
@@ -185,7 +216,7 @@ impl Tlb {
     /// Global entries are also dropped, per the SDM.
     pub fn flush_va(&mut self, va: Virt, pcid: u16) {
         for key in self.candidate_tags(va, pcid) {
-            if let Some(slot) = self.index.remove(&key) {
+            if let Some(slot) = self.unindex(key) {
                 self.release(slot);
             }
         }
@@ -198,7 +229,7 @@ impl Tlb {
         while cur != NIL {
             let Slot { key, next, .. } = self.slots[cur as usize];
             if key as u16 == pcid {
-                self.index.remove(&key);
+                self.unindex(key);
                 self.release(cur);
             }
             cur = next;
@@ -208,7 +239,8 @@ impl Tlb {
     /// Drops everything, including globals (`invpcid` all-contexts).
     pub fn flush_all(&mut self) {
         self.slots.clear();
-        self.index.clear();
+        self.buckets.fill(NIL);
+        self.len = 0;
         self.huge_or_global = 0;
         self.head = NIL;
         self.tail = NIL;
@@ -217,12 +249,12 @@ impl Tlb {
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True if the TLB holds no translations.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Entries cached for a given PCID (diagnostics / isolation tests).
@@ -269,8 +301,7 @@ impl Tlb {
     /// global tag is cached, up to four otherwise.
     #[inline]
     fn find(&self, va: Virt, pcid: u16) -> Option<u32> {
-        self.candidate_tags(va, pcid)
-            .find_map(|key| self.index.get(&key).copied())
+        self.candidate_tags(va, pcid).find_map(|key| self.get(key))
     }
 
     /// The tags that may cache `va` for `pcid`, in [`Tlb::find`]'s order.
@@ -301,10 +332,61 @@ impl Tlb {
             return None;
         }
         let victim = self.tail;
-        self.index.remove(&self.slots[victim as usize].key);
+        self.unindex(self.slots[victim as usize].key);
         self.unlink(victim);
         self.forget(self.slots[victim as usize].key);
         Some(victim)
+    }
+
+    /// The bucket of `key`: the top bits of a multiplicative hash.
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// The slot caching `key`, found along its hash chain.
+    #[inline]
+    fn get(&self, key: u64) -> Option<u32> {
+        let mut cur = self.buckets[self.bucket(key)];
+        while cur != NIL {
+            let s = &self.slots[cur as usize];
+            if s.key == key {
+                return Some(cur);
+            }
+            cur = s.chain;
+        }
+        None
+    }
+
+    /// Doubles the bucket array and relinks every occupied slot.
+    fn grow(&mut self) {
+        self.buckets = vec![NIL; 2 * self.buckets.len()].into_boxed_slice();
+        let mut cur = self.head;
+        while cur != NIL {
+            let bucket = self.bucket(self.slots[cur as usize].key);
+            self.slots[cur as usize].chain = std::mem::replace(&mut self.buckets[bucket], cur);
+            cur = self.slots[cur as usize].next;
+        }
+    }
+
+    /// Unlinks the slot caching `key` from its hash chain and returns it.
+    fn unindex(&mut self, key: u64) -> Option<u32> {
+        let bucket = self.bucket(key);
+        let (mut prev, mut cur) = (NIL, self.buckets[bucket]);
+        while cur != NIL {
+            let Slot { key: k, chain, .. } = self.slots[cur as usize];
+            if k == key {
+                match prev {
+                    NIL => self.buckets[bucket] = chain,
+                    p => self.slots[p as usize].chain = chain,
+                }
+                self.len -= 1;
+                return Some(cur);
+            }
+            (prev, cur) = (cur, chain);
+        }
+        None
     }
 
     /// Updates the 2 MiB/global count for a tag that left the index.
@@ -365,6 +447,18 @@ impl std::fmt::Debug for Tlb {
 mod tests {
     use super::*;
 
+    /// Caches `e` for `va` as the MMU does: a lookup, then a fill if it
+    /// missed. Returns whether it filled.
+    fn access(t: &mut Tlb, va: Virt, pcid: u16, e: TlbEntry) -> bool {
+        match t.lookup(va, pcid) {
+            Ok(_) => false,
+            Err(miss) => {
+                t.fill(miss, e);
+                true
+            }
+        }
+    }
+
     fn entry(pa: Phys) -> TlbEntry {
         TlbEntry {
             page_pa: pa,
@@ -382,8 +476,8 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut t = Tlb::new(16);
-        assert!(t.lookup(0x1000, 1).is_none());
-        t.insert(0x1000, 1, entry(0xa000));
+        assert!(t.lookup(0x1000, 1).is_err());
+        access(&mut t, 0x1000, 1, entry(0xa000));
         let e = t.lookup(0x1000, 1).unwrap();
         assert_eq!(e.page_pa, 0xa000);
     }
@@ -391,22 +485,22 @@ mod tests {
     #[test]
     fn pcid_isolation() {
         let mut t = Tlb::new(16);
-        t.insert(0x1000, 1, entry(0xa000));
-        t.insert(0x1000, 2, entry(0xb000));
+        access(&mut t, 0x1000, 1, entry(0xa000));
+        access(&mut t, 0x1000, 2, entry(0xb000));
         assert_eq!(t.lookup(0x1000, 1).unwrap().page_pa, 0xa000);
         assert_eq!(t.lookup(0x1000, 2).unwrap().page_pa, 0xb000);
         // invlpg in PCID 1 must not evict PCID 2's entry (paper §4.1).
         t.flush_va(0x1000, 1);
-        assert!(t.lookup(0x1000, 1).is_none());
-        assert!(t.lookup(0x1000, 2).is_some());
+        assert!(t.lookup(0x1000, 1).is_err());
+        assert!(t.lookup(0x1000, 2).is_ok());
     }
 
     #[test]
     fn flush_pcid_spares_others() {
         let mut t = Tlb::new(16);
-        t.insert(0x1000, 1, entry(0xa000));
-        t.insert(0x2000, 1, entry(0xb000));
-        t.insert(0x1000, 2, entry(0xc000));
+        access(&mut t, 0x1000, 1, entry(0xa000));
+        access(&mut t, 0x2000, 1, entry(0xb000));
+        access(&mut t, 0x1000, 2, entry(0xc000));
         t.flush_pcid(1);
         assert_eq!(t.count_pcid(1), 0);
         assert_eq!(t.lookup(0x1000, 2).unwrap().page_pa, 0xc000);
@@ -417,19 +511,19 @@ mod tests {
         let mut t = Tlb::new(16);
         let mut e = entry(0xd000);
         e.global = true;
-        t.insert(0x5000, 1, e);
-        assert!(t.lookup(0x5000, 7).is_some());
+        access(&mut t, 0x5000, 1, e);
+        assert!(t.lookup(0x5000, 7).is_ok());
         t.flush_pcid(7);
-        assert!(t.lookup(0x5000, 7).is_some(), "globals survive PCID flush");
+        assert!(t.lookup(0x5000, 7).is_ok(), "globals survive PCID flush");
         t.flush_all();
-        assert!(t.lookup(0x5000, 7).is_none());
+        assert!(t.lookup(0x5000, 7).is_err());
     }
 
     #[test]
     fn capacity_bounded() {
         let mut t = Tlb::new(8);
         for i in 0..100u64 {
-            t.insert(i * PAGE_SIZE, 1, entry(i * PAGE_SIZE));
+            access(&mut t, i * PAGE_SIZE, 1, entry(i * PAGE_SIZE));
         }
         assert!(t.len() <= 8);
     }
@@ -439,20 +533,20 @@ mod tests {
         let mut t = Tlb::new(16);
         let mut e = entry(0x20_0000);
         e.page_size = 2 * 1024 * 1024;
-        t.insert(0x4000_0000, 1, e);
+        access(&mut t, 0x4000_0000, 1, e);
         // Any address within the 2 MiB page should hit.
-        assert!(t.lookup(0x4010_2345, 1).is_some());
-        assert!(t.lookup(0x4020_0000, 1).is_none());
+        assert!(t.lookup(0x4010_2345, 1).is_ok());
+        assert!(t.lookup(0x4020_0000, 1).is_err());
     }
 
     #[test]
     fn iter_reconstructs_vas() {
         let mut t = Tlb::new(16);
-        t.insert(0x7_f000, 3, entry(0xa000));
+        access(&mut t, 0x7_f000, 3, entry(0xa000));
         let mut g = entry(0xb000);
         g.global = true;
         g.page_size = 2 * 1024 * 1024;
-        t.insert(0x40_0000, 3, g);
+        access(&mut t, 0x40_0000, 3, g);
         let mut seen: Vec<_> = t.iter().collect();
         seen.sort_by_key(|&(va, _, _)| va);
         assert_eq!(seen.len(), 2);
@@ -550,7 +644,7 @@ mod tests {
 
         fn check_agree(t: &mut Tlb, model: &RefModel, va: Virt, pcid: u16) {
             // A miss is always legal (finite capacity); a hit must be real.
-            if let Some(hit) = t.lookup(va, pcid) {
+            if let Ok(hit) = t.lookup(va, pcid) {
                 let cands = model.candidates(va, pcid);
                 assert!(
                     cands.contains(&hit),
@@ -576,8 +670,9 @@ mod tests {
                     match rng.gen_range(0u32..10) {
                         0..=4 => {
                             let e = rand_entry(&mut rng, va, pcid);
-                            t.insert(va, pcid, e);
-                            model.insert(va, pcid, e);
+                            if access(&mut t, va, pcid, e) {
+                                model.insert(va, pcid, e);
+                            }
                         }
                         5 => {
                             t.flush_va(va, pcid);
@@ -612,8 +707,9 @@ mod tests {
                     let va = (rng.gen::<u64>() % 64) * PAGE_SIZE;
                     let pcid = 1 + (rng.gen::<u64>() % 3) as u16;
                     let e = rand_entry(&mut rng, va, pcid);
-                    t.insert(va, pcid, e);
-                    model.insert(va, pcid, e);
+                    if access(&mut t, va, pcid, e) {
+                        model.insert(va, pcid, e);
+                    }
                 }
                 t.flush_pcid(2);
                 model.flush_pcid(2);
@@ -623,7 +719,7 @@ mod tests {
                 for i in 0..64u64 {
                     for pcid in [1u16, 2, 3] {
                         let va = i * PAGE_SIZE;
-                        if let Some(hit) = t.lookup(va, pcid) {
+                        if let Ok(hit) = t.lookup(va, pcid) {
                             assert!(
                                 model.candidates(va, pcid).contains(&hit),
                                 "post-flush stale hit va={va:#x} pcid={pcid}"
@@ -644,8 +740,9 @@ mod tests {
             for _ in 0..1500 {
                 let va = (rng.gen::<u64>() % 128) * PAGE_SIZE;
                 let e = rand_entry(&mut rng, va, 1);
-                t.insert(va, 1, e);
-                model.insert(va, 1, e);
+                if access(&mut t, va, 1, e) {
+                    model.insert(va, 1, e);
+                }
                 assert!(t.len() <= 8);
                 let probe = (rng.gen::<u64>() % 128) * PAGE_SIZE;
                 check_agree(&mut t, &model, probe, 1);
@@ -700,15 +797,20 @@ mod tests {
                 }
             }
 
-            fn insert(&mut self, va: Virt, pcid: u16, e: TlbEntry) {
+            /// An insert, probing for the tag first: a cached tag is
+            /// replaced in place, any other evicts the tail of a full
+            /// LRU. Returns whether it evicted.
+            fn insert(&mut self, va: Virt, pcid: u16, e: TlbEntry) -> bool {
                 let pcid = if e.global { GLOBAL_PCID } else { pcid };
                 let t = ref_tag(va, e.page_size != PAGE_SIZE, pcid);
+                let mut evicted = false;
                 if let Some(i) = self.q.iter().position(|(k, _)| *k == t) {
                     self.q.remove(i);
                 } else if self.q.len() == self.cap {
-                    self.q.pop_back();
+                    evicted = self.q.pop_back().is_some();
                 }
                 self.q.push_front((t, e));
+                evicted
             }
 
             fn flush_va(&mut self, va: Virt, pcid: u16) {
@@ -741,19 +843,32 @@ mod tests {
             flush_all_every: u64,
         }
 
+        /// What a run did: lookups with the 2 MiB/global count at zero
+        /// (the one-probe path) and above it, and the hits, misses and
+        /// evictions of its accesses.
+        #[derive(Default)]
+        struct Tally {
+            one_probe: u64,
+            four_probe: u64,
+            hits: u64,
+            misses: u64,
+            evictions: u64,
+        }
+
         /// Drives a TLB of `cap` entries and the reference with one random
         /// sequence, checking after every step that they agree on every
-        /// lookup, on the contents and recency order, and that the 2 MiB/
-        /// global count matches the entries. Returns how many lookups ran
-        /// with that count at zero (the one-probe path) and above it.
-        fn drive(cap: usize, seed: u64, mix: &Mix) -> (u64, u64) {
+        /// lookup, on every access's hit, miss and eviction (the TLB fills
+        /// after a miss, the reference inserts), on the contents and
+        /// recency order, and that the 2 MiB/global count matches the
+        /// entries.
+        fn drive(cap: usize, seed: u64, mix: &Mix) -> Tally {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut t = Tlb::new(cap);
             let mut model = RefLru {
                 cap,
                 q: VecDeque::new(),
             };
-            let mut lookups = (0, 0);
+            let mut tally = Tally::default();
             let pcids = [1u16, 2, 3];
             // Up to ~100 live tags: heavy eviction at every capacity.
             let va_of = |i: u64| (i % 48) * PAGE_SIZE + (i % 3) * 0x20_0000;
@@ -762,9 +877,24 @@ mod tests {
                 let pcid = pcids[rng.gen_range(0usize..3)];
                 match rng.gen_range(0u32..16) {
                     0..=5 => {
+                        // An access: a hit, or a miss the walk fills.
                         let e = prop::rand_entry_with(&mut rng, va, pcid, mix.p_huge, mix.p_global);
-                        t.insert(va, pcid, e);
-                        model.insert(va, pcid, e);
+                        let want = model.lookup(va, pcid);
+                        let what = format!("cap {cap} seed {seed} step {step}: access va={va:#x}");
+                        match t.lookup(va, pcid) {
+                            Ok(hit) => {
+                                assert_eq!(Some(hit), want, "{what}");
+                                tally.hits += 1;
+                            }
+                            Err(miss) => {
+                                assert_eq!(None, want, "{what}");
+                                let full = t.len() == cap;
+                                t.fill(miss, e);
+                                assert_eq!(full, model.insert(va, pcid, e), "{what}: eviction");
+                                tally.misses += 1;
+                                tally.evictions += u64::from(full);
+                            }
+                        }
                     }
                     6 => {
                         t.mark_dirty(va, pcid);
@@ -784,12 +914,12 @@ mod tests {
                     }
                     _ => {
                         if t.huge_or_global_len() == 0 {
-                            lookups.0 += 1;
+                            tally.one_probe += 1;
                         } else {
-                            lookups.1 += 1;
+                            tally.four_probe += 1;
                         }
                         assert_eq!(
-                            t.lookup(va, pcid),
+                            t.lookup(va, pcid).ok(),
                             model.lookup(va, pcid),
                             "cap {cap} seed {seed} step {step}: lookup va={va:#x} pcid={pcid}"
                         );
@@ -817,7 +947,7 @@ mod tests {
                     );
                 }
             }
-            lookups
+            tally
         }
 
         #[test]
@@ -847,9 +977,9 @@ mod tests {
             let (mut one, mut four) = (0, 0);
             for cap in [1usize, 8, 32] {
                 for seed in 0..4u64 {
-                    let (a, b) = drive(cap, 0x0b1e_0000 + cap as u64 * 16 + seed, &mix);
-                    one += a;
-                    four += b;
+                    let tally = drive(cap, 0x0b1e_0000 + cap as u64 * 16 + seed, &mix);
+                    one += tally.one_probe;
+                    four += tally.four_probe;
                 }
             }
             let all = one + four;
@@ -860,12 +990,41 @@ mod tests {
         }
 
         #[test]
+        fn fill_after_a_miss_hits_misses_and_evicts_as_an_insert_does() {
+            // Common 2 MiB and global entries, flushes of every kind, and
+            // capacities from 1 to 16: each run hits, misses and evicts,
+            // and `drive` checks every access's outcome against the
+            // probing insert.
+            let mix = Mix {
+                p_huge: 0.3,
+                p_global: 0.3,
+                flush_all_every: 13,
+            };
+            for cap in [1usize, 2, 8, 16] {
+                for seed in 0..3u64 {
+                    let tally = drive(cap, 0xf111_0000 + cap as u64 * 16 + seed, &mix);
+                    let Tally {
+                        hits,
+                        misses,
+                        evictions,
+                        ..
+                    } = tally;
+                    assert!(
+                        hits > 0 && misses > 0,
+                        "cap {cap}: {hits} hits, {misses} misses"
+                    );
+                    assert!(evictions > 0, "cap {cap}: no eviction");
+                }
+            }
+        }
+
+        #[test]
         fn iter_reconstructs_high_half_vas() {
             let mut t = Tlb::new(4);
             let mut huge = entry(0x20_0000);
             huge.page_size = 2 * 1024 * 1024;
-            t.insert(0xffff_8000_0000_1000, 1, entry(0xa000));
-            t.insert(0xffff_ffff_ffe0_0000, 1, huge);
+            access(&mut t, 0xffff_8000_0000_1000, 1, entry(0xa000));
+            access(&mut t, 0xffff_ffff_ffe0_0000, 1, huge);
             let vas: Vec<_> = t.iter().map(|(va, _, _)| va).collect();
             assert_eq!(vas, [0xffff_ffff_ffe0_0000, 0xffff_8000_0000_1000]);
         }

@@ -16,6 +16,7 @@
 
 pub mod addr;
 pub mod frame;
+mod pfnhash;
 pub mod phys;
 pub mod pte;
 pub mod ptedit;
@@ -23,6 +24,7 @@ pub mod segment;
 
 pub use addr::{Phys, Virt, PAGE_SHIFT, PAGE_SIZE};
 pub use frame::FrameAllocator;
-pub use phys::{PfnHasher, PhysMem, SlotEdit};
+pub use pfnhash::{PfnHasher, PfnMap};
+pub use phys::{PhysMem, SlotEdit};
 pub use ptedit::{MapFlags, PageTables, WalkError, WalkResult};
 pub use segment::{Segment, SegmentAllocator};

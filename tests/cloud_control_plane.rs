@@ -175,9 +175,10 @@ fn mem_accesses(h: &CloudHost) -> u64 {
     h.machine.mem.read_count() + h.machine.mem.write_count()
 }
 
-/// Frame-map and residency-index probes so far: the host work that the
-/// access counts miss, because a range copy probes pages it does not
-/// access and a slot run accesses many slots per probe.
+/// Frame-table probes so far (frame slots looked up and group masks
+/// read): the host work that the access counts miss, because a range
+/// copy probes frames it does not access and a slot run accesses many
+/// slots per probe.
 fn mem_lookups(h: &CloudHost) -> u64 {
     h.machine.mem.lookup_count()
 }
