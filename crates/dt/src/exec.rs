@@ -8,7 +8,7 @@
 use cki::{Backend, Stack, StackConfig};
 use cki_core::CkiPlatform;
 use guest_os::{Errno, Fd, Sys};
-use netsim::{Coalesce, HostSwitch, PortId, MAX_PAYLOAD};
+use netsim::{Coalesce, HostSwitch, MAX_PAYLOAD};
 use sim_hw::{Access, Fault, Instr, Mode};
 use sim_mem::Virt;
 
@@ -153,7 +153,6 @@ const PKT_SWITCH_DEPTH: usize = 2;
 /// a depth-bounded host switch, plus a listener and a client socket.
 struct PktFixture {
     switch: HostSwitch,
-    port: PortId,
     listener: Fd,
     client: Fd,
 }
@@ -381,20 +380,8 @@ impl Executor {
                         machine, kernel, ..
                     } = &mut self.stack;
                     let nic = kernel.netif_mut().expect("fixture attached a NIC");
-                    let moved = netsim::drain_tx(
-                        &mut machine.mem,
-                        &mut machine.cpu.clock,
-                        nic,
-                        &mut p.switch,
-                        p.port,
-                    ) + netsim::deliver_rx(
-                        &mut machine.mem,
-                        &mut machine.cpu.clock,
-                        nic,
-                        &mut p.switch,
-                        p.port,
-                    );
-                    moved as i64
+                    let (mem, clock) = (&mut machine.mem, &mut machine.cpu.clock);
+                    p.switch.service(mem, clock, |visit| visit(nic), |_| {}) as i64
                 }
                 None => NO_SOCKET,
             },
@@ -477,16 +464,15 @@ impl Executor {
             let Stack {
                 machine, kernel, ..
             } = &mut self.stack;
-            kernel
+            let nic = kernel
                 .attach_netif(machine, PKT_QUEUE, PKT_MAC, Coalesce::default())
                 .expect("fixture NIC frames");
             let mut switch = HostSwitch::new(PKT_SWITCH_DEPTH);
-            let port = switch.attach(PKT_MAC);
+            switch.attach(nic);
             let listener = self.stack.env().sys(Sys::NetSocket).expect("listener") as Fd;
             let client = self.stack.env().sys(Sys::NetSocket).expect("client") as Fd;
             self.pkt = Some(PktFixture {
                 switch,
-                port,
                 listener,
                 client,
             });

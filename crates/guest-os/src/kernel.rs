@@ -92,8 +92,8 @@ pub struct Kernel {
     socks: Vec<Option<NetSock>>,
     /// The container's virtqueue NIC, when the host attached one
     /// ([`Kernel::attach_netif`]). Owned by the kernel so syscalls reach it
-    /// without host mediation; the host halves (`drain_tx`/`deliver_rx`)
-    /// borrow it during service passes.
+    /// without host mediation; the host's service pass
+    /// ([`netsim::HostSwitch::service`]) borrows it.
     netif: Option<netsim::VirtioNic>,
     /// Next ephemeral port for `NetConnect` (49152..).
     next_eph: u16,
@@ -251,15 +251,16 @@ impl Kernel {
     /// platform (for CKI, the delegated segment), and the doorbell and
     /// interrupt path follow [`Platform::device_kind`]. The host half
     /// addresses the rings by host-physical address, so each frame goes
-    /// through [`Platform::gpa_to_hpa`]. Returns [`Errno::NoMem`], with
-    /// every frame given back, if the platform runs out of frames.
+    /// through [`Platform::gpa_to_hpa`]. Returns the NIC, for the host to
+    /// attach to its switch, or [`Errno::NoMem`], with every frame given
+    /// back, if the platform runs out of frames.
     pub fn attach_netif(
         &mut self,
         m: &mut Machine,
         queue: u16,
         mac: netsim::Mac,
         coalesce: netsim::Coalesce,
-    ) -> Result<(), Errno> {
+    ) -> Result<&mut netsim::VirtioNic, Errno> {
         let need = netsim::NicLayout::frames_needed(queue);
         let mut frames = Vec::with_capacity(need);
         for _ in 0..need {
@@ -286,8 +287,7 @@ impl Kernel {
             kind,
             coalesce,
         );
-        self.netif = Some(nic);
-        Ok(())
+        Ok(self.netif.insert(nic))
     }
 
     /// The attached NIC, if any.
@@ -295,8 +295,8 @@ impl Kernel {
         self.netif.as_ref()
     }
 
-    /// Mutable access to the NIC — the host's service pass borrows it for
-    /// `drain_tx`/`deliver_rx`.
+    /// Mutable access to the NIC — the host attaches it to its switch and
+    /// hands it to [`netsim::HostSwitch::service`].
     pub fn netif_mut(&mut self) -> Option<&mut netsim::VirtioNic> {
         self.netif.as_mut()
     }
@@ -1581,112 +1581,6 @@ mod tests {
         .unwrap();
         // Data frames returned (intermediate PTPs may remain cached).
         assert!(m.frames.in_use() <= in_use_before + 4);
-    }
-
-    #[test]
-    fn packet_sockets_loopback_roundtrip() {
-        let (mut k, mut m) = boot();
-        k.attach_netif(&mut m, 8, 0xAA, netsim::Coalesce::default())
-            .unwrap();
-        let mut sw = netsim::HostSwitch::new(8);
-        let port = sw.attach(0xAA);
-        let service = |k: &mut Kernel, m: &mut Machine, sw: &mut netsim::HostSwitch| {
-            let nic = k.netif_mut().expect("nic");
-            netsim::drain_tx(&mut m.mem, &mut m.cpu.clock, nic, sw, port);
-            netsim::deliver_rx(&mut m.mem, &mut m.cpu.clock, nic, sw, port);
-        };
-
-        let buf = k
-            .syscall(
-                &mut m,
-                Sys::Mmap {
-                    len: PAGE_SIZE,
-                    write: true,
-                },
-            )
-            .unwrap();
-        let srv = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
-        k.syscall(&mut m, Sys::NetListen { fd: srv, port: 80 })
-            .unwrap();
-        let cli = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
-        let eph = k
-            .syscall(
-                &mut m,
-                Sys::NetConnect {
-                    fd: cli,
-                    mac: 0xAA,
-                    port: 80,
-                },
-            )
-            .unwrap();
-        assert_eq!(eph, 49152);
-
-        // Request: client → (switch loopback) → listener.
-        let req_hash = k
-            .syscall(
-                &mut m,
-                Sys::NetSend {
-                    fd: cli,
-                    buf,
-                    len: 100,
-                },
-            )
-            .unwrap();
-        service(&mut k, &mut m, &mut sw);
-        let who = k.syscall(&mut m, Sys::NetAccept { fd: srv }).unwrap();
-        assert_eq!(who, (0xAA << 16) | eph);
-        let got = k
-            .syscall(
-                &mut m,
-                Sys::NetRecv {
-                    fd: srv,
-                    buf,
-                    len: 2048,
-                },
-            )
-            .unwrap();
-        assert_eq!(got, req_hash, "payload hash survives the dataplane");
-
-        // Response rides last_from back to the client's ephemeral port.
-        let resp_hash = k
-            .syscall(
-                &mut m,
-                Sys::NetSend {
-                    fd: srv,
-                    buf,
-                    len: 64,
-                },
-            )
-            .unwrap();
-        service(&mut k, &mut m, &mut sw);
-        let got = k
-            .syscall(
-                &mut m,
-                Sys::NetRecv {
-                    fd: cli,
-                    buf,
-                    len: 2048,
-                },
-            )
-            .unwrap();
-        assert_eq!(got, resp_hash);
-        assert_eq!(
-            k.syscall(
-                &mut m,
-                Sys::NetRecv {
-                    fd: cli,
-                    buf,
-                    len: 2048
-                }
-            ),
-            Err(Errno::WouldBlock)
-        );
-        // A socket with no NIC-bound port still errors cleanly.
-        let plain = k.syscall(&mut m, Sys::NetSocket).unwrap() as Fd;
-        assert_eq!(
-            k.syscall(&mut m, Sys::NetAccept { fd: plain }),
-            Err(Errno::Inval)
-        );
     }
 
     #[test]

@@ -713,7 +713,7 @@ impl Cpu {
         if is_write && !entry.dirty {
             let leaf = mem.read_u64(entry.leaf_slot);
             mem.write_u64(entry.leaf_slot, leaf | pte::D);
-            self.tlb.mark_dirty(va, self.pcid);
+            self.tlb.mark_dirty();
         }
 
         let mask = entry.page_size - 1;

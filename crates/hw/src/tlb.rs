@@ -204,11 +204,13 @@ impl Tlb {
         }
     }
 
-    /// Marks the cached entry for `va`/`pcid` dirty (after a write hit).
-    /// Recency is unchanged: the access already counted as a hit.
-    pub fn mark_dirty(&mut self, va: Virt, pcid: u16) {
-        if let Some(slot) = self.find(va, pcid) {
-            self.slots[slot as usize].entry.dirty = true;
+    /// Marks the most recently used entry dirty: call it on the first
+    /// write through the entry that [`Tlb::lookup`] just hit or
+    /// [`Tlb::fill`] just cached. Both leave that entry most recently
+    /// used, so no probe is needed. Recency is unchanged.
+    pub fn mark_dirty(&mut self) {
+        if let Some(s) = self.slots.get_mut(self.head as usize) {
+            s.entry.dirty = true;
         }
     }
 
@@ -895,20 +897,21 @@ mod tests {
                                 tally.evictions += u64::from(full);
                             }
                         }
+                        // Every other access writes through the entry.
+                        if step % 2 == 0 {
+                            t.mark_dirty();
+                            model.mark_dirty(va, pcid);
+                        }
                     }
                     6 => {
-                        t.mark_dirty(va, pcid);
-                        model.mark_dirty(va, pcid);
-                    }
-                    7 => {
                         t.flush_va(va, pcid);
                         model.flush_va(va, pcid);
                     }
-                    8 => {
+                    7 => {
                         t.flush_pcid(pcid);
                         model.flush_pcid(pcid);
                     }
-                    9 if step % mix.flush_all_every == 0 => {
+                    8 if step % mix.flush_all_every == 0 => {
                         t.flush_all();
                         model.q.clear();
                     }

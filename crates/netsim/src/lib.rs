@@ -55,4 +55,4 @@ pub use nic::{
     VirtioNic,
 };
 pub use ring::{RingDesc, SplitRing};
-pub use switch::{deliver_rx, drain_tx, HostSwitch, PortId, SwitchStats};
+pub use switch::{HostSwitch, PortId, SwitchStats};

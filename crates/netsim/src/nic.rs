@@ -25,12 +25,15 @@
 //! read only fields that already paid their DMA charge, so valid traffic
 //! costs what it did without them.
 
+use std::ops::{AddAssign, Sub};
+
 use sim_hw::{Clock, CostModel, Tag};
 use sim_mem::PhysMem;
 
 use crate::exits::ExitCosts;
 use crate::frame::{Frame, Mac, BUF_SIZE};
 use crate::ring::{RingDesc, SplitRing};
+use crate::switch::PortId;
 
 /// Which virtualization design hosts a virtio device — selects the
 /// doorbell and interrupt mechanism, nothing else.
@@ -213,6 +216,44 @@ pub struct NicStats {
     pub bad_descs: u64,
 }
 
+impl NicStats {
+    /// Combines two snapshots field by field. The literal names every
+    /// field (no `..`), so a new field does not compile until it is
+    /// combined here too.
+    fn zip(&self, o: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        NicStats {
+            tx_frames: f(self.tx_frames, o.tx_frames),
+            rx_frames: f(self.rx_frames, o.rx_frames),
+            tx_bytes: f(self.tx_bytes, o.tx_bytes),
+            rx_bytes: f(self.rx_bytes, o.rx_bytes),
+            kicks: f(self.kicks, o.kicks),
+            coalesced_kicks: f(self.coalesced_kicks, o.coalesced_kicks),
+            kick_exits: f(self.kick_exits, o.kick_exits),
+            kick_hypercalls: f(self.kick_hypercalls, o.kick_hypercalls),
+            irqs: f(self.irqs, o.irqs),
+            coalesced_irqs: f(self.coalesced_irqs, o.coalesced_irqs),
+            ring_full: f(self.ring_full, o.ring_full),
+            decode_errors: f(self.decode_errors, o.decode_errors),
+            bad_descs: f(self.bad_descs, o.bad_descs),
+        }
+    }
+}
+
+impl AddAssign<&NicStats> for NicStats {
+    fn add_assign(&mut self, o: &NicStats) {
+        *self = self.zip(o, |a, b| a + b);
+    }
+}
+
+/// What happened between two snapshots of one NIC's counters.
+impl Sub for &NicStats {
+    type Output = NicStats;
+
+    fn sub(self, o: &NicStats) -> NicStats {
+        self.zip(o, |a, b| a - b)
+    }
+}
+
 /// Dataplane errors. Both are backpressure signals, never drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
@@ -284,6 +325,9 @@ pub struct VirtioNic {
     pub mac: Mac,
     /// Statistics.
     pub stats: NicStats,
+    /// The switch port [`HostSwitch::attach`](crate::HostSwitch::attach)
+    /// gave this NIC.
+    pub(crate) port: Option<PortId>,
     tx: SplitRing,
     rx: SplitRing,
     tx_bufs: Vec<u64>,
@@ -316,6 +360,7 @@ impl VirtioNic {
         let mut nic = Self {
             mac,
             stats: NicStats::default(),
+            port: None,
             tx: SplitRing::new(mem, layout.tx_ring_pa, layout.queue),
             rx: SplitRing::new(mem, layout.rx_ring_pa, layout.queue),
             tx_bufs: layout.tx_bufs,
@@ -332,6 +377,11 @@ impl VirtioNic {
         };
         nic.rx_refill(mem, clock);
         nic
+    }
+
+    /// The switch port this NIC is attached on, if any.
+    pub fn port(&self) -> Option<PortId> {
+        self.port
     }
 
     /// Descriptors per ring: the most frames one [`VirtioNic::send`] can
@@ -473,7 +523,7 @@ impl VirtioNic {
         }
     }
 
-    // --- Host (vhost worker) half ----------------------------------------------
+    // --- Host (vhost worker) half, run only by `HostSwitch::service` ------------
 
     /// The next descriptor of `ring` whose address is the slot registered
     /// in `bufs` for its id and whose length `fits`. Descriptors that fail
@@ -502,7 +552,7 @@ impl VirtioNic {
 
     /// Reads the next TX frame without consuming its descriptor. Malformed
     /// descriptors are consumed and counted so they cannot wedge the ring.
-    pub fn host_peek_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> Option<Frame> {
+    pub(crate) fn host_peek_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> Option<Frame> {
         loop {
             let d = Self::next_valid(
                 &mut self.tx,
@@ -530,7 +580,7 @@ impl VirtioNic {
 
     /// Consumes the descriptor last returned by [`VirtioNic::host_peek_tx`]
     /// (the switch accepted the frame) and publishes its completion.
-    pub fn host_consume_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock) {
+    pub(crate) fn host_consume_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock) {
         let d = self.last_peek.take().expect("consume without peek");
         self.tx.consume_avail();
         self.tx.push_used(mem, clock, d.id, 0);
@@ -538,7 +588,7 @@ impl VirtioNic {
 
     /// Delivers one frame into the guest's RX ring. `Err(NoRxBuf)` is
     /// backpressure: the frame stays wherever it was queued.
-    pub fn host_deliver(
+    pub(crate) fn host_deliver(
         &mut self,
         mem: &mut PhysMem,
         clock: &mut Clock,
@@ -565,7 +615,7 @@ impl VirtioNic {
 
     /// Ends a delivery batch: injects one RX interrupt if the mitigation
     /// policy says so, counting the frames that rode along coalesced.
-    pub fn host_irq_flush(&mut self, clock: &mut Clock) {
+    pub(crate) fn host_irq_flush(&mut self, clock: &mut Clock) {
         if self.rx_since_irq == 0 {
             return;
         }

@@ -1,17 +1,18 @@
 //! The vhost-style host switch.
 //!
 //! One [`HostSwitch`] lives in the host (CloudHost, the workload cluster
-//! harness, or a differential-test fixture) and connects every container's
-//! NIC through a [`PortId`]. Forwarding is MAC-learned — `attach`
-//! pre-learns the port's own MAC, and `ingress` learns source addresses —
-//! and every port has a bounded-depth egress FIFO. A full FIFO is
-//! **backpressure**: `ingress` hands the frame back (`Err`) and the caller
-//! leaves it on the sender's TX ring, so an accepted (acked) frame is
-//! never dropped. Only frames to unknown or detached destinations are
+//! harness, the client-fleet harness, or a test fixture) and connects
+//! every container's NIC through a [`PortId`]. Forwarding is MAC-learned —
+//! `attach` pre-learns the port's own MAC, and `ingress` learns source
+//! addresses — and every port has a bounded-depth egress FIFO. A full FIFO
+//! is **backpressure**: `ingress` hands the frame back (`Err`) and the
+//! caller leaves it on the sender's TX ring, so an accepted (acked) frame
+//! is never dropped. Only frames to unknown or detached destinations are
 //! dropped, and those are counted.
 //!
-//! [`drain_tx`] and [`deliver_rx`] are the two halves of a host service
-//! pass, shared by every embedder so they all run the identical dataplane.
+//! [`HostSwitch::service`] is the host's service pass, the one every
+//! embedder runs: it drains every visited NIC's TX ring into the switch,
+//! runs a host-side step, then delivers every visited NIC's egress FIFO.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -68,8 +69,17 @@ impl HostSwitch {
         }
     }
 
-    /// Attaches a port, pre-learning its MAC. Returns the port id.
-    pub fn attach(&mut self, mac: Mac) -> PortId {
+    /// Attaches `nic` on a new port, pre-learning its MAC, and records the
+    /// port on the NIC, where [`HostSwitch::service`] finds it.
+    pub fn attach(&mut self, nic: &mut VirtioNic) {
+        nic.port = Some(self.attach_endpoint(nic.mac));
+    }
+
+    /// Attaches a host-side endpoint (no NIC) on a new port, pre-learning
+    /// its MAC. It talks through [`HostSwitch::ingress`] and
+    /// [`HostSwitch::egress_pop`], typically from a service pass's host
+    /// step. Returns the port id.
+    pub fn attach_endpoint(&mut self, mac: Mac) -> PortId {
         let id = self.ports.len();
         self.ports.push(Port {
             fifo: VecDeque::new(),
@@ -80,23 +90,14 @@ impl HostSwitch {
     }
 
     /// Detaches a port: its queued frames are dropped (counted) and its
-    /// MAC-table entries removed. The port id is never reused.
+    /// MAC-table entries removed. A service pass no longer services a NIC
+    /// on it. The port id is never reused.
     pub fn detach(&mut self, port: PortId) {
         let p = &mut self.ports[port];
         self.stats.dropped_dead_port += p.fifo.len() as u64;
         p.fifo.clear();
         p.attached = false;
         self.macs.retain(|_, &mut v| v != port);
-    }
-
-    /// Number of ports ever attached.
-    pub fn ports(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Frames queued on a port's egress FIFO.
-    pub fn pending(&self, port: PortId) -> usize {
-        self.ports[port].fifo.len()
     }
 
     /// Forwards `frame` arriving on `from`. Learns the source MAC. A full
@@ -128,64 +129,82 @@ impl HostSwitch {
         }
     }
 
-    /// The next frame queued for `port`, without dequeuing it.
-    pub fn egress_peek(&self, port: PortId) -> Option<&Frame> {
-        self.ports[port].fifo.front()
-    }
-
     /// Dequeues the next frame for `port`.
     pub fn egress_pop(&mut self, port: PortId) -> Option<Frame> {
         self.ports[port].fifo.pop_front()
     }
-}
 
-/// Host service pass, TX half: moves frames from `nic`'s TX ring into the
-/// switch until the ring is empty or the destination FIFO pushes back.
-/// Returns the number of frames moved. Charges per-frame vhost forwarding
-/// work; descriptors of refused frames stay on the ring.
-pub fn drain_tx(
-    mem: &mut PhysMem,
-    clock: &mut Clock,
-    nic: &mut VirtioNic,
-    switch: &mut HostSwitch,
-    port: PortId,
-) -> usize {
-    let per_frame = clock.model().net_packet / 4;
-    let mut moved = 0;
-    while let Some(frame) = nic.host_peek_tx(mem, clock) {
-        match switch.ingress(port, frame) {
-            Ok(()) => {
-                nic.host_consume_tx(mem, clock);
-                clock.charge(Tag::Io, per_frame);
-                moved += 1;
+    /// One host service pass, what the vhost worker does after a doorbell
+    /// or a poll: every NIC `nics` visits has its TX ring drained into the
+    /// switch, then `host` runs (a host-side endpoint answering what was
+    /// just drained), then every visited NIC gets its egress FIFO
+    /// delivered and its coalesced RX interrupt flushed. All drains run
+    /// before any delivery, so a frame crosses in one pass whatever the
+    /// order of sender and receiver. `nics` calls its visitor once per
+    /// NIC, in the caller's order, and is called once per phase; a NIC
+    /// never attached, or on a detached port, is skipped. Returns the
+    /// frames moved out of TX rings and into RX rings.
+    pub fn service(
+        &mut self,
+        mem: &mut PhysMem,
+        clock: &mut Clock,
+        mut nics: impl FnMut(&mut dyn FnMut(&mut VirtioNic)),
+        host: impl FnOnce(&mut Self),
+    ) -> usize {
+        let mut moved = 0;
+        nics(&mut |nic| moved += self.drain_tx(mem, clock, nic));
+        host(self);
+        nics(&mut |nic| moved += self.deliver_rx(mem, clock, nic));
+        moved
+    }
+
+    /// The port of `nic`, if it is attached here and the port is live.
+    fn live_port(&self, nic: &VirtioNic) -> Option<PortId> {
+        nic.port.filter(|&p| self.ports[p].attached)
+    }
+
+    /// TX half: moves frames from `nic`'s TX ring into the switch until
+    /// the ring is empty or the destination FIFO pushes back. Returns the
+    /// number of frames moved. Charges per-frame vhost forwarding work;
+    /// descriptors of refused frames stay on the ring.
+    fn drain_tx(&mut self, mem: &mut PhysMem, clock: &mut Clock, nic: &mut VirtioNic) -> usize {
+        let Some(port) = self.live_port(nic) else {
+            return 0;
+        };
+        let per_frame = clock.model().net_packet / 4;
+        let mut moved = 0;
+        while let Some(frame) = nic.host_peek_tx(mem, clock) {
+            match self.ingress(port, frame) {
+                Ok(()) => {
+                    nic.host_consume_tx(mem, clock);
+                    clock.charge(Tag::Io, per_frame);
+                    moved += 1;
+                }
+                Err(_) => break, // backpressure: descriptor stays published
             }
-            Err(_) => break, // backpressure: descriptor stays published
         }
+        moved
     }
-    moved
-}
 
-/// Host service pass, RX half: moves frames from the switch's egress FIFO
-/// into `nic`'s RX ring until the FIFO is empty or the guest has no buffer
-/// posted, then flushes the (coalesced) RX interrupt. Returns frames
-/// delivered.
-pub fn deliver_rx(
-    mem: &mut PhysMem,
-    clock: &mut Clock,
-    nic: &mut VirtioNic,
-    switch: &mut HostSwitch,
-    port: PortId,
-) -> usize {
-    let mut delivered = 0;
-    while let Some(frame) = switch.egress_peek(port) {
-        if nic.host_deliver(mem, clock, frame).is_err() {
-            break; // NoRxBuf: the frame stays queued for the next pass
+    /// RX half: moves frames from `nic`'s egress FIFO into its RX ring
+    /// until the FIFO is empty or the guest has no buffer posted, then
+    /// flushes the (coalesced) RX interrupt. Returns frames delivered.
+    fn deliver_rx(&mut self, mem: &mut PhysMem, clock: &mut Clock, nic: &mut VirtioNic) -> usize {
+        let Some(port) = self.live_port(nic) else {
+            return 0;
+        };
+        let fifo = &mut self.ports[port].fifo;
+        let mut delivered = 0;
+        while let Some(frame) = fifo.front() {
+            if nic.host_deliver(mem, clock, frame).is_err() {
+                break; // NoRxBuf: the frame stays queued for the next pass
+            }
+            fifo.pop_front();
+            delivered += 1;
         }
-        switch.egress_pop(port);
-        delivered += 1;
+        nic.host_irq_flush(clock);
+        delivered
     }
-    nic.host_irq_flush(clock);
-    delivered
 }
 
 #[cfg(test)]
@@ -204,14 +223,39 @@ mod tests {
         }
     }
 
+    /// A CKI NIC with an 8-descriptor queue in the frames from `base`.
+    fn nic(mem: &mut PhysMem, clock: &mut Clock, base: u64, mac: Mac) -> VirtioNic {
+        let frames: Vec<u64> = (0..NicLayout::frames_needed(8) as u64)
+            .map(|i| base + i * 4096)
+            .collect();
+        VirtioNic::for_backend(
+            mem,
+            clock,
+            NicLayout::from_frames(8, &frames),
+            mac,
+            NicBackendKind::Cki,
+            Coalesce::default(),
+        )
+    }
+
+    /// One service pass visiting `nics` in slice order.
+    fn service(
+        sw: &mut HostSwitch,
+        mem: &mut PhysMem,
+        clock: &mut Clock,
+        nics: &mut [VirtioNic],
+        host: impl FnOnce(&mut HostSwitch),
+    ) -> usize {
+        sw.service(mem, clock, |visit| nics.iter_mut().for_each(visit), host)
+    }
+
     #[test]
     fn learned_forwarding_and_counted_drops() {
         let mut sw = HostSwitch::new(4);
-        let a = sw.attach(0xA);
-        let b = sw.attach(0xB);
+        let a = sw.attach_endpoint(0xA);
+        let b = sw.attach_endpoint(0xB);
         assert_eq!((a, b), (0, 1));
         sw.ingress(a, frame(0xA, 0xB, 1)).unwrap();
-        assert_eq!(sw.pending(b), 1);
         assert_eq!(sw.stats.forwarded, 1);
         // Unknown destination: counted drop, not an error.
         sw.ingress(a, frame(0xA, 0xDEAD, 2)).unwrap();
@@ -222,8 +266,8 @@ mod tests {
     #[test]
     fn full_fifo_returns_the_frame_instead_of_dropping() {
         let mut sw = HostSwitch::new(2);
-        let a = sw.attach(0xA);
-        let _b = sw.attach(0xB);
+        let a = sw.attach_endpoint(0xA);
+        let _b = sw.attach_endpoint(0xB);
         sw.ingress(a, frame(0xA, 0xB, 1)).unwrap();
         sw.ingress(a, frame(0xA, 0xB, 2)).unwrap();
         let refused = sw.ingress(a, frame(0xA, 0xB, 3)).unwrap_err();
@@ -232,82 +276,98 @@ mod tests {
         assert_eq!(sw.stats.forwarded, 2);
     }
 
+    /// A detached NIC keeps its TX ring and gets no delivery; the frames
+    /// queued for it are dropped and counted, and its MAC is unlearned.
     #[test]
-    fn detach_drops_queued_frames_and_unlearns() {
+    fn detached_port_is_not_serviced() {
+        let mut mem = PhysMem::new(1 << 22);
+        let mut clock = Clock::default();
+        let mut nics = [nic(&mut mem, &mut clock, 0x100000, 0xB)];
         let mut sw = HostSwitch::new(4);
-        let a = sw.attach(0xA);
-        let b = sw.attach(0xB);
+        let a = sw.attach_endpoint(0xA);
+        sw.attach(&mut nics[0]);
+        let b = nics[0].port().unwrap();
         sw.ingress(a, frame(0xA, 0xB, 1)).unwrap();
+        nics[0]
+            .send(&mut mem, &mut clock, &[frame(0xB, 0xA, 2)])
+            .unwrap();
         sw.detach(b);
         assert_eq!(sw.stats.dropped_dead_port, 1);
-        assert_eq!(sw.pending(b), 0);
+        assert!(sw.egress_pop(b).is_none());
+        let free = nics[0].tx_free();
+        assert_eq!(service(&mut sw, &mut mem, &mut clock, &mut nics, |_| {}), 0);
+        assert_eq!(nics[0].tx_free(), free, "TX ring not drained");
+        assert!(sw.egress_pop(a).is_none());
         // Traffic to the dead MAC is now an unknown-destination drop.
-        sw.ingress(a, frame(0xA, 0xB, 2)).unwrap();
+        sw.ingress(a, frame(0xA, 0xB, 3)).unwrap();
         assert_eq!(sw.stats.dropped_unknown_dst, 1);
     }
 
+    /// Every drain runs before any delivery, so a frame from the
+    /// last-visited NIC to the first-visited one crosses in one pass.
     #[test]
     fn service_pass_moves_frames_end_to_end() {
         let mut mem = PhysMem::new(1 << 22);
         let mut clock = Clock::default();
-        let mk = |mem: &mut PhysMem, clock: &mut Clock, base: u64, mac: Mac| {
-            let frames: Vec<u64> = (0..NicLayout::frames_needed(8) as u64)
-                .map(|i| base + i * 4096)
-                .collect();
-            VirtioNic::for_backend(
-                mem,
-                clock,
-                NicLayout::from_frames(8, &frames),
-                mac,
-                NicBackendKind::Cki,
-                Coalesce::default(),
-            )
-        };
-        let mut nic_a = mk(&mut mem, &mut clock, 0x100000, 0xA);
-        let mut nic_b = mk(&mut mem, &mut clock, 0x200000, 0xB);
+        let mut nics = [
+            nic(&mut mem, &mut clock, 0x100000, 0xA),
+            nic(&mut mem, &mut clock, 0x200000, 0xB),
+        ];
         let mut sw = HostSwitch::new(8);
-        let pa = sw.attach(0xA);
-        let pb = sw.attach(0xB);
+        nics.iter_mut().for_each(|n| sw.attach(n));
+        assert_eq!((nics[0].port(), nics[1].port()), (Some(0), Some(1)));
 
-        let f = frame(0xA, 0xB, 7);
-        nic_a
+        let f = frame(0xB, 0xA, 7);
+        nics[1]
             .send(&mut mem, &mut clock, std::slice::from_ref(&f))
             .unwrap();
-        assert_eq!(drain_tx(&mut mem, &mut clock, &mut nic_a, &mut sw, pa), 1);
-        assert_eq!(deliver_rx(&mut mem, &mut clock, &mut nic_b, &mut sw, pb), 1);
-        let got = nic_b.recv(&mut mem, &mut clock).unwrap();
+        assert_eq!(service(&mut sw, &mut mem, &mut clock, &mut nics, |_| {}), 2);
+        let got = nics[0].recv(&mut mem, &mut clock).unwrap();
         assert_eq!(got.payload_hash(), f.payload_hash());
-        assert_eq!(nic_b.stats.irqs, 1);
+        assert_eq!(nics[0].stats.irqs, 1);
+    }
+
+    /// The host step runs between the phases: it sees what this pass
+    /// drained, and what it sends back is delivered in the same pass.
+    #[test]
+    fn host_step_answers_within_the_pass() {
+        let mut mem = PhysMem::new(1 << 22);
+        let mut clock = Clock::default();
+        let mut nics = [nic(&mut mem, &mut clock, 0x100000, 0xA)];
+        let mut sw = HostSwitch::new(8);
+        sw.attach(&mut nics[0]);
+        let host = sw.attach_endpoint(0xF);
+        nics[0]
+            .send(&mut mem, &mut clock, &[frame(0xA, 0xF, 1)])
+            .unwrap();
+        let moved = service(&mut sw, &mut mem, &mut clock, &mut nics, |sw| {
+            let req = sw.egress_pop(host).expect("drained this pass");
+            sw.ingress(host, frame(0xF, req.src, 2)).unwrap();
+        });
+        assert_eq!(moved, 2);
+        let got = nics[0].recv(&mut mem, &mut clock).unwrap();
+        assert_eq!(got.payload, payload_pattern(2, 64));
     }
 
     #[test]
     fn backpressure_leaves_descriptors_on_the_tx_ring() {
         let mut mem = PhysMem::new(1 << 22);
         let mut clock = Clock::default();
-        let frames: Vec<u64> = (0..NicLayout::frames_needed(8) as u64)
-            .map(|i| 0x100000 + i * 4096)
-            .collect();
-        let mut nic = VirtioNic::for_backend(
-            &mut mem,
-            &mut clock,
-            NicLayout::from_frames(8, &frames),
-            0xA,
-            NicBackendKind::Cki,
-            Coalesce::default(),
-        );
+        let mut nics = [nic(&mut mem, &mut clock, 0x100000, 0xA)];
         let mut sw = HostSwitch::new(2);
-        let pa = sw.attach(0xA);
-        let _pb = sw.attach(0xB);
+        sw.attach(&mut nics[0]);
+        let _b = sw.attach_endpoint(0xB);
         for i in 0..6 {
-            nic.send(&mut mem, &mut clock, &[frame(0xA, 0xB, i)])
+            nics[0]
+                .send(&mut mem, &mut clock, &[frame(0xA, 0xB, i)])
                 .unwrap();
         }
         // Only 2 fit the destination FIFO; 4 stay on the ring, none dropped.
-        assert_eq!(drain_tx(&mut mem, &mut clock, &mut nic, &mut sw, pa), 2);
+        assert_eq!(service(&mut sw, &mut mem, &mut clock, &mut nics, |_| {}), 2);
         assert_eq!(sw.stats.backpressured, 1);
         assert_eq!(sw.stats.forwarded, 2);
         // The 4 refused frames are still published descriptors, not drops.
-        assert_eq!(nic.tx_free(), 2);
-        assert_eq!(nic.stats.ring_full, 0);
+        assert_eq!(nics[0].tx_free(), 2);
+        assert_eq!(nics[0].stats.ring_full, 0);
     }
 }

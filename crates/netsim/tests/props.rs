@@ -3,8 +3,7 @@
 //! IRQ-coalescing schedule.
 
 use netsim::{
-    deliver_rx, drain_tx, payload_pattern, Coalesce, Frame, HostSwitch, NetError, NicBackendKind,
-    NicLayout, VirtioNic,
+    payload_pattern, Coalesce, Frame, HostSwitch, NetError, NicBackendKind, NicLayout, VirtioNic,
 };
 use sim_hw::{Clock, Tag};
 use sim_mem::PhysMem;
@@ -19,6 +18,11 @@ impl Rng {
         self.0 ^= self.0 >> 27;
         self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
+}
+
+/// One host service pass over `nics`, in slice order.
+fn service(sw: &mut HostSwitch, mem: &mut PhysMem, clock: &mut Clock, nics: &mut [VirtioNic]) {
+    sw.service(mem, clock, |visit| nics.iter_mut().for_each(visit), |_| {});
 }
 
 fn mk_nic(
@@ -56,11 +60,12 @@ fn backpressure_never_drops_an_acked_frame() {
             kick_batch: 4,
             ..Coalesce::default()
         };
-        let mut a = mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce);
-        let mut b = mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce);
+        let mut nics = [
+            mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce),
+            mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce),
+        ];
         let mut sw = HostSwitch::new(2);
-        let pa = sw.attach(0xA);
-        let pb = sw.attach(0xB);
+        nics.iter_mut().for_each(|n| sw.attach(n));
 
         let mut acked: Vec<u64> = Vec::new(); // hashes, send order
         let mut received: Vec<u64> = Vec::new();
@@ -78,29 +83,27 @@ fn backpressure_never_drops_an_acked_frame() {
                         payload: payload_pattern(next_payload, 64 + (next_payload % 200) as usize),
                     };
                     next_payload += 1;
-                    match a.send(&mut mem, &mut clock, std::slice::from_ref(&f)) {
+                    match nics[0].send(&mut mem, &mut clock, std::slice::from_ref(&f)) {
                         Ok(()) => acked.push(f.payload_hash()),
                         Err(NetError::RingFull) => rejected += 1,
                         Err(e) => panic!("unexpected {e:?} at step {step}"),
                     }
                 }
                 2 => {
-                    drain_tx(&mut mem, &mut clock, &mut a, &mut sw, pa);
-                    deliver_rx(&mut mem, &mut clock, &mut b, &mut sw, pb);
+                    service(&mut sw, &mut mem, &mut clock, &mut nics);
                 }
                 _ => {
-                    while let Some(f) = b.recv(&mut mem, &mut clock) {
+                    while let Some(f) = nics[1].recv(&mut mem, &mut clock) {
                         received.push(f.payload_hash());
                     }
                 }
             }
         }
         // Final drain: flush pending kicks, then service until quiescent.
-        a.flush(&mut clock);
+        nics[0].flush(&mut clock);
         for _ in 0..16 {
-            drain_tx(&mut mem, &mut clock, &mut a, &mut sw, pa);
-            deliver_rx(&mut mem, &mut clock, &mut b, &mut sw, pb);
-            while let Some(f) = b.recv(&mut mem, &mut clock) {
+            service(&mut sw, &mut mem, &mut clock, &mut nics);
+            while let Some(f) = nics[1].recv(&mut mem, &mut clock) {
                 received.push(f.payload_hash());
             }
         }
@@ -132,11 +135,12 @@ fn seeded_coalescing_schedule_replays_byte_identically() {
             timer_cycles: 20_000,
             irq_batch: 2,
         };
-        let mut a = mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce);
-        let mut b = mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce);
+        let mut nics = [
+            mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce),
+            mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce),
+        ];
         let mut sw = HostSwitch::new(4);
-        let pa = sw.attach(0xA);
-        let pb = sw.attach(0xB);
+        nics.iter_mut().for_each(|n| sw.attach(n));
         let mut hashes = Vec::new();
         let mut n = 0u64;
         for _ in 0..1500 {
@@ -150,21 +154,20 @@ fn seeded_coalescing_schedule_replays_byte_identically() {
                         payload: payload_pattern(n, 128),
                     };
                     n += 1;
-                    let _ = a.send(&mut mem, &mut clock, std::slice::from_ref(&f));
+                    let _ = nics[0].send(&mut mem, &mut clock, std::slice::from_ref(&f));
                 }
                 2 => {
-                    drain_tx(&mut mem, &mut clock, &mut a, &mut sw, pa);
-                    deliver_rx(&mut mem, &mut clock, &mut b, &mut sw, pb);
+                    service(&mut sw, &mut mem, &mut clock, &mut nics);
                 }
                 3 => {
-                    while let Some(f) = b.recv(&mut mem, &mut clock) {
+                    while let Some(f) = nics[1].recv(&mut mem, &mut clock) {
                         hashes.push(f.payload_hash());
                     }
                 }
                 _ => clock.charge(Tag::Compute, 5_000), // advance the coalescing timer
             }
         }
-        let stats = format!("{:?} {:?} {:?}", a.stats, b.stats, sw.stats);
+        let stats = format!("{:?} {:?} {:?}", nics[0].stats, nics[1].stats, sw.stats);
         (hashes, stats, clock.cycles())
     }
 

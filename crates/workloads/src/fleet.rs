@@ -3,21 +3,24 @@
 //!
 //! [`ClientFleet::attach`] gives the server kernel a [`netsim::VirtioNic`]
 //! (through [`guest_os::Kernel::attach_netif`], placed like every other
-//! NIC) on a [`HostSwitch`] whose other port is the fleet: `clients`
-//! closed-loop connections, one request in flight each, like the paper's
-//! off-box memtier, wrk and netperf clients. The fleet lives in the host
-//! and charges nothing to the server's clock. What the server pays —
-//! syscalls, descriptor DMA, doorbells, RX interrupts — comes from the
-//! same NIC model `net_serving` and the cloud control plane use, so a
-//! notification costs what the backend's [`netsim::Doorbell`] and
-//! [`netsim::IrqPath`] say and nothing else.
+//! NIC) on a [`HostSwitch`] whose other port is the fleet, a host-side
+//! endpoint: `clients` closed-loop connections, one request in flight
+//! each, like the paper's off-box memtier, wrk and netperf clients. The
+//! fleet lives in the host and charges nothing to the server's clock. What
+//! the server pays — syscalls, descriptor DMA, doorbells, RX interrupts —
+//! comes from the same NIC model `net_serving` and the cloud control plane
+//! use, so a notification costs what the backend's [`netsim::Doorbell`]
+//! and [`netsim::IrqPath`] say and nothing else.
 //!
 //! The server's event loop calls [`ClientFleet::recv`] and
 //! [`ClientFleet::send`]. When `NetRecv` returns `WouldBlock`, or
-//! `NetSend` finds the TX ring full, they run one host service pass —
-//! [`drain_tx`], then the fleet, then [`deliver_rx`] — and retry. A pass
-//! that moves no frame means nothing can make progress (for example, no
-//! clients), so the call returns `WouldBlock` instead of spinning.
+//! `NetSend` finds the TX ring full, they run one host service pass
+//! ([`HostSwitch::service`], the pass every embedder runs) and retry. The
+//! fleet is the pass's host step: after the server's TX ring is drained
+//! and before its RX ring is filled, it answers what the server sent and
+//! sends what it has queued. A pass that moves no frame means nothing can
+//! make progress (for example, no clients), so the call returns
+//! `WouldBlock` instead of spinning.
 //!
 //! The fleet speaks by port:
 //!
@@ -34,8 +37,7 @@
 use std::collections::VecDeque;
 
 use guest_os::{Env, Errno, Fd, Sys, SysResult};
-use netsim::{deliver_rx, drain_tx, payload_pattern, Coalesce, HostSwitch};
-use netsim::{Frame, Mac, PortId, MAX_PAYLOAD};
+use netsim::{payload_pattern, Coalesce, Frame, HostSwitch, Mac, PortId, MAX_PAYLOAD};
 use sim_mem::Virt;
 
 use crate::serving::SERVICE_PORT;
@@ -75,13 +77,18 @@ fn frames_for(bytes: usize) -> u64 {
     bytes.div_ceil(MAX_PAYLOAD).max(1) as u64
 }
 
-/// The harness: the server's switch port, the fleet's port, and the
-/// fleet's closed-loop state.
+/// The harness: the switch the server's NIC and the fleet share, and the
+/// fleet.
 pub struct ClientFleet {
-    cfg: Fleet,
     switch: HostSwitch,
-    server_port: PortId,
-    fleet_port: PortId,
+    clients: Clients,
+}
+
+/// The fleet: a host-side endpoint on the switch with its closed-loop
+/// state.
+struct Clients {
+    cfg: Fleet,
+    port: PortId,
     /// Reply frames each client still waits for.
     awaiting: Vec<u64>,
     /// Frames the switch refused; they go first on the next pass.
@@ -109,26 +116,24 @@ impl ClientFleet {
             kick_batch: KICK_BATCH,
             ..Coalesce::default()
         };
-        env.kernel
+        let nic = env
+            .kernel
             .attach_netif(env.machine, QUEUE, SERVER_MAC, coalesce)
             .expect("NIC frames from the server's memory");
         let mut switch = HostSwitch::new(SWITCH_DEPTH);
-        let server_port = switch.attach(SERVER_MAC);
-        let fleet_port = switch.attach(FLEET_MAC);
-        let mut fleet = Self {
+        switch.attach(nic);
+        let mut clients = Clients {
             cfg,
-            switch,
-            server_port,
-            fleet_port,
+            port: switch.attach_endpoint(FLEET_MAC),
             awaiting: vec![0; cfg.clients as usize],
             outbox: VecDeque::new(),
             seq: 0,
             completed: 0,
         };
         for client in 0..cfg.clients as usize {
-            fleet.request(client);
+            clients.request(client);
         }
-        fleet
+        Self { switch, clients }
     }
 
     /// `NetRecv` on the server, running service passes while it blocks.
@@ -174,18 +179,30 @@ impl ClientFleet {
             .kernel
             .netif_mut()
             .expect("attach gave the server a NIC");
-        let (mem, clock) = (&mut m.mem, &mut m.cpu.clock);
-        let drained = drain_tx(mem, clock, nic, &mut self.switch, self.server_port);
-        while let Some(frame) = self.switch.egress_pop(self.fleet_port) {
+        let clients = &mut self.clients;
+        self.switch.service(
+            &mut m.mem,
+            &mut m.cpu.clock,
+            |visit| visit(nic),
+            |sw| clients.step(sw),
+        )
+    }
+}
+
+impl Clients {
+    /// The host step of a service pass: answers every frame the server
+    /// sent the fleet, then sends what is queued until the switch pushes
+    /// back.
+    fn step(&mut self, sw: &mut HostSwitch) {
+        while let Some(frame) = sw.egress_pop(self.port) {
             self.react(&frame);
         }
         while let Some(frame) = self.outbox.pop_front() {
-            if let Err(frame) = self.switch.ingress(self.fleet_port, frame) {
+            if let Err(frame) = sw.ingress(self.port, frame) {
                 self.outbox.push_front(frame);
                 break;
             }
         }
-        drained + deliver_rx(mem, clock, nic, &mut self.switch, self.server_port)
     }
 
     /// The fleet's answer to one frame from the server.
@@ -259,7 +276,7 @@ mod tests {
         }
         fleet.service(&mut env);
         assert_eq!(
-            fleet.completed, 30,
+            fleet.clients.completed, 30,
             "every 4-frame reply completes one request"
         );
         env.sys(Sys::NetAccept { fd }).unwrap(); // demultiplex what arrived
@@ -300,6 +317,6 @@ mod tests {
         );
         fleet.send(&mut env, fd, buf, 64).unwrap();
         fleet.service(&mut env);
-        assert_eq!(fleet.completed, 1);
+        assert_eq!(fleet.clients.completed, 1);
     }
 }

@@ -26,8 +26,7 @@ use std::collections::BTreeMap;
 
 use cki::Backend;
 use guest_os::{Errno, Fd, Kernel, Sys};
-use netsim::{deliver_rx, drain_tx, Coalesce, HostSwitch, Mac};
-use netsim::{NicStats, PortId, SwitchStats};
+use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
 use obs::SketchId;
 use sim_hw::{HwExtensions, Machine, Mode, Tag};
 use sim_mem::PAGE_SIZE;
@@ -134,8 +133,6 @@ pub struct Cluster {
     pub kernels: Vec<Kernel>,
     /// The vhost-style switch connecting every node.
     pub switch: HostSwitch,
-    ports: Vec<PortId>,
-    macs: Vec<Mac>,
 }
 
 impl Cluster {
@@ -157,8 +154,6 @@ impl Cluster {
         let mut machine = Machine::new(mem_bytes, ext);
         let mut kernels = Vec::with_capacity(nodes);
         let mut switch = HostSwitch::new(cfg.switch_depth);
-        let mut ports = Vec::with_capacity(nodes);
-        let mut macs = Vec::with_capacity(nodes);
         for i in 0..nodes {
             let stack_cfg = cki::StackConfig {
                 mem_bytes,
@@ -173,25 +168,22 @@ impl Cluster {
             // CKI that is the delegated segment, so the descriptor table
             // holds real host-physical addresses (no gPA indirection).
             let mac = 0x0200_0000_0000 | (i as u64 + 1);
-            kernel
+            let nic = kernel
                 .attach_netif(&mut machine, cfg.queue, mac, cfg.coalesce)
                 .expect("NIC frames from the node's memory");
-            ports.push(switch.attach(mac));
-            macs.push(mac);
+            switch.attach(nic);
             kernels.push(kernel);
         }
         Self {
             machine,
             kernels,
             switch,
-            ports,
-            macs,
         }
     }
 
     /// The server node's MAC.
     pub fn server_mac(&self) -> Mac {
-        self.macs[0]
+        self.kernels[0].netif().expect("node has a NIC").mac
     }
 
     /// Switches the CPU onto `node`'s address space, paying the backend's
@@ -211,54 +203,26 @@ impl Cluster {
         self.kernels[node].syscall(&mut self.machine, sys)
     }
 
-    /// One host service pass: the vhost worker drains every TX ring into
-    /// the switch, then delivers every egress FIFO — polling the rings
-    /// directly, with or without doorbells. Returns frames moved.
+    /// One host service pass, in node order: the vhost worker drains
+    /// every TX ring into the switch, then delivers every egress FIFO —
+    /// polling the rings directly, with or without doorbells. Returns
+    /// frames moved.
     pub fn service(&mut self) -> usize {
-        let mut moved = 0;
-        for i in 0..self.kernels.len() {
-            let port = self.ports[i];
-            let nic = self.kernels[i].netif_mut().expect("node has a NIC");
-            moved += drain_tx(
-                &mut self.machine.mem,
-                &mut self.machine.cpu.clock,
-                nic,
-                &mut self.switch,
-                port,
-            );
-        }
-        for i in 0..self.kernels.len() {
-            let port = self.ports[i];
-            let nic = self.kernels[i].netif_mut().expect("node has a NIC");
-            moved += deliver_rx(
-                &mut self.machine.mem,
-                &mut self.machine.cpu.clock,
-                nic,
-                &mut self.switch,
-                port,
-            );
-        }
-        moved
+        let kernels = &mut self.kernels;
+        let (mem, clock) = (&mut self.machine.mem, &mut self.machine.cpu.clock);
+        let nics = |visit: &mut dyn FnMut(&mut netsim::VirtioNic)| {
+            for k in kernels.iter_mut() {
+                visit(k.netif_mut().expect("node has a NIC"));
+            }
+        };
+        self.switch.service(mem, clock, nics, |_| {})
     }
 
     /// NIC statistics summed over every node.
     pub fn nic_totals(&self) -> NicStats {
         let mut t = NicStats::default();
         for k in &self.kernels {
-            let s = &k.netif().expect("node has a NIC").stats;
-            t.tx_frames += s.tx_frames;
-            t.rx_frames += s.rx_frames;
-            t.tx_bytes += s.tx_bytes;
-            t.rx_bytes += s.rx_bytes;
-            t.kicks += s.kicks;
-            t.coalesced_kicks += s.coalesced_kicks;
-            t.kick_exits += s.kick_exits;
-            t.kick_hypercalls += s.kick_hypercalls;
-            t.irqs += s.irqs;
-            t.coalesced_irqs += s.coalesced_irqs;
-            t.ring_full += s.ring_full;
-            t.decode_errors += s.decode_errors;
-            t.bad_descs += s.bad_descs;
+            t += &k.netif().expect("node has a NIC").stats;
         }
         t
     }

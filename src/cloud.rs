@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use cki_core::CkiPlatform;
 use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
-use netsim::{Coalesce, HostSwitch, Mac, NicStats, PortId, SwitchStats};
+use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
 use obs::FlightRecorder;
 use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
@@ -199,8 +199,6 @@ pub struct Container {
     /// Per-container invoke counter (registered when observability is on,
     /// so the series can name this container in incident queries).
     invokes: Option<obs::CounterId>,
-    /// Switch port of the container's NIC (networking on only).
-    port: Option<PortId>,
     /// Per-container NIC metric series (networking on only).
     net: Option<NetSeries>,
 }
@@ -242,7 +240,7 @@ pub struct CloudHost {
     /// The machine.
     pub machine: Machine,
     segments: SegmentAllocator,
-    containers: HashMap<ContainerId, Container>,
+    containers: BTreeMap<ContainerId, Container>,
     /// Booted template snapshots, keyed by configuration.
     templates: BTreeMap<TemplateKey, Container>,
     next_id: ContainerId,
@@ -326,7 +324,7 @@ impl CloudHost {
         Ok(Self {
             machine,
             segments: SegmentAllocator::new(pool, pool + pool_frames * PAGE_SIZE),
-            containers: HashMap::new(),
+            containers: BTreeMap::new(),
             templates: BTreeMap::new(),
             next_id: 1,
             pcids: PcidAllocator::new(3),
@@ -594,10 +592,10 @@ impl CloudHost {
 
         let id = self.next_id;
         self.next_id += 1;
-        let (port, net) = if with_nic {
+        let net = if with_nic {
             self.attach_nic(id, &mut kernel)
         } else {
-            (None, None)
+            None
         };
         let flight = self.new_flight();
         let invokes = self.register_container_series(id);
@@ -610,7 +608,6 @@ impl CloudHost {
                 pcid,
                 flight,
                 invokes,
-                port,
                 net,
             },
         );
@@ -655,19 +652,13 @@ impl CloudHost {
     /// Also registers the per-container NIC series (owned-label API) so
     /// incident flight dumps and metric snapshots can name the
     /// container's net state. No-op while networking is off.
-    fn attach_nic(
-        &mut self,
-        id: ContainerId,
-        kernel: &mut Kernel,
-    ) -> (Option<PortId>, Option<NetSeries>) {
-        let Some(net) = self.net.as_mut() else {
-            return (None, None);
-        };
+    fn attach_nic(&mut self, id: ContainerId, kernel: &mut Kernel) -> Option<NetSeries> {
+        let net = self.net.as_mut()?;
         let mac = Self::container_mac(id);
-        kernel
+        let nic = kernel
             .attach_netif(&mut self.machine, net.cfg.queue, mac, net.cfg.coalesce)
             .expect("NIC ring frames from the delegated segment");
-        let port = net.switch.attach(mac);
+        net.switch.attach(nic);
         let m = &mut self.machine.cpu.metrics;
         let series = NetSeries {
             tx: m.counter_owned("net.tx_frames", format!("c{id}")),
@@ -676,49 +667,31 @@ impl CloudHost {
             requests: m.sketch_owned("net.request_cycles", format!("c{id}")),
             last: NicStats::default(),
         };
-        (Some(port), Some(series))
+        Some(series)
     }
 
-    /// One vhost service pass over every networked container, in container
-    /// id order: phase A drains each NIC's TX ring into the switch
-    /// (learning source MACs, backpressuring on full port FIFOs instead of
-    /// dropping), phase B delivers each port's queued frames into its
-    /// owner's RX ring and flushes the coalesced interrupt. Returns the
-    /// number of frames moved; the per-container NIC counters are synced
-    /// afterwards so a snapshot taken between passes is current.
+    /// One vhost service pass ([`HostSwitch::service`]) over every
+    /// networked container, in container id order, which is also switch
+    /// port order (both are handed out in start order): phase A drains
+    /// each NIC's TX ring into the switch (learning source MACs,
+    /// backpressuring on full port FIFOs instead of dropping), phase B
+    /// delivers each port's queued frames into its owner's RX ring and
+    /// flushes the coalesced interrupt. Returns the number of frames
+    /// moved; the per-container NIC counters are synced afterwards so a
+    /// snapshot taken between passes is current.
     pub fn net_service(&mut self) -> u64 {
         let Some(net) = self.net.as_mut() else {
             return 0;
         };
-        let mut ids: Vec<ContainerId> = self.containers.keys().copied().collect();
-        ids.sort_unstable();
-        let mut moved = 0u64;
-        for &id in &ids {
-            let c = self.containers.get_mut(&id).expect("listed container");
-            let (Some(port), Some(nic)) = (c.port, c.kernel.netif_mut()) else {
-                continue;
-            };
-            moved += netsim::drain_tx(
-                &mut self.machine.mem,
-                &mut self.machine.cpu.clock,
-                nic,
-                &mut net.switch,
-                port,
-            ) as u64;
-        }
-        for &id in &ids {
-            let c = self.containers.get_mut(&id).expect("listed container");
-            let (Some(port), Some(nic)) = (c.port, c.kernel.netif_mut()) else {
-                continue;
-            };
-            moved += netsim::deliver_rx(
-                &mut self.machine.mem,
-                &mut self.machine.cpu.clock,
-                nic,
-                &mut net.switch,
-                port,
-            ) as u64;
-        }
+        let containers = &mut self.containers;
+        let nics = |visit: &mut dyn FnMut(&mut netsim::VirtioNic)| {
+            containers
+                .values_mut()
+                .filter_map(|c| c.kernel.netif_mut())
+                .for_each(visit)
+        };
+        let (mem, clock) = (&mut self.machine.mem, &mut self.machine.cpu.clock);
+        let moved = net.switch.service(mem, clock, nics, |_| {}) as u64;
         self.sync_net_counters();
         moved
     }
@@ -728,20 +701,14 @@ impl CloudHost {
     fn sync_net_counters(&mut self) {
         let metrics = &mut self.machine.cpu.metrics;
         for c in self.containers.values_mut() {
-            let Some(series) = c.net.as_mut() else {
+            let (Some(series), Some(nic)) = (c.net.as_mut(), c.kernel.netif()) else {
                 continue;
             };
-            let Some(nic) = c.kernel.netif() else {
-                continue;
-            };
-            let s = nic.stats.clone();
-            metrics.add(series.tx, s.tx_frames - series.last.tx_frames);
-            metrics.add(series.rx, s.rx_frames - series.last.rx_frames);
-            metrics.add(
-                series.coalesced,
-                s.coalesced_kicks - series.last.coalesced_kicks,
-            );
-            series.last = s;
+            let d = &nic.stats - &series.last;
+            metrics.add(series.tx, d.tx_frames);
+            metrics.add(series.rx, d.rx_frames);
+            metrics.add(series.coalesced, d.coalesced_kicks);
+            series.last = nic.stats.clone();
         }
     }
 
@@ -827,7 +794,7 @@ impl CloudHost {
         // The template has no NIC (its rings would be snapshotted at stale
         // physical addresses); each clone attaches a fresh one here, after
         // the frame-allocator cursor was adopted from the template.
-        let (port, net) = self.attach_nic(id, &mut kernel);
+        let net = self.attach_nic(id, &mut kernel);
         let flight = self.new_flight();
         let invokes = self.register_container_series(id);
         self.containers.insert(
@@ -839,7 +806,6 @@ impl CloudHost {
                 pcid,
                 flight,
                 invokes,
-                port,
                 net,
             },
         );
@@ -904,8 +870,8 @@ impl CloudHost {
         // Unplug the dataplane first: the NIC's rings live in the segment
         // being reclaimed, and the switch must stop forwarding to the port
         // (queued frames for it are counted as dropped_dead_port).
-        c.kernel.take_netif();
-        if let (Some(port), Some(net)) = (c.port, self.net.as_mut()) {
+        let port = c.kernel.take_netif().and_then(|nic| nic.port());
+        if let (Some(port), Some(net)) = (port, self.net.as_mut()) {
             net.switch.detach(port);
         }
         self.machine.cpu.tlb.flush_pcid(c.pcid);
