@@ -4,8 +4,9 @@
 //! [`VirtioNic`] whose split rings (descriptor table, avail/used indices)
 //! live in *guest physical memory* and are accessed through charged
 //! per-descriptor DMA, and a vhost-style [`HostSwitch`] moves frames
-//! between NICs with MAC learning, bounded per-port FIFOs, and
-//! backpressure instead of silent drops.
+//! between NICs with port security (a port sends only from the MAC it
+//! was attached with), bounded per-port FIFOs, and backpressure instead
+//! of silent drops.
 //!
 //! The per-backend asymmetry the paper measures on the serving path falls
 //! out of the *mechanism*, not hand-tuned constants:

@@ -2,13 +2,19 @@
 //!
 //! One [`HostSwitch`] lives in the host (CloudHost, the workload cluster
 //! harness, the client-fleet harness, or a test fixture) and connects
-//! every container's NIC through a [`PortId`]. Forwarding is MAC-learned —
-//! `attach` pre-learns the port's own MAC, and `ingress` learns source
-//! addresses — and every port has a bounded-depth egress FIFO. A full FIFO
-//! is **backpressure**: `ingress` hands the frame back (`Err`) and the
-//! caller leaves it on the sender's TX ring, so an accepted (acked) frame
-//! is never dropped. Only frames to unknown or detached destinations are
-//! dropped, and those are counted.
+//! every container's NIC through a [`PortId`]. Each port owns the MAC it
+//! was attached with, and forwarding looks the destination up in that
+//! table, which only `attach` and `attach_endpoint` write. The switch
+//! learns nothing from traffic: the guest kernel writes each frame's
+//! header into its own TX slot, so a frame's source MAC is whatever the
+//! guest chose. `ingress` drops a frame whose source is not its port's
+//! MAC (**port security**), so a container cannot take over a
+//! neighbour's address and traffic. Every port has a bounded-depth
+//! egress FIFO. A full FIFO is **backpressure**: `ingress` hands the
+//! frame back (`Err`) and the caller leaves it on the sender's TX ring,
+//! so an accepted (acked) frame is never dropped. Only spoofed frames
+//! and frames to unknown or detached destinations are dropped, and those
+//! are counted.
 //!
 //! [`HostSwitch::service`] is the host's service pass, the one every
 //! embedder runs: it drains every visited NIC's TX ring into the switch,
@@ -37,17 +43,21 @@ pub struct SwitchStats {
     pub dropped_unknown_dst: u64,
     /// Frames to a detached port (container stopped mid-flight).
     pub dropped_dead_port: u64,
-    /// MAC-table entries learned or refreshed from traffic.
-    pub learned: u64,
+    /// Frames dropped because their source MAC is not the one their port
+    /// was attached with.
+    pub spoofed: u64,
 }
 
 #[derive(Debug)]
 struct Port {
     fifo: VecDeque<Frame>,
+    /// The MAC the port was attached with, the only source it may send.
+    mac: Mac,
     attached: bool,
 }
 
-/// A software switch with MAC learning and bounded per-port egress FIFOs.
+/// A software switch with port security and bounded per-port egress
+/// FIFOs.
 #[derive(Debug)]
 pub struct HostSwitch {
     ports: Vec<Port>,
@@ -69,20 +79,21 @@ impl HostSwitch {
         }
     }
 
-    /// Attaches `nic` on a new port, pre-learning its MAC, and records the
+    /// Attaches `nic` on a new port that owns its MAC, and records the
     /// port on the NIC, where [`HostSwitch::service`] finds it.
     pub fn attach(&mut self, nic: &mut VirtioNic) {
         nic.port = Some(self.attach_endpoint(nic.mac));
     }
 
-    /// Attaches a host-side endpoint (no NIC) on a new port, pre-learning
-    /// its MAC. It talks through [`HostSwitch::ingress`] and
+    /// Attaches a host-side endpoint (no NIC) on a new port that owns
+    /// `mac`. It talks through [`HostSwitch::ingress`] and
     /// [`HostSwitch::egress_pop`], typically from a service pass's host
     /// step. Returns the port id.
     pub fn attach_endpoint(&mut self, mac: Mac) -> PortId {
         let id = self.ports.len();
         self.ports.push(Port {
             fifo: VecDeque::new(),
+            mac,
             attached: true,
         });
         self.macs.insert(mac, id);
@@ -90,22 +101,30 @@ impl HostSwitch {
     }
 
     /// Detaches a port: its queued frames are dropped (counted) and its
-    /// MAC-table entries removed. A service pass no longer services a NIC
-    /// on it. The port id is never reused.
+    /// MAC leaves the table. A service pass no longer services a NIC on
+    /// it. The port id is never reused. An unknown or already detached
+    /// port changes nothing.
     pub fn detach(&mut self, port: PortId) {
-        let p = &mut self.ports[port];
+        let Some(p) = self.ports.get_mut(port).filter(|p| p.attached) else {
+            return;
+        };
         self.stats.dropped_dead_port += p.fifo.len() as u64;
         p.fifo.clear();
         p.attached = false;
-        self.macs.retain(|_, &mut v| v != port);
+        if self.macs.get(&p.mac) == Some(&port) {
+            self.macs.remove(&p.mac);
+        }
     }
 
-    /// Forwards `frame` arriving on `from`. Learns the source MAC. A full
-    /// destination FIFO returns the frame to the caller — leave it on the
-    /// sender's ring and retry on the next service pass.
+    /// Forwards `frame` arriving on `from`. A frame whose source is not
+    /// the MAC `from` was attached with (or from an unknown port) is
+    /// dropped and counted as spoofed. A full destination FIFO returns
+    /// the frame to the caller — leave it on the sender's ring and retry
+    /// on the next service pass.
     pub fn ingress(&mut self, from: PortId, frame: Frame) -> Result<(), Frame> {
-        if self.macs.insert(frame.src, from) != Some(from) {
-            self.stats.learned += 1;
+        if self.ports.get(from).map(|p| p.mac) != Some(frame.src) {
+            self.stats.spoofed += 1;
+            return Ok(());
         }
         match self.macs.get(&frame.dst) {
             Some(&dst) if self.ports[dst].attached => {
@@ -129,9 +148,9 @@ impl HostSwitch {
         }
     }
 
-    /// Dequeues the next frame for `port`.
+    /// Dequeues the next frame for `port`; `None` for an unknown port.
     pub fn egress_pop(&mut self, port: PortId) -> Option<Frame> {
-        self.ports[port].fifo.pop_front()
+        self.ports.get_mut(port)?.fifo.pop_front()
     }
 
     /// One host service pass, what the vhost worker does after a doorbell
@@ -160,7 +179,8 @@ impl HostSwitch {
 
     /// The port of `nic`, if it is attached here and the port is live.
     fn live_port(&self, nic: &VirtioNic) -> Option<PortId> {
-        nic.port.filter(|&p| self.ports[p].attached)
+        nic.port
+            .filter(|&p| self.ports.get(p).is_some_and(|p| p.attached))
     }
 
     /// TX half: moves frames from `nic`'s TX ring into the switch until
@@ -250,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn learned_forwarding_and_counted_drops() {
+    fn forwarding_and_counted_drops() {
         let mut sw = HostSwitch::new(4);
         let a = sw.attach_endpoint(0xA);
         let b = sw.attach_endpoint(0xB);
@@ -261,6 +281,51 @@ mod tests {
         sw.ingress(a, frame(0xA, 0xDEAD, 2)).unwrap();
         assert_eq!(sw.stats.dropped_unknown_dst, 1);
         assert_eq!(sw.egress_pop(b).unwrap().payload, payload_pattern(1, 64));
+    }
+
+    /// A container that sends from a neighbour's MAC does not take over
+    /// the neighbour's traffic: its frame is dropped and counted, and the
+    /// next frame to that MAC still reaches its owner.
+    #[test]
+    fn spoofed_source_is_dropped_and_counted() {
+        let mut sw = HostSwitch::new(4);
+        let a = sw.attach_endpoint(0xA);
+        let b = sw.attach_endpoint(0xB);
+        let c = sw.attach_endpoint(0xC);
+        sw.ingress(c, frame(0xB, 0xA, 1)).unwrap();
+        assert_eq!(sw.stats.spoofed, 1);
+        assert!(sw.egress_pop(a).is_none(), "the spoofed frame is dropped");
+        sw.ingress(a, frame(0xA, 0xB, 2)).unwrap();
+        assert_eq!(sw.egress_pop(b).unwrap().payload, payload_pattern(2, 64));
+        assert!(sw.egress_pop(c).is_none());
+        assert_eq!((sw.stats.spoofed, sw.stats.forwarded), (1, 1));
+    }
+
+    #[test]
+    fn unknown_port_pops_nothing() {
+        let mut sw = HostSwitch::new(4);
+        assert!(sw.egress_pop(7).is_none());
+        let a = sw.attach_endpoint(0xA);
+        assert!(sw.egress_pop(a + 1).is_none());
+    }
+
+    /// Detaching an unknown port, or a port twice, changes nothing; a
+    /// second detach does not unmap a MAC a later port took over.
+    #[test]
+    fn detach_of_an_unknown_or_detached_port_changes_nothing() {
+        let mut sw = HostSwitch::new(4);
+        sw.detach(7);
+        let a = sw.attach_endpoint(0xA);
+        let b = sw.attach_endpoint(0xB);
+        sw.ingress(a, frame(0xA, 0xB, 1)).unwrap();
+        sw.detach(b);
+        assert_eq!(sw.stats.dropped_dead_port, 1);
+        let b2 = sw.attach_endpoint(0xB);
+        sw.detach(b);
+        sw.detach(b2 + 1);
+        assert_eq!(sw.stats.dropped_dead_port, 1);
+        sw.ingress(a, frame(0xA, 0xB, 2)).unwrap();
+        assert_eq!(sw.egress_pop(b2).unwrap().payload, payload_pattern(2, 64));
     }
 
     #[test]
@@ -277,7 +342,7 @@ mod tests {
     }
 
     /// A detached NIC keeps its TX ring and gets no delivery; the frames
-    /// queued for it are dropped and counted, and its MAC is unlearned.
+    /// queued for it are dropped and counted, and its MAC leaves the table.
     #[test]
     fn detached_port_is_not_serviced() {
         let mut mem = PhysMem::new(1 << 22);

@@ -83,6 +83,10 @@ pub enum HostError {
     NoSuchContainer,
     /// PCID space exhausted (4096 contexts minus host/reserved).
     OutOfPcids,
+    /// The [`StartSpec`] cannot describe a container: a segment that is
+    /// empty or not a whole number of pages, a warmup larger than the
+    /// segment, or no vCPU. Nothing was allocated.
+    InvalidSpec,
 }
 
 impl std::fmt::Display for HostError {
@@ -93,6 +97,7 @@ impl std::fmt::Display for HostError {
             }
             HostError::NoSuchContainer => write!(f, "no such container"),
             HostError::OutOfPcids => write!(f, "PCID space exhausted"),
+            HostError::InvalidSpec => write!(f, "invalid start spec"),
         }
     }
 }
@@ -135,6 +140,22 @@ impl StartSpec {
     pub fn with_warmup_pages(mut self, pages: u64) -> Self {
         self.warmup_pages = pages;
         self
+    }
+
+    /// Refuses a spec no container can be started from: the segment must
+    /// be a non-zero whole number of pages and hold the warmup, and the
+    /// container needs a vCPU.
+    fn check(&self) -> Result<(), HostError> {
+        let warmup_fits = self
+            .warmup_pages
+            .checked_mul(PAGE_SIZE)
+            .is_some_and(|bytes| bytes <= self.seg_bytes);
+        let whole_pages = self.seg_bytes > 0 && self.seg_bytes.is_multiple_of(PAGE_SIZE);
+        if whole_pages && warmup_fits && self.vcpus > 0 {
+            Ok(())
+        } else {
+            Err(HostError::InvalidSpec)
+        }
     }
 
     fn template_key(&self) -> TemplateKey {
@@ -420,8 +441,11 @@ impl CloudHost {
         self.start(StartSpec::new(seg_bytes))
     }
 
-    /// Starts a container per `spec` — cold boot or snapshot clone.
+    /// Starts a container per `spec` — cold boot or snapshot clone. An
+    /// invalid spec returns [`HostError::InvalidSpec`] before anything is
+    /// allocated or charged.
     pub fn start(&mut self, spec: StartSpec) -> Result<ContainerId, HostError> {
+        spec.check()?;
         let result = if spec.clone_from_template {
             self.ensure_template(&spec)
                 .and_then(|()| self.start_clone(&spec))
@@ -521,6 +545,7 @@ impl CloudHost {
     /// Boots the template snapshot for `spec`'s configuration if it does
     /// not exist yet. Idempotent; called implicitly by clone starts.
     pub fn ensure_template(&mut self, spec: &StartSpec) -> Result<(), HostError> {
+        spec.check()?;
         let key = spec.template_key();
         if self.templates.contains_key(&key) {
             return Ok(());

@@ -335,3 +335,32 @@ fn retire_templates_releases_in_a_deterministic_order() {
     assert_eq!(first.0, second.0, "next host frames differ");
     assert_eq!(first.1, second.1, "next PCIDs differ");
 }
+
+/// A spec no container can be started from is refused with
+/// `InvalidSpec` before anything is allocated: the pool and the PCID
+/// space are as they were, and a valid start still succeeds.
+#[test]
+fn invalid_start_specs_are_refused_without_allocating() {
+    let mut h = CloudHost::new(256 * MIB, 64 * MIB);
+    let (free, pcids) = (h.free_bytes(), h.pcids_in_use());
+    let no_vcpu = StartSpec {
+        vcpus: 0,
+        ..StartSpec::new(16 * MIB)
+    };
+    let bad = [
+        StartSpec::new(0),
+        StartSpec::new(4097),
+        StartSpec::new(u64::MAX),
+        StartSpec::new(16 * MIB).with_warmup_pages(1 << 40),
+        no_vcpu,
+    ];
+    for spec in bad {
+        for spec in [spec, spec.cloned()] {
+            assert_eq!(h.start(spec), Err(HostError::InvalidSpec), "{spec:?}");
+            assert_eq!(h.ensure_template(&spec), Err(HostError::InvalidSpec));
+            assert_eq!((h.free_bytes(), h.pcids_in_use()), (free, pcids));
+        }
+    }
+    assert!(!HostError::InvalidSpec.to_string().is_empty());
+    h.start(StartSpec::new(16 * MIB)).unwrap();
+}
