@@ -53,7 +53,7 @@ use guest_os::{Fd, Sys};
 use obs::rng::SmallRng;
 use sim_hw::{HwExtensions, Machine};
 use sim_mem::{pte, Segment};
-use workloads::serving::{Cluster, ServingConfig, SERVICE_PORT};
+use workloads::serving::{Cluster, ServingConfig, REQUEST_BYTES, SERVICE_PORT};
 
 use crate::outcome::{flat_json, parse_bench_json, Value};
 
@@ -192,10 +192,7 @@ fn measure_net(backend: Backend, name: &str, samples: &mut Samples) {
     let cfg = ServingConfig {
         backend,
         clients: 1,
-        coalesce: Coalesce {
-            kick_batch: 1,
-            ..Coalesce::default()
-        },
+        coalesce: Coalesce { kick_batch: 1 },
         ..ServingConfig::default()
     };
     let mut cl = Cluster::build(&cfg);
@@ -228,7 +225,7 @@ fn measure_net(backend: Backend, name: &str, samples: &mut Samples) {
     let send = Sys::NetSend {
         fd: cli,
         buf: bufs[1],
-        len: cfg.request_bytes,
+        len: REQUEST_BYTES,
     };
     let recv = Sys::NetRecv {
         fd: srv,

@@ -23,7 +23,7 @@
 //! CKI_BENCH_SCALE=quick cargo run --release -p cki-bench --bin repro -- net_serving
 //! ```
 
-use cki::{CloudHost, NetConfig, SloWatchdog, StartSpec};
+use cki::{CloudHost, SloWatchdog, StartSpec};
 use guest_os::{Fd, Sys};
 use sim_mem::PAGE_SIZE;
 use workloads::serving::{self, ServingConfig, ServingReport};
@@ -116,7 +116,7 @@ pub fn run(scale: Scale) -> Outcome {
         64,
         SloWatchdog::new(1).with_rule(SloWatchdog::serving_p99(10_000)),
     );
-    host.enable_networking(NetConfig::default());
+    host.enable_networking();
     let spec = StartSpec::new(64 * MIB);
     let server = host.start(spec).unwrap();
     let client = host.start(spec).unwrap();

@@ -67,7 +67,7 @@ fn syscall_breakdown(backend: Backend, iters: u64) -> Breakdown {
 
 fn window(
     env: guest_os::Env<'_>,
-    before: std::collections::HashMap<&'static str, obs::SpanStat>,
+    before: std::collections::BTreeMap<&'static str, obs::SpanStat>,
     window_ns: f64,
     ops: u64,
 ) -> Breakdown {

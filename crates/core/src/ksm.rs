@@ -45,6 +45,12 @@ pub const PHYSMAP_BASE: Virt = 257 << 39;
 /// page it names depends on the per-vCPU page-table copy (Figure 8c).
 pub const PERVCPU_BASE: Virt = 259 << 39;
 
+/// Most vCPUs one container may have. Each vCPU costs four host frames of
+/// KSM state plus one root copy per guest address space, so a container at
+/// the bound boots in a few MiB of host frames; past it, a large enough
+/// count would exhaust any host.
+pub const MAX_VCPUS: u32 = 256;
+
 /// Offset of the secure stack top inside the per-vCPU area.
 pub const SEC_STACK_TOP: Virt = PERVCPU_BASE + 0xf00;
 
@@ -148,9 +154,13 @@ impl Ksm {
     ///
     /// # Panics
     ///
-    /// Panics if host memory for the KSM structures cannot be allocated.
+    /// Panics if `vcpus` is outside `1..=`[`MAX_VCPUS`] or host memory for
+    /// the KSM structures cannot be allocated.
     pub fn new(m: &mut Machine, seg: Segment, vcpus: u32, pcid: u16) -> Self {
-        assert!(vcpus >= 1, "container needs at least one vCPU");
+        assert!(
+            (1..=MAX_VCPUS).contains(&vcpus),
+            "container needs 1..=MAX_VCPUS vCPUs"
+        );
         let Machine { mem, frames, .. } = m;
         let template_root =
             PageTables::new_root(mem, &mut || frames.alloc()).expect("KSM template root");

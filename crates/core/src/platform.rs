@@ -63,16 +63,6 @@ impl Default for CkiConfig {
     }
 }
 
-/// CKI platform statistics — a view over the machine's metrics registry
-/// (see [`CkiPlatform::stats`]).
-#[derive(Debug, Default, Clone)]
-pub struct CkiStats {
-    /// Empty hypercalls to the host kernel.
-    pub hypercalls: u64,
-    /// Gate aborts observed (attacks caught).
-    pub gate_aborts: u64,
-}
-
 /// Work performed by a snapshot clone ([`CkiPlatform::adopt_from`]) —
 /// the host charges cycles proportional to these.
 #[derive(Debug, Clone, Copy, Default)]
@@ -98,7 +88,6 @@ pub struct CkiPlatform {
     guest_frames: FrameAllocator,
     /// Exit-class costs (hypercall roundtrip etc.), exposed for harnesses.
     pub exits: ExitCosts,
-    cur_vcpu: u32,
     /// Whether any guest root of *this* container has been loaded yet;
     /// before that, KSM calls run on the container's template space.
     active: bool,
@@ -151,22 +140,8 @@ impl CkiPlatform {
             ksm,
             guest_frames: FrameAllocator::new(seg.start, seg.end),
             exits,
-            cur_vcpu: 0,
             active: false,
             ids,
-        }
-    }
-
-    /// Switches the current vCPU (used by multi-vCPU harnesses).
-    pub fn set_vcpu(&mut self, vcpu: u32) {
-        self.cur_vcpu = vcpu % self.config.vcpus;
-    }
-
-    /// Reconstructs the [`CkiStats`] view from the machine's registry.
-    pub fn stats(&self, m: &Machine) -> CkiStats {
-        CkiStats {
-            hypercalls: m.cpu.metrics.get(self.ids.hypercalls),
-            gate_aborts: m.cpu.metrics.get(self.ids.gate_aborts),
         }
     }
 
@@ -484,14 +459,14 @@ impl Platform for CkiPlatform {
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
-        // CR3 loads go through the KSM, which loads the per-vCPU copy.
-        // Always a kernel-context operation (scheduler or boot).
+        // CR3 loads go through the KSM, which loads the per-vCPU copy;
+        // the guest kernel schedules everything on vCPU 0. Always a
+        // kernel-context operation (scheduler or boot).
         let prev_mode = m.cpu.mode;
         m.cpu.mode = sim_hw::Mode::Kernel;
-        let vcpu = self.cur_vcpu;
         let c = m.cpu.clock.model().cr3_switch;
         m.cpu.clock.charge(Tag::Sched, c);
-        let r = self.ksm_invoke(m, move |m, k| k.load_cr3(m, root, vcpu));
+        let r = self.ksm_invoke(m, move |m, k| k.load_cr3(m, root, 0));
         m.cpu.mode = prev_mode;
         r?;
         self.active = true;
@@ -537,7 +512,7 @@ impl Platform for CkiPlatform {
     ) -> Result<(), Fault> {
         debug_assert_eq!(
             m.cpu.cr3_root(),
-            self.ksm.root_copy(root, self.cur_vcpu).unwrap_or(0),
+            self.ksm.root_copy(root, 0).unwrap_or(0),
             "CR3 must hold the per-vCPU copy of the current root"
         );
         // Single-stage translation: no EPT, no shadow sync. The walk runs
@@ -631,11 +606,6 @@ impl std::fmt::Debug for CkiPlatform {
             .field("ksm", &self.ksm)
             .finish()
     }
-}
-
-/// True if `kind` refers to a declared PTP (helper for diagnostics).
-pub fn is_ptp(kind: PageKind) -> bool {
-    matches!(kind, PageKind::Ptp { .. })
 }
 
 #[cfg(test)]
@@ -802,7 +772,7 @@ mod tests {
         k.context_switch(&mut m, 1).unwrap();
         k.syscall(&mut m, Sys::Wait).unwrap();
         assert_eq!(k.nprocs(), 1);
-        assert_eq!(k.stats().cow_breaks, 1);
+        assert_eq!(k.metrics.value_of("os.cow_breaks", None), 1);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn random_req(rng: &mut SmallRng) -> Req {
 fn check_invariants(
     m: &mut Machine,
     ksm: &Ksm,
-    declared: &std::collections::HashMap<u64, u8>,
+    declared: &std::collections::BTreeMap<u64, u8>,
     seg: Segment,
 ) {
     for (&pa, &level) in declared {
@@ -120,7 +120,7 @@ fn ksm_invariants_hold_under_hostile_requests() {
         let mut ksm = Ksm::new(&mut m, seg, 1, 3);
         let _ga = FrameAllocator::new(seg.start, seg.end);
         // Track declared PTPs by observing KSM acceptance.
-        let mut declared: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+        let mut declared: std::collections::BTreeMap<u64, u8> = std::collections::BTreeMap::new();
 
         for _ in 0..rng.gen_range(1usize..80) {
             match random_req(&mut rng) {

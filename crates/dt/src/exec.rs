@@ -32,21 +32,10 @@ pub enum PlantedBug {
 }
 
 /// Executor configuration (uniform across the lockstep set).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExecConfig {
-    /// Enable the span profiler (required for the obs self-time invariant).
-    pub profile: bool,
     /// Planted divergence for oracle self-tests.
     pub planted_bug: Option<PlantedBug>,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self {
-            profile: true,
-            planted_bug: None,
-        }
-    }
 }
 
 /// Comparable functional state of one stack, captured after an op.
@@ -175,7 +164,8 @@ impl Executor {
     /// Boots `backend` and prepares the shared I/O buffer.
     pub fn new(backend: Backend, cfg: &ExecConfig) -> Self {
         let mut stack = Stack::new(backend, StackConfig::default());
-        stack.set_profiling(cfg.profile);
+        // The span profiler feeds the obs self-time invariant.
+        stack.set_profiling(true);
         stack.machine.cpu.tracer.enable();
         let buf = {
             let mut env = stack.env();

@@ -228,6 +228,10 @@ mod tests {
         let b = Schedule::generate(7, 200);
         assert_eq!(a.events, b.events);
         assert!(!a.events.is_empty());
+        #[allow(
+            clippy::disallowed_types,
+            reason = "`Discriminant` has no order, and the set is only counted"
+        )]
         let kinds: std::collections::HashSet<_> = a
             .events
             .iter()

@@ -151,9 +151,6 @@ pub struct Oracle {
     pub backends: Vec<Backend>,
     /// Executor configuration shared by all backends.
     pub cfg: ExecConfig,
-    /// Run the invariant checkers after every op/injection (on by default;
-    /// soaks may disable to isolate pure divergence hunting).
-    pub check_invariants: bool,
 }
 
 impl Oracle {
@@ -167,7 +164,6 @@ impl Oracle {
         Self {
             backends,
             cfg: ExecConfig::default(),
-            check_invariants: true,
         }
     }
 
@@ -193,15 +189,13 @@ impl Oracle {
             }
 
             // Invariants after every op + injection round.
-            if self.check_invariants {
-                for e in execs.iter_mut() {
-                    if !e.violations.is_empty() {
-                        let what = e.violations.remove(0);
-                        return Err(self.violation(program, i, e.backend(), what));
-                    }
-                    if let Err(what) = invariants::check_all(&mut e.stack) {
-                        return Err(self.violation(program, i, e.backend(), what));
-                    }
+            for e in execs.iter_mut() {
+                if !e.violations.is_empty() {
+                    let what = e.violations.remove(0);
+                    return Err(self.violation(program, i, e.backend(), what));
+                }
+                if let Err(what) = invariants::check_all(&mut e.stack) {
+                    return Err(self.violation(program, i, e.backend(), what));
                 }
             }
 

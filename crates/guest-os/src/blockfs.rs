@@ -12,7 +12,7 @@
 //! buffer cache with LRU-ish eviction. Metadata is kept guest-side (the
 //! interesting costs are the device crossings, not the on-disk format).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use netsim::VirtioBlk;
 
@@ -43,11 +43,11 @@ pub struct BlockFsStats {
 /// The filesystem.
 pub struct BlockFs {
     dev: VirtioBlk,
-    files: HashMap<String, Vec<u32>>,
+    files: BTreeMap<String, Vec<u32>>,
     next_block: u32,
     total_blocks: u32,
     free: Vec<u32>,
-    cache: HashMap<u32, CacheEntry>,
+    cache: BTreeMap<u32, CacheEntry>,
     cache_cap: usize,
     tick: u64,
     /// Statistics.
@@ -67,11 +67,11 @@ impl BlockFs {
         let kind = env.kernel.platform.device_kind();
         Self {
             dev: VirtioBlk::for_backend(kind, env.machine.cpu.clock.model()),
-            files: HashMap::new(),
+            files: BTreeMap::new(),
             next_block: 1, // block 0: superblock
             total_blocks: blocks,
             free: Vec::new(),
-            cache: HashMap::new(),
+            cache: BTreeMap::new(),
             cache_cap: cache_blocks,
             tick: 0,
             stats: BlockFsStats::default(),

@@ -54,11 +54,6 @@ impl<'a> Env<'a> {
     pub fn now_ns(&self) -> f64 {
         self.machine.cpu.clock.ns()
     }
-
-    /// Current simulated time in seconds.
-    pub fn now_s(&self) -> f64 {
-        self.machine.cpu.clock.seconds()
-    }
 }
 
 #[cfg(test)]

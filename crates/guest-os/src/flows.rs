@@ -247,7 +247,7 @@ mod tests {
             "{}",
             r.ns_per_iter()
         );
-        assert!(k.stats().ctx_switches >= 200);
+        assert!(k.metrics.value_of("os.ctx_switches", None) >= 200);
     }
 
     #[test]

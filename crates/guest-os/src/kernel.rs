@@ -5,7 +5,7 @@
 //! it changes, mirroring the paper's setup where one para-virtualized Linux
 //! runs under RunC/HVM/PVM/CKI.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use obs::{CounterId, MetricsRegistry};
 
@@ -54,25 +54,6 @@ struct NetSock {
     /// its payload hash. [`Kernel::net_demux`] computes the hash from the
     /// bytes the NIC read out of guest memory, never from the sender's.
     rxq: std::collections::VecDeque<(netsim::Frame, u64)>,
-}
-
-/// Aggregate kernel statistics — a *view* reconstructed from the kernel's
-/// [`MetricsRegistry`] (see [`Kernel::stats`]); the registry is the source
-/// of truth.
-#[derive(Debug, Default, Clone)]
-pub struct Stats {
-    /// Total syscalls dispatched.
-    pub syscalls: u64,
-    /// User page faults handled.
-    pub pgfaults: u64,
-    /// Copy-on-write breaks.
-    pub cow_breaks: u64,
-    /// Context switches performed.
-    pub ctx_switches: u64,
-    /// forks performed.
-    pub forks: u64,
-    /// Per-syscall counts (for Figure 14's syscall-frequency series).
-    pub per_syscall: HashMap<String, u64>,
 }
 
 /// The guest kernel.
@@ -313,25 +294,6 @@ impl Kernel {
         if let Some(nic) = &mut self.netif {
             nic.rebase(mem, clock, delta);
         }
-    }
-
-    /// Reconstructs the aggregate [`Stats`] view from the metrics registry.
-    pub fn stats(&self) -> Stats {
-        let mut s = Stats::default();
-        for (name, label, value) in self.metrics.iter_counters() {
-            match (name, label) {
-                ("os.syscalls", None) => s.syscalls = value,
-                ("os.pgfaults", None) => s.pgfaults = value,
-                ("os.cow_breaks", None) => s.cow_breaks = value,
-                ("os.ctx_switches", None) => s.ctx_switches = value,
-                ("os.forks", None) => s.forks = value,
-                ("os.syscall", Some(l)) => {
-                    s.per_syscall.insert(l.to_string(), value);
-                }
-                _ => {}
-            }
-        }
-        s
     }
 
     /// Enables the preemption timer with the given quantum. Every quantum
@@ -1346,12 +1308,12 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(k.stats().pgfaults, 0);
+        assert_eq!(k.metrics.value_of("os.pgfaults", None), 0);
         k.touch_range(&mut m, base, 64 * 1024, true).unwrap();
-        assert_eq!(k.stats().pgfaults, 16);
+        assert_eq!(k.metrics.value_of("os.pgfaults", None), 16);
         // Second pass: no more faults.
         k.touch_range(&mut m, base, 64 * 1024, true).unwrap();
-        assert_eq!(k.stats().pgfaults, 16);
+        assert_eq!(k.metrics.value_of("os.pgfaults", None), 16);
     }
 
     #[test]
@@ -1477,10 +1439,10 @@ mod tests {
         assert_ne!(child, k.current);
 
         // Parent write breaks COW (copy, since the child shares).
-        let faults_before = k.stats().pgfaults;
+        let faults_before = k.metrics.value_of("os.pgfaults", None);
         k.touch(&mut m, base, true).unwrap();
-        assert_eq!(k.stats().pgfaults, faults_before + 1);
-        assert_eq!(k.stats().cow_breaks, 1);
+        assert_eq!(k.metrics.value_of("os.pgfaults", None), faults_before + 1);
+        assert_eq!(k.metrics.value_of("os.cow_breaks", None), 1);
 
         // Child still reads its own copy.
         k.context_switch(&mut m, child).unwrap();

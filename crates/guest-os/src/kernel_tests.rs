@@ -256,7 +256,8 @@ fn deep_cow_chain() {
         k.context_switch(&mut m, pid).unwrap();
         k.touch(&mut m, base, true).unwrap();
     }
-    assert!(k.stats().cow_breaks >= 2, "{}", k.stats().cow_breaks);
+    let cow_breaks = k.metrics.value_of("os.cow_breaks", None);
+    assert!(cow_breaks >= 2, "{cow_breaks}");
 }
 
 #[test]
@@ -427,9 +428,9 @@ fn per_syscall_stats_accumulate() {
         k.syscall(&mut m, Sys::Getpid).unwrap();
     }
     k.syscall(&mut m, Sys::Stat { path: "/nope" }).unwrap_err();
-    assert_eq!(k.stats().per_syscall["getpid"], 5);
-    assert_eq!(k.stats().per_syscall["stat"], 1);
-    assert_eq!(k.stats().syscalls, 6);
+    assert_eq!(k.metrics.value_of("os.syscall", Some("getpid")), 5);
+    assert_eq!(k.metrics.value_of("os.syscall", Some("stat")), 1);
+    assert_eq!(k.metrics.value_of("os.syscalls", None), 6);
 }
 
 /// A kernel with an 8-descriptor NIC and a socket connected to a peer

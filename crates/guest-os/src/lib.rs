@@ -23,7 +23,7 @@ pub mod vfs;
 
 pub use blockfs::BlockFs;
 pub use env::Env;
-pub use kernel::{Kernel, Stats};
+pub use kernel::Kernel;
 pub use platform::{MapFault, NativePlatform, Platform};
 pub use process::{Fd, Pid, Process, Vma, VmaKind};
 pub use syscall::{Errno, Sys, SysResult};

@@ -6,7 +6,7 @@
 //! stores the database on tmpfs precisely so that "the evaluation does not
 //! involve virtualized I/O" (§7.3) — making syscall overhead the variable.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Filesystem errors (a subset of errno).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub struct Inode {
 #[derive(Debug, Default, Clone)]
 pub struct TmpFs {
     inodes: Vec<Inode>,
-    names: HashMap<String, usize>,
+    names: BTreeMap<String, usize>,
     lookups: u64,
 }
 
@@ -134,11 +134,6 @@ impl TmpFs {
     /// Number of path lookups performed (cost instrumentation).
     pub fn lookups(&self) -> u64 {
         self.lookups
-    }
-
-    /// Number of files with names.
-    pub fn file_count(&self) -> usize {
-        self.names.len()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The simulated CPU: registers, instruction execution, and the MMU.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use obs::{CounterId, MetricsRegistry, SpanId, SpanProfiler};
 use sim_mem::addr::pt_index;
@@ -123,7 +123,7 @@ pub struct Cpu {
     /// TSS physical base (holds the IST stack pointers).
     pub tss_base: Phys,
     /// Model-specific registers.
-    pub msrs: HashMap<u32, u64>,
+    pub msrs: BTreeMap<u32, u64>,
     /// The TLB.
     pub tlb: Tlb,
     /// The cycle clock.
@@ -178,7 +178,7 @@ impl Cpu {
             idtr: 0,
             gdtr: 0,
             tss_base: 0,
-            msrs: HashMap::new(),
+            msrs: BTreeMap::new(),
             tlb: Tlb::default(),
             clock: Clock::new(model),
             ext,

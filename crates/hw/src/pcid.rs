@@ -9,7 +9,7 @@
 //! recycled PCID is reassigned, since stale translations from the previous
 //! owner would otherwise leak across the container boundary.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Number of architectural PCID values (12-bit tag space).
 pub const PCID_COUNT: u16 = 4096;
@@ -35,7 +35,7 @@ pub struct PcidAllocator {
     /// Released values, reused LIFO before the bump cursor advances.
     recycled: Vec<u16>,
     /// Currently-live values (double-alloc/release detection).
-    live: HashSet<u16>,
+    live: BTreeSet<u16>,
 }
 
 impl PcidAllocator {
@@ -55,7 +55,7 @@ impl PcidAllocator {
             next: first,
             limit,
             recycled: Vec::new(),
-            live: HashSet::new(),
+            live: BTreeSet::new(),
         }
     }
 
@@ -96,11 +96,6 @@ impl PcidAllocator {
     /// Number of PCIDs still allocatable.
     pub fn available(&self) -> usize {
         self.recycled.len() + (self.limit - self.next) as usize
-    }
-
-    /// True if `pcid` is currently handed out.
-    pub fn is_live(&self, pcid: u16) -> bool {
-        self.live.contains(&pcid)
     }
 }
 

@@ -569,17 +569,17 @@ mod tests {
     mod prop {
         use super::*;
         use obs::rng::SmallRng;
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
 
         /// Reference model keyed exactly like the TLB's tag.
         struct RefModel {
-            map: HashMap<(u64, u16), TlbEntry>,
+            map: BTreeMap<(u64, u16), TlbEntry>,
         }
 
         impl RefModel {
             fn new() -> Self {
                 Self {
-                    map: HashMap::new(),
+                    map: BTreeMap::new(),
                 }
             }
 

@@ -126,11 +126,6 @@ impl TraceEvent {
             TraceEvent::Cr3Load { .. } => TraceKind::Cr3Load,
         }
     }
-
-    /// Kind label.
-    pub fn kind_name(&self) -> &'static str {
-        self.kind().name()
-    }
 }
 
 /// The bounded event ring.
@@ -163,16 +158,6 @@ impl Tracer {
         self.enabled = true;
     }
 
-    /// Disables recording (the ring is kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// True if recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records `event` at `cycles` (no-op when disabled).
     #[inline]
     pub fn record(&mut self, cycles: u64, event: TraceEvent) {
@@ -201,13 +186,6 @@ impl Tracer {
     /// Events dropped to ring wraparound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Clears the ring and counters.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.counts = [0; 6];
-        self.dropped = 0;
     }
 
     /// Renders the last `n` events as text (for reports and examples).
@@ -272,9 +250,6 @@ mod tests {
         // Oldest were dropped, and the tail says so.
         assert_eq!(t.events().next().unwrap().0, 6);
         assert!(t.render_tail(4, 2.4).contains("6 earlier event(s) dropped"));
-        t.clear();
-        assert_eq!(t.events().count(), 0);
-        assert_eq!(t.count_of(TraceKind::Cr3Load), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn setup(pages: &[(u64, u8, bool)]) -> (Cpu, PhysMem, u64) {
 fn tlb_transparent() {
     let mut rng = SmallRng::seed_from_u64(0x71B);
     for _ in 0..40 {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut pages = Vec::new();
         for _ in 0..rng.gen_range(1usize..12) {
             let idx = rng.gen_range(0u64..16);
@@ -105,7 +105,7 @@ fn dirty_bit_tracks_writes() {
     for _ in 0..40 {
         let pages: Vec<_> = (0..8).map(|i| (i, 0u8, true)).collect();
         let (mut cpu, mut mem, root) = setup(&pages);
-        let mut written = std::collections::HashSet::new();
+        let mut written = std::collections::BTreeSet::new();
         for _ in 0..rng.gen_range(1usize..40) {
             let idx = rng.gen_range(0u64..8);
             let write: bool = rng.gen();

@@ -1,5 +1,10 @@
 //! A fixed hasher for simulator-chosen integer keys.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one sanctioned HashMap: `PfnHasher` is unseeded, so iteration order is the same in every process"
+)]
+
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -162,11 +162,6 @@ impl SegmentAllocator {
         }
     }
 
-    /// Total bytes managed (free + allocated).
-    pub fn total_bytes(&self) -> u64 {
-        self.total
-    }
-
     /// The sorted, coalesced free extents (diagnostics / planning).
     pub fn free_extents(&self) -> &[Segment] {
         &self.free

@@ -31,7 +31,7 @@ fn physmem_store_semantics() {
     let mut rng = SmallRng::seed_from_u64(0xB0B);
     for _ in 0..40 {
         let mut mem = PhysMem::new(1 << 24);
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for _ in 0..rng.gen_range(1usize..60) {
             let slot = rng.gen_range(0u64..2048);
             let value: u64 = rng.gen();

@@ -53,7 +53,7 @@ pub use frame::{
 };
 pub use nic::{
     Coalesce, Doorbell, DoorbellPath, IrqPath, NetError, NicBackendKind, NicLayout, NicStats,
-    VirtioNic,
+    VirtioNic, KICK_TIMER_CYCLES,
 };
 pub use ring::{RingDesc, SplitRing};
 pub use switch::{HostSwitch, PortId, SwitchStats};

@@ -160,28 +160,24 @@ impl IrqPath {
     }
 }
 
-/// NAPI-style mitigation knobs.
+/// NAPI-style mitigation knob.
 #[derive(Debug, Clone, Copy)]
 pub struct Coalesce {
-    /// Ring the doorbell after this many pending TX descriptors.
+    /// Ring the doorbell after this many pending TX descriptors, or once
+    /// [`KICK_TIMER_CYCLES`] passed since the last doorbell.
     pub kick_batch: u32,
-    /// …or when this many sim-clock cycles passed since the last doorbell
-    /// (the timer fallback that bounds latency under light load).
-    pub timer_cycles: u64,
-    /// Host injects an RX interrupt once this many frames were delivered
-    /// since the last one (1 = every delivery batch).
-    pub irq_batch: u32,
 }
 
 impl Default for Coalesce {
     fn default() -> Self {
-        Self {
-            kick_batch: 1,
-            timer_cycles: 200_000, // ~83 µs at 2.4 GHz
-            irq_batch: 1,
-        }
+        Self { kick_batch: 1 }
     }
 }
+
+/// The doorbell's timer fallback: a send rings it once this many sim-clock
+/// cycles (~83 µs at 2.4 GHz) passed since the last one, which bounds
+/// latency under light load.
+pub const KICK_TIMER_CYCLES: u64 = 200_000;
 
 /// Dataplane statistics of one NIC.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -338,7 +334,6 @@ pub struct VirtioNic {
     pending_kick: u32,
     last_kick_at: u64,
     rx_since_irq: u32,
-    last_irq_at: u64,
     irq_pending: bool,
     last_peek: Option<RingDesc>,
 }
@@ -371,7 +366,6 @@ impl VirtioNic {
             pending_kick: 0,
             last_kick_at: clock.cycles(),
             rx_since_irq: 0,
-            last_irq_at: clock.cycles(),
             irq_pending: false,
             last_peek: None,
         };
@@ -470,7 +464,7 @@ impl VirtioNic {
             self.pending_kick += 1;
             let now = clock.cycles();
             if self.pending_kick >= self.coalesce.kick_batch
-                || now.saturating_sub(self.last_kick_at) >= self.coalesce.timer_cycles
+                || now.saturating_sub(self.last_kick_at) >= KICK_TIMER_CYCLES
             {
                 self.ring_doorbell(clock);
             } else {
@@ -613,23 +607,17 @@ impl VirtioNic {
         Ok(())
     }
 
-    /// Ends a delivery batch: injects one RX interrupt if the mitigation
-    /// policy says so, counting the frames that rode along coalesced.
+    /// Ends a delivery batch: injects one RX interrupt if the batch
+    /// delivered anything, counting the frames that rode along coalesced.
     pub(crate) fn host_irq_flush(&mut self, clock: &mut Clock) {
         if self.rx_since_irq == 0 {
             return;
         }
-        let now = clock.cycles();
-        if self.rx_since_irq >= self.coalesce.irq_batch
-            || now.saturating_sub(self.last_irq_at) >= self.coalesce.timer_cycles
-        {
-            self.stats.irqs += 1;
-            self.stats.coalesced_irqs += self.rx_since_irq as u64 - 1;
-            clock.charge(Tag::Io, self.irq.inject);
-            self.irq_pending = true;
-            self.rx_since_irq = 0;
-            self.last_irq_at = clock.cycles();
-        }
+        self.stats.irqs += 1;
+        self.stats.coalesced_irqs += self.rx_since_irq as u64 - 1;
+        clock.charge(Tag::Io, self.irq.inject);
+        self.irq_pending = true;
+        self.rx_since_irq = 0;
     }
 }
 
@@ -718,13 +706,7 @@ mod tests {
 
     #[test]
     fn kick_batching_suppresses_doorbells() {
-        let (mut mem, mut clock, mut nic) = pair(
-            NicBackendKind::HvmBm,
-            Coalesce {
-                kick_batch: 4,
-                ..Coalesce::default()
-            },
-        );
+        let (mut mem, mut clock, mut nic) = pair(NicBackendKind::HvmBm, Coalesce { kick_batch: 4 });
         for i in 0..8 {
             nic.send(&mut mem, &mut clock, &[frame(i)]).unwrap();
         }
@@ -738,17 +720,11 @@ mod tests {
 
     #[test]
     fn timer_fallback_bounds_kick_latency() {
-        let (mut mem, mut clock, mut nic) = pair(
-            NicBackendKind::Cki,
-            Coalesce {
-                kick_batch: 1000,
-                timer_cycles: 50_000,
-                irq_batch: 1,
-            },
-        );
+        let (mut mem, mut clock, mut nic) =
+            pair(NicBackendKind::Cki, Coalesce { kick_batch: 1000 });
         nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
         assert_eq!(nic.stats.kicks, 0, "first send within the timer window");
-        clock.charge(Tag::Compute, 100_000);
+        clock.charge(Tag::Compute, 2 * KICK_TIMER_CYCLES);
         nic.send(&mut mem, &mut clock, &[frame(2)]).unwrap();
         assert_eq!(nic.stats.kicks, 1, "timer fired on the next send");
     }

@@ -20,10 +20,10 @@
 //! embedder runs: it drains every visited NIC's TX ring into the switch,
 //! runs a host-side step, then delivers every visited NIC's egress FIFO.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sim_hw::{Clock, Tag};
-use sim_mem::PhysMem;
+use sim_mem::{PfnMap, PhysMem};
 
 use crate::frame::{Frame, Mac};
 use crate::nic::VirtioNic;
@@ -61,7 +61,9 @@ struct Port {
 #[derive(Debug)]
 pub struct HostSwitch {
     ports: Vec<Port>,
-    macs: HashMap<Mac, PortId>,
+    /// Read once per forwarded frame, hence the fixed hasher; only
+    /// `attach_endpoint` inserts, with host-chosen MACs.
+    macs: PfnMap<Mac, PortId>,
     depth: usize,
     /// Statistics.
     pub stats: SwitchStats,
@@ -73,7 +75,7 @@ impl HostSwitch {
         assert!(depth >= 1, "switch depth must be at least 1");
         Self {
             ports: Vec::new(),
-            macs: HashMap::new(),
+            macs: PfnMap::default(),
             depth,
             stats: SwitchStats::default(),
         }

@@ -1,9 +1,10 @@
 //! Dataplane properties: backpressure never drops an acked frame, and the
 //! whole NIC/switch pipeline replays byte-identically under a seeded
-//! IRQ-coalescing schedule.
+//! coalescing schedule.
 
 use netsim::{
     payload_pattern, Coalesce, Frame, HostSwitch, NetError, NicBackendKind, NicLayout, VirtioNic,
+    KICK_TIMER_CYCLES,
 };
 use sim_hw::{Clock, Tag};
 use sim_mem::PhysMem;
@@ -56,10 +57,7 @@ fn backpressure_never_drops_an_acked_frame() {
         let mut rng = Rng(seed);
         let mut mem = PhysMem::new(1 << 22);
         let mut clock = Clock::default();
-        let coalesce = Coalesce {
-            kick_batch: 4,
-            ..Coalesce::default()
-        };
+        let coalesce = Coalesce { kick_batch: 4 };
         let mut nics = [
             mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce),
             mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce),
@@ -130,11 +128,7 @@ fn seeded_coalescing_schedule_replays_byte_identically() {
         let mut rng = Rng(seed);
         let mut mem = PhysMem::new(1 << 22);
         let mut clock = Clock::default();
-        let coalesce = Coalesce {
-            kick_batch: 4,
-            timer_cycles: 20_000,
-            irq_batch: 2,
-        };
+        let coalesce = Coalesce { kick_batch: 4 };
         let mut nics = [
             mk_nic(&mut mem, &mut clock, 0x100000, 0xA, 8, coalesce),
             mk_nic(&mut mem, &mut clock, 0x200000, 0xB, 8, coalesce),
@@ -164,7 +158,8 @@ fn seeded_coalescing_schedule_replays_byte_identically() {
                         hashes.push(f.payload_hash());
                     }
                 }
-                _ => clock.charge(Tag::Compute, 5_000), // advance the coalescing timer
+                // Four gaps fire the doorbell's timer fallback.
+                _ => clock.charge(Tag::Compute, KICK_TIMER_CYCLES / 4),
             }
         }
         let stats = format!("{:?} {:?} {:?}", nics[0].stats, nics[1].stats, sw.stats);

@@ -10,6 +10,11 @@
 //! strings for dynamic dimensions (per-container series — `{c42}` —
 //! registered by the cloud control plane at container start).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the name indexes are only looked up, never iterated: every export walks the dense series vectors in registration order"
+)]
+
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -166,11 +171,6 @@ impl MetricsRegistry {
         self.histogram_with(name, label.map(Cow::Borrowed))
     }
 
-    /// Registers (or finds) a histogram with an owned (dynamic) label.
-    pub fn histogram_owned(&mut self, name: &'static str, label: impl Into<String>) -> HistId {
-        self.histogram_with(name, Some(Cow::Owned(label.into())))
-    }
-
     fn histogram_with(&mut self, name: &'static str, label: Option<Label>) -> HistId {
         if let Some(&id) = self.hindex.get(&(name, label.clone())) {
             return id;
@@ -241,11 +241,6 @@ impl MetricsRegistry {
     /// Observation count of a live sketch.
     pub fn sketch_count(&self, id: SketchId) -> u64 {
         self.sketches[id.0 as usize].sketch.count()
-    }
-
-    /// Borrows a live sketch (cold path).
-    pub fn sketch_ref(&self, id: SketchId) -> &QuantileSketch {
-        &self.sketches[id.0 as usize].sketch
     }
 
     /// Looks a sketch id up by name (cold path; `None` if unregistered).

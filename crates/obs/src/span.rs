@@ -8,7 +8,7 @@
 //! spans under a root sum to exactly the root's total — the property the
 //! `perf_report` breakdowns rely on.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Handle returned by [`SpanProfiler::enter`]; pass it back to
 /// [`SpanProfiler::exit`]. The sentinel [`SpanId::NONE`] (returned while the
@@ -73,7 +73,7 @@ pub struct SpanProfiler {
     events: Vec<SpanEvent>,
     capacity: usize,
     dropped: u64,
-    agg: HashMap<&'static str, SpanStat>,
+    agg: BTreeMap<&'static str, SpanStat>,
     next_seq: u64,
     /// Spans whose `exit` arrived out of order (diagnostic).
     pub mismatches: u64,
@@ -94,7 +94,7 @@ impl SpanProfiler {
             events: Vec::new(),
             capacity,
             dropped: 0,
-            agg: HashMap::new(),
+            agg: BTreeMap::new(),
             next_seq: 0,
             mismatches: 0,
         }
@@ -199,24 +199,21 @@ impl SpanProfiler {
 
     /// All aggregates, sorted by name for stable output.
     pub fn stats(&self) -> Vec<(&'static str, SpanStat)> {
-        let mut v: Vec<_> = self.agg.iter().map(|(&n, &s)| (n, s)).collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+        self.agg.iter().map(|(&n, &s)| (n, s)).collect()
     }
 
     /// Snapshot of the aggregates (for delta-based measurement windows).
-    pub fn agg_snapshot(&self) -> HashMap<&'static str, SpanStat> {
+    pub fn agg_snapshot(&self) -> BTreeMap<&'static str, SpanStat> {
         self.agg.clone()
     }
 
     /// Per-name aggregates accumulated *since* `earlier` (a snapshot taken
-    /// with [`SpanProfiler::agg_snapshot`]).
+    /// with [`SpanProfiler::agg_snapshot`]), in name order.
     pub fn agg_since(
         &self,
-        earlier: &HashMap<&'static str, SpanStat>,
+        earlier: &BTreeMap<&'static str, SpanStat>,
     ) -> Vec<(&'static str, SpanStat)> {
-        let mut v: Vec<_> = self
-            .agg
+        self.agg
             .iter()
             .filter_map(|(&n, &s)| {
                 let e = earlier.get(n).copied().unwrap_or_default();
@@ -227,9 +224,7 @@ impl SpanProfiler {
                 };
                 (d.count > 0 || d.total_cycles > 0).then_some((n, d))
             })
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+            .collect()
     }
 
     /// Checks the profiler's structural invariant: every exit matched its

@@ -16,18 +16,6 @@ use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Virt, PAGE_SIZE};
 
 use crate::ept::Ept;
 
-/// HVM-specific statistics — a view over the machine's metrics registry
-/// (see [`HvmPlatform::stats`]).
-#[derive(Debug, Default, Clone)]
-pub struct HvmStats {
-    /// VM exits taken (all causes).
-    pub vm_exits: u64,
-    /// EPT violations handled.
-    pub ept_faults: u64,
-    /// Empty hypercalls serviced.
-    pub hypercalls: u64,
-}
-
 /// Dense registry ids for the HVM hot-path counters.
 struct HvmCounterIds {
     vm_exits: CounterId,
@@ -90,15 +78,6 @@ impl HvmPlatform {
     /// The EPT (diagnostics).
     pub fn ept(&self) -> &Ept {
         &self.ept
-    }
-
-    /// Reconstructs the [`HvmStats`] view from the machine's registry.
-    pub fn stats(&self, m: &Machine) -> HvmStats {
-        HvmStats {
-            vm_exits: m.cpu.metrics.get(self.ids.vm_exits),
-            ept_faults: m.cpu.metrics.get(self.ids.ept_faults),
-            hypercalls: m.cpu.metrics.get(self.ids.hypercalls),
-        }
     }
 
     /// Takes the VM exit for an EPT violation at `gpa` and maps it.
@@ -462,17 +441,10 @@ mod tests {
             .unwrap();
         k.touch_range(&mut m, base, 4 * PAGE_SIZE, true).unwrap();
         // The touch faults include guest-table EPT faults; capture then re-touch.
-        let faults = {
-            let p = k.platform.as_any().downcast_ref::<HvmPlatform>().unwrap();
-            p.stats(&m).ept_faults
-        };
+        let ept_faults = |m: &Machine| m.cpu.metrics.value_of("vmm.ept_faults", Some("hvm"));
+        let faults = ept_faults(&m);
         k.touch_range(&mut m, base, 4 * PAGE_SIZE, true).unwrap();
-        let p = k.platform.as_any().downcast_ref::<HvmPlatform>().unwrap();
-        assert_eq!(
-            p.stats(&m).ept_faults,
-            faults,
-            "warm accesses take no EPT faults"
-        );
+        assert_eq!(ept_faults(&m), faults, "warm accesses take no EPT faults");
     }
 
     #[test]
@@ -514,8 +486,7 @@ mod tests {
             .unwrap();
         k.touch_range(&mut m, base, pages * PAGE_SIZE, true)
             .unwrap();
-        let p = k.platform.as_any().downcast_ref::<HvmPlatform>().unwrap();
-        let faults = p.stats(&m).ept_faults;
+        let faults = m.cpu.metrics.value_of("vmm.ept_faults", Some("hvm"));
         assert!(
             faults < pages / 8,
             "2M EPT: {faults} faults for {pages} pages"

@@ -23,20 +23,6 @@ use obs::CounterId;
 use sim_hw::{Machine, Tag};
 use sim_mem::{MapFlags, Phys, Virt};
 
-/// PVM-specific statistics — a view over the machine's metrics registry
-/// (see [`PvmPlatform::stats`]).
-#[derive(Debug, Default, Clone)]
-pub struct PvmStats {
-    /// Guest↔host world switches (software "VM exits").
-    pub switches: u64,
-    /// Shadow-page-table emulations performed.
-    pub spt_emulations: u64,
-    /// Empty hypercalls serviced.
-    pub hypercalls: u64,
-    /// Syscalls redirected through the host.
-    pub redirected_syscalls: u64,
-}
-
 /// Dense registry ids for the PVM hot-path counters.
 struct PvmCounterIds {
     switches: CounterId,
@@ -58,7 +44,7 @@ pub struct PvmPlatform {
     /// Guest page-table pages currently marked out-of-sync (KVM-style):
     /// the first write to a write-protected gPT page traps and unprotects
     /// it; later writes to the same page are batched until resync.
-    unsynced: std::collections::HashSet<(Phys, u64)>,
+    unsynced: std::collections::BTreeSet<(Phys, u64)>,
     ids: PvmCounterIds,
 }
 
@@ -88,18 +74,8 @@ impl PvmPlatform {
             exits,
             pcid: 2,
             in_fault: false,
-            unsynced: std::collections::HashSet::new(),
+            unsynced: std::collections::BTreeSet::new(),
             ids,
-        }
-    }
-
-    /// Reconstructs the [`PvmStats`] view from the machine's registry.
-    pub fn stats(&self, m: &Machine) -> PvmStats {
-        PvmStats {
-            switches: m.cpu.metrics.get(self.ids.switches),
-            spt_emulations: m.cpu.metrics.get(self.ids.spt_emulations),
-            hypercalls: m.cpu.metrics.get(self.ids.hypercalls),
-            redirected_syscalls: m.cpu.metrics.get(self.ids.redirected_syscalls),
         }
     }
 

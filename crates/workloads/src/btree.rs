@@ -23,6 +23,9 @@ const NODE_BYTES: u64 = 256;
 /// allocation is what makes inserts fault-heavy).
 const VALUE_BYTES: u64 = 512;
 
+/// RNG seed of the key stream.
+const SEED: u64 = 42;
+
 #[derive(Debug, Clone)]
 struct Node {
     keys: Vec<u64>,
@@ -39,8 +42,6 @@ pub struct BTreeWorkload {
     /// Lookup operations per insert in the run phase (the Figure 13a
     /// lookup/insert ratio knob).
     pub lookup_ratio: u64,
-    /// RNG seed (determinism).
-    pub seed: u64,
     nodes: Vec<Node>,
     root: usize,
     arena_base: u64,
@@ -56,7 +57,6 @@ impl BTreeWorkload {
         Self {
             inserts,
             lookup_ratio,
-            seed: 42,
             nodes: Vec::new(),
             root: 0,
             arena_base: 0,
@@ -180,7 +180,7 @@ impl BTreeWorkload {
         let root = self.alloc_node(env, true)?;
         self.root = root;
 
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let probe = Probe::start(env);
         for _ in 0..self.inserts {
             let key = rng.gen::<u64>();
@@ -208,7 +208,7 @@ impl BTreeWorkload {
         self.nodes.clear();
         let root = self.alloc_node(env, true)?;
         self.root = root;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         for _ in 0..self.inserts {
             let key = rng.gen::<u64>();
             self.insert(env, key)?;

@@ -114,7 +114,6 @@ impl ClientFleet {
         );
         let coalesce = Coalesce {
             kick_batch: KICK_BATCH,
-            ..Coalesce::default()
         };
         let nic = env
             .kernel

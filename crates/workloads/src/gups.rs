@@ -16,9 +16,10 @@ pub struct GupsWorkload {
     pub table_bytes: u64,
     /// Number of random updates.
     pub updates: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// RNG seed of the update stream.
+const SEED: u64 = 1;
 
 impl GupsWorkload {
     /// Creates a GUPS run.
@@ -26,7 +27,6 @@ impl GupsWorkload {
         Self {
             table_bytes,
             updates,
-            seed: 1,
         }
     }
 
@@ -36,7 +36,7 @@ impl GupsWorkload {
         // Populate so the timed phase measures TLB behaviour, not faults.
         env.touch_range(base, self.table_bytes, true)?;
 
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let probe = Probe::start(env);
         for _ in 0..self.updates {
             let off = rng.gen_range(0..self.table_bytes / 8) * 8;

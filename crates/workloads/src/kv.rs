@@ -14,7 +14,7 @@
 //! parse, object machinery, single-threaded command loop), which is why
 //! the paper's memcached gains are larger than its Redis gains.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use guest_os::{Env, Errno, Fd, Sys};
 use obs::rng::SmallRng;
@@ -58,11 +58,13 @@ pub struct KvServerWorkload {
     pub requests: u64,
     /// Closed-loop client connections.
     pub clients: u32,
-    /// Value size (memtier: ~500 B).
-    pub value_bytes: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// Value size (memtier: ~500 B).
+const VALUE_BYTES: usize = 500;
+
+/// RNG seed of the request stream.
+const SEED: u64 = 23;
 
 impl KvServerWorkload {
     /// Creates a server run against `clients` connections.
@@ -71,8 +73,6 @@ impl KvServerWorkload {
             kind,
             requests,
             clients,
-            value_bytes: 500,
-            seed: 23,
         }
     }
 
@@ -81,8 +81,8 @@ impl KvServerWorkload {
     ///
     /// Returns `Errno::WouldBlock` if there are no clients.
     pub fn run(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
-        let request_bytes = self.value_bytes + 40;
-        let response_bytes = self.value_bytes + 16;
+        let request_bytes = VALUE_BYTES + 40;
+        let response_bytes = VALUE_BYTES + 16;
         let fleet = Fleet {
             clients: self.clients,
             request_bytes,
@@ -100,9 +100,9 @@ impl KvServerWorkload {
         // The value store: real content, held at simulated addresses.
         let store_bytes: u64 = 64 * 1024 * 1024;
         let store = env.mmap(store_bytes)?;
-        let mut index: HashMap<u64, u64> = HashMap::new();
+        let mut index: BTreeMap<u64, u64> = BTreeMap::new();
         let mut next_slot: u64 = 0;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
 
         let probe = Probe::start(env);
         let mut served = 0u64;
@@ -114,7 +114,7 @@ impl KvServerWorkload {
             if write {
                 let slot = *index.entry(key).or_insert_with(|| {
                     let s = next_slot;
-                    next_slot = (next_slot + self.value_bytes as u64 + 12) % store_bytes;
+                    next_slot = (next_slot + VALUE_BYTES as u64 + 12) % store_bytes;
                     s
                 });
                 // Write the value into the store (may fault on first use).

@@ -49,9 +49,10 @@ pub struct ParsecWorkload {
     pub scale_bytes: u64,
     /// Iterations / stream length.
     pub iterations: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// RNG seed of every kernel's input.
+const SEED: u64 = 11;
 
 impl ParsecWorkload {
     /// Creates a kernel at the given scale.
@@ -60,7 +61,6 @@ impl ParsecWorkload {
             kind,
             scale_bytes,
             iterations,
-            seed: 11,
         }
     }
 
@@ -85,7 +85,7 @@ impl ParsecWorkload {
             env.compute(2600);
             va += 4096;
         }
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         for _ in 0..self.iterations {
             // Pick two random elements, evaluate, maybe swap.
             let a = rng.gen_range(0..self.scale_bytes / 64) * 64;
@@ -105,7 +105,7 @@ impl ParsecWorkload {
     fn dedup(&mut self, env: &mut Env<'_>) -> Result<Report, Errno> {
         let probe = Probe::start(env);
         let table = env.mmap(self.scale_bytes / 4)?;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let chunk = 16 * 1024u64;
         for i in 0..self.iterations {
             // Fresh buffer per stream window — the allocation churn that
@@ -152,7 +152,7 @@ impl ParsecWorkload {
         let probe = Probe::start(env);
         let arena = env.mmap(self.scale_bytes)?;
         let mut next = 0u64;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let mut node_count = 0u64;
         // Build: insert random transaction paths.
         for _ in 0..self.iterations {

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use cki::Backend;
+use cki::{Backend, NIC_QUEUE, SWITCH_DEPTH};
 use guest_os::{Errno, Fd, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
 use obs::SketchId;
@@ -33,6 +33,12 @@ use sim_mem::PAGE_SIZE;
 
 /// Port the server container listens on.
 pub const SERVICE_PORT: u16 = 80;
+
+/// Request payload bytes.
+pub const REQUEST_BYTES: usize = 200;
+
+/// Response payload bytes.
+const RESPONSE_BYTES: usize = 600;
 
 /// Serving-benchmark parameters.
 #[derive(Debug, Clone)]
@@ -43,14 +49,6 @@ pub struct ServingConfig {
     pub clients: usize,
     /// Requests per client.
     pub requests_per_client: u64,
-    /// Request payload bytes.
-    pub request_bytes: usize,
-    /// Response payload bytes.
-    pub response_bytes: usize,
-    /// Virtqueue size per NIC.
-    pub queue: u16,
-    /// Switch egress FIFO depth.
-    pub switch_depth: usize,
     /// NAPI-style mitigation knobs.
     pub coalesce: Coalesce,
     /// Server-side compute per request (hash + lookup stand-in).
@@ -63,10 +61,6 @@ impl Default for ServingConfig {
             backend: Backend::Cki,
             clients: 4,
             requests_per_client: 32,
-            request_bytes: 200,
-            response_bytes: 600,
-            queue: 32,
-            switch_depth: 64,
             coalesce: Coalesce::default(),
             kv_compute_cycles: 900,
         }
@@ -140,7 +134,7 @@ impl Cluster {
     pub fn build(cfg: &ServingConfig) -> Self {
         assert!(cfg.clients >= 1, "need at least one client");
         assert!(
-            cfg.clients < cfg.queue as usize,
+            cfg.clients < NIC_QUEUE as usize,
             "queue must hold one in-flight frame per peer"
         );
         let nodes = cfg.clients + 1;
@@ -153,7 +147,7 @@ impl Cluster {
         };
         let mut machine = Machine::new(mem_bytes, ext);
         let mut kernels = Vec::with_capacity(nodes);
-        let mut switch = HostSwitch::new(cfg.switch_depth);
+        let mut switch = HostSwitch::new(SWITCH_DEPTH);
         for i in 0..nodes {
             let stack_cfg = cki::StackConfig {
                 mem_bytes,
@@ -169,7 +163,7 @@ impl Cluster {
             // holds real host-physical addresses (no gPA indirection).
             let mac = 0x0200_0000_0000 | (i as u64 + 1);
             let nic = kernel
-                .attach_netif(&mut machine, cfg.queue, mac, cfg.coalesce)
+                .attach_netif(&mut machine, NIC_QUEUE, mac, cfg.coalesce)
                 .expect("NIC frames from the node's memory");
             switch.attach(nic);
             kernels.push(kernel);
@@ -325,7 +319,7 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                 Sys::NetSend {
                     fd: client_fds[c],
                     buf: bufs[node],
-                    len: cfg.request_bytes,
+                    len: REQUEST_BYTES,
                 },
             ) {
                 Ok(hash) => {
@@ -364,7 +358,7 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                             Sys::NetSend {
                                 fd: srv,
                                 buf: bufs[0],
-                                len: cfg.response_bytes,
+                                len: RESPONSE_BYTES,
                             },
                         )
                         .expect("server TX ring sized for one reply per peer");

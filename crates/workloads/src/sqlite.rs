@@ -79,9 +79,10 @@ impl SqliteCase {
 pub struct SqliteWorkload {
     /// Operations per case.
     pub ops: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// RNG seed of [`SqliteWorkload`]'s keys.
+const SEED: u64 = 17;
 
 /// SQLite's in-engine compute per row operation, in cycles: SQL parse
 /// (prepared), B-tree descent, record encode. ~1.4 µs.
@@ -93,7 +94,7 @@ const COMMIT_COMPUTE: u64 = 2600;
 impl SqliteWorkload {
     /// Creates a workload issuing `ops` operations per case.
     pub fn new(ops: u64) -> Self {
-        Self { ops, seed: 17 }
+        Self { ops }
     }
 
     /// Runs one case, including a database fill for the read cases.
@@ -136,7 +137,7 @@ impl SqliteWorkload {
         batched: bool,
         random: bool,
     ) -> Result<(), Errno> {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let batch = if batched { 1000 } else { 1 };
         let page = 4096usize;
         let mut row: u64 = 0;
@@ -202,7 +203,7 @@ impl SqliteWorkload {
         ops: u64,
         random: bool,
     ) -> Result<(), Errno> {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         for i in 0..ops {
             env.compute(ROW_COMPUTE * 2 / 3);
             let miss = if random {
@@ -236,29 +237,28 @@ impl SqliteWorkload {
 pub struct SqliteBlkWorkload {
     /// Operations per case.
     pub ops: u64,
-    /// Buffer-cache blocks (small enough that reads miss sometimes).
-    pub cache_blocks: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// Buffer-cache blocks of [`SqliteBlkWorkload`] (small enough that reads
+/// miss sometimes).
+const BLK_CACHE_BLOCKS: usize = 64;
+
+/// RNG seed of [`SqliteBlkWorkload`]'s keys.
+const BLK_SEED: u64 = 29;
 
 impl SqliteBlkWorkload {
     /// Creates a block-device-backed run.
     pub fn new(ops: u64) -> Self {
-        Self {
-            ops,
-            cache_blocks: 64,
-            seed: 29,
-        }
+        Self { ops }
     }
 
     /// Runs one case against a freshly formatted block filesystem.
     pub fn run(&mut self, env: &mut Env<'_>, case: SqliteCase) -> Result<Report, Errno> {
         use guest_os::blockfs::{BlockFs, BLOCK_SIZE};
-        let mut fs = BlockFs::format(env, 64 * 1024, self.cache_blocks);
+        let mut fs = BlockFs::format(env, 64 * 1024, BLK_CACHE_BLOCKS);
         fs.create(env, "/db")?;
         fs.create(env, "/journal")?;
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(BLK_SEED);
 
         if !case.is_write() {
             // Pre-populate 1024 pages.

@@ -18,11 +18,13 @@ pub struct XsBenchWorkload {
     pub grid_bytes: u64,
     /// Number of particles simulated in the calculation phase.
     pub particles: u64,
-    /// Cross-section lookups per particle.
-    pub lookups_per_particle: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// Cross-section lookups per particle.
+const LOOKUPS_PER_PARTICLE: u64 = 8;
+
+/// RNG seed of the particle stream.
+const SEED: u64 = 3;
 
 impl XsBenchWorkload {
     /// Creates a run with `grid_bytes` of generated data and `particles`.
@@ -30,8 +32,6 @@ impl XsBenchWorkload {
         Self {
             grid_bytes,
             particles,
-            lookups_per_particle: 8,
-            seed: 3,
         }
     }
 
@@ -50,9 +50,9 @@ impl XsBenchWorkload {
         }
 
         // Phase 2: particle transport — random lookups + FLOPs.
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         for _ in 0..self.particles {
-            for _ in 0..self.lookups_per_particle {
+            for _ in 0..LOOKUPS_PER_PARTICLE {
                 let off = rng.gen_range(0..self.grid_bytes / 8) * 8;
                 env.touch(base + off, false)?;
                 env.compute(900); // interpolation

@@ -47,7 +47,7 @@ fn main() {
     let t0 = env.now_ns();
     env.touch_range(region, 4 * 1024 * 1024, true)
         .expect("touch");
-    let faults = env.kernel.stats().pgfaults;
+    let faults = env.kernel.metrics.value_of("os.pgfaults", None);
     let per = (env.now_ns() - t0) / 1024.0;
     println!("faulted 4 MiB in: {faults} page faults, {per:.0} ns each");
 
@@ -56,7 +56,7 @@ fn main() {
     env.touch(region, true).expect("cow break");
     println!(
         "forked child {child}; COW breaks so far: {}",
-        env.kernel.stats().cow_breaks
+        env.kernel.metrics.value_of("os.cow_breaks", None)
     );
     let kernel = &mut *env.kernel;
     let machine = &mut *env.machine;

@@ -24,9 +24,9 @@
 //!   failing permanently. Compaction is never run implicitly: the §4.3
 //!   failure mode stays observable unless the operator opts in.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use cki_core::CkiPlatform;
+use cki_core::{CkiPlatform, MAX_VCPUS};
 use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
@@ -67,6 +67,15 @@ pub const FLIGHT_RECORD_CYCLES: u64 = 3;
 /// handful of sketch quantiles and gauges).
 pub const WATCHDOG_TICK_CYCLES: u64 = 400;
 
+/// Virtqueue depth of every container NIC, here and in the
+/// `workloads::serving` cluster.
+pub const NIC_QUEUE: u16 = 32;
+
+/// Per-port FIFO depth of the vhost switch (the backpressure threshold: a
+/// full port pushes back instead of dropping), here and in the
+/// `workloads::serving` cluster.
+pub const SWITCH_DEPTH: usize = 64;
+
 /// Retired containers whose flight recorders are kept for post-mortem
 /// dumps (an incident can implicate a container that already stopped).
 const RETIRED_FLIGHTS: usize = 8;
@@ -85,8 +94,12 @@ pub enum HostError {
     OutOfPcids,
     /// The [`StartSpec`] cannot describe a container: a segment that is
     /// empty or not a whole number of pages, a warmup larger than the
-    /// segment, or no vCPU. Nothing was allocated.
+    /// segment, or a vCPU count outside `1..=`[`MAX_VCPUS`]. Nothing was
+    /// allocated.
     InvalidSpec,
+    /// The segment could not hold the container's own kernel frames plus
+    /// its warmup working set. The start was undone.
+    SegmentTooSmall,
 }
 
 impl std::fmt::Display for HostError {
@@ -98,6 +111,7 @@ impl std::fmt::Display for HostError {
             HostError::NoSuchContainer => write!(f, "no such container"),
             HostError::OutOfPcids => write!(f, "PCID space exhausted"),
             HostError::InvalidSpec => write!(f, "invalid start spec"),
+            HostError::SegmentTooSmall => write!(f, "segment too small for the warmup"),
         }
     }
 }
@@ -109,7 +123,7 @@ impl std::error::Error for HostError {}
 pub struct StartSpec {
     /// Delegated-segment size in bytes.
     pub seg_bytes: u64,
-    /// vCPUs (per-vCPU areas and root copies).
+    /// vCPUs (per-vCPU areas and root copies), 1 to [`MAX_VCPUS`].
     pub vcpus: u32,
     /// Heap pages the init runtime touches during warmup (after `execve`).
     /// Zero skips warmup entirely.
@@ -144,14 +158,14 @@ impl StartSpec {
 
     /// Refuses a spec no container can be started from: the segment must
     /// be a non-zero whole number of pages and hold the warmup, and the
-    /// container needs a vCPU.
+    /// container needs 1 to [`MAX_VCPUS`] vCPUs.
     fn check(&self) -> Result<(), HostError> {
         let warmup_fits = self
             .warmup_pages
             .checked_mul(PAGE_SIZE)
             .is_some_and(|bytes| bytes <= self.seg_bytes);
         let whole_pages = self.seg_bytes > 0 && self.seg_bytes.is_multiple_of(PAGE_SIZE);
-        if whole_pages && warmup_fits && self.vcpus > 0 {
+        if whole_pages && warmup_fits && (1..=MAX_VCPUS).contains(&self.vcpus) {
             Ok(())
         } else {
             Err(HostError::InvalidSpec)
@@ -163,33 +177,10 @@ impl StartSpec {
     }
 }
 
-/// Cluster-networking configuration for [`CloudHost::enable_networking`].
-#[derive(Debug, Clone, Copy)]
-pub struct NetConfig {
-    /// Virtqueue depth of each container NIC.
-    pub queue: u16,
-    /// Per-port FIFO depth of the vhost switch (the backpressure
-    /// threshold — a full port pushes back instead of dropping).
-    pub switch_depth: usize,
-    /// NAPI-style mitigation knobs applied to every NIC.
-    pub coalesce: Coalesce,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            queue: 32,
-            switch_depth: 64,
-            coalesce: Coalesce::default(),
-        }
-    }
-}
-
 /// Host-side dataplane state: the vhost switch every container NIC plugs
 /// into, plus the global serving-latency sketch the SLO rule watches.
 struct NetPlane {
     switch: HostSwitch,
-    cfg: NetConfig,
     request_sketch: obs::SketchId,
 }
 
@@ -277,7 +268,7 @@ pub struct CloudHost {
     watchdog: Option<SloWatchdog>,
     /// Worst observation per sketch in the current watchdog window, with
     /// the container it came from — how incidents name an offender.
-    worst: HashMap<&'static str, (u64, ContainerId)>,
+    worst: BTreeMap<&'static str, (u64, ContainerId)>,
     /// Flight recorders of recently stopped containers (bounded).
     retired_flights: VecDeque<(ContainerId, FlightRecorder)>,
     /// Cycle stamp of the first start failure of the current
@@ -354,7 +345,7 @@ impl CloudHost {
             stopped: 0,
             flight_capacity: 0,
             watchdog: None,
-            worst: HashMap::new(),
+            worst: BTreeMap::new(),
             retired_flights: VecDeque::new(),
             stall_begin: None,
             flight_records: 0,
@@ -368,21 +359,15 @@ impl CloudHost {
     /// switch, and completed request round trips reported through
     /// [`CloudHost::record_request`] feed the `net.request_cycles` sketch
     /// the serving SLO rule watches.
-    pub fn enable_networking(&mut self, cfg: NetConfig) {
+    pub fn enable_networking(&mut self) {
         if self.net.is_some() {
             return;
         }
         let request_sketch = self.machine.cpu.metrics.sketch("net.request_cycles");
         self.net = Some(NetPlane {
-            switch: HostSwitch::new(cfg.switch_depth),
-            cfg,
+            switch: HostSwitch::new(SWITCH_DEPTH),
             request_sketch,
         });
-    }
-
-    /// Whether the cluster dataplane is on.
-    pub fn networking_enabled(&self) -> bool {
-        self.net.is_some()
     }
 
     /// The vhost switch's counters (`None` while networking is off).
@@ -406,11 +391,6 @@ impl CloudHost {
     pub fn enable_observability(&mut self, flight_capacity: usize, watchdog: SloWatchdog) {
         self.flight_capacity = flight_capacity;
         self.watchdog = Some(watchdog);
-    }
-
-    /// Whether flight recording is on.
-    pub fn observability_enabled(&self) -> bool {
-        self.flight_capacity > 0
     }
 
     /// The watchdog, if observability is on.
@@ -565,13 +545,26 @@ impl CloudHost {
         // Ascending key order: the PCID and frame free lists are LIFO, so
         // the release order decides later allocations.
         for mut c in std::mem::take(&mut self.templates).into_values() {
-            self.machine.cpu.tlb.flush_pcid(c.pcid);
-            if let Some(p) = c.kernel.platform.as_any_mut().downcast_mut::<CkiPlatform>() {
-                p.teardown(&mut self.machine);
-            }
-            self.pcids.release(c.pcid);
-            self.segments.free(c.seg);
+            self.release(&mut c);
         }
+    }
+
+    /// Returns a removed container's host resources: its switch port,
+    /// PCID (TLB entries flushed), monitor frames and segment.
+    fn release(&mut self, c: &mut Container) {
+        // Unplug the dataplane first: the NIC's rings live in the segment
+        // being reclaimed, and the switch must stop forwarding to the port
+        // (queued frames for it are counted as dropped_dead_port).
+        let port = c.kernel.take_netif().and_then(|nic| nic.port());
+        if let (Some(port), Some(net)) = (port, self.net.as_mut()) {
+            net.switch.detach(port);
+        }
+        self.machine.cpu.tlb.flush_pcid(c.pcid);
+        if let Some(p) = c.kernel.platform.as_any_mut().downcast_mut::<CkiPlatform>() {
+            p.teardown(&mut self.machine);
+        }
+        self.pcids.release(c.pcid);
+        self.segments.free(c.seg);
     }
 
     /// Allocates the segment + PCID pair for a start, undoing the segment
@@ -636,7 +629,16 @@ impl CloudHost {
                 net,
             },
         );
-        self.warmup(id, spec.warmup_pages)?;
+        if let Err(e) = self.warmup(id, spec.warmup_pages) {
+            let mut c = self
+                .containers
+                .remove(&id)
+                .expect("container just inserted");
+            self.release(&mut c);
+            self.next_id = id;
+            self.machine.cpu.span_exit(sp);
+            return Err(e);
+        }
 
         let cycles = self.machine.cpu.clock.since(mark);
         self.machine.cpu.span_exit(sp);
@@ -681,7 +683,7 @@ impl CloudHost {
         let net = self.net.as_mut()?;
         let mac = Self::container_mac(id);
         let nic = kernel
-            .attach_netif(&mut self.machine, net.cfg.queue, mac, net.cfg.coalesce)
+            .attach_netif(&mut self.machine, NIC_QUEUE, mac, Coalesce::default())
             .expect("NIC ring frames from the delegated segment");
         net.switch.attach(nic);
         let m = &mut self.machine.cpu.metrics;
@@ -698,10 +700,10 @@ impl CloudHost {
     /// One vhost service pass ([`HostSwitch::service`]) over every
     /// networked container, in container id order, which is also switch
     /// port order (both are handed out in start order): phase A drains
-    /// each NIC's TX ring into the switch (learning source MACs,
-    /// backpressuring on full port FIFOs instead of dropping), phase B
-    /// delivers each port's queued frames into its owner's RX ring and
-    /// flushes the coalesced interrupt. Returns the number of frames
+    /// each NIC's TX ring into the switch (dropping frames whose source is
+    /// not their port's MAC, backpressuring on full port FIFOs instead of
+    /// dropping), phase B delivers each port's queued frames into its
+    /// owner's RX ring and flushes the coalesced interrupt. Returns the number of frames
     /// moved; the per-container NIC counters are synced afterwards so a
     /// snapshot taken between passes is current.
     pub fn net_service(&mut self) -> u64 {
@@ -868,17 +870,20 @@ impl CloudHost {
 
     /// Init warmup: exec the runtime and touch its working set, so both
     /// cold boots and the template snapshot reach the same "ready to
-    /// serve" state.
+    /// serve" state. The kernel's own frames share the segment with the
+    /// working set, so [`StartSpec::check`] cannot see every warmup that
+    /// does not fit; those fail here with [`HostError::SegmentTooSmall`].
     fn warmup(&mut self, id: ContainerId, pages: u64) -> Result<(), HostError> {
         if pages == 0 {
             return Ok(());
         }
         self.enter_inner(id, |env| {
-            env.sys(Sys::Execve).expect("warmup execve");
+            env.sys(Sys::Execve)?;
             let len = pages * PAGE_SIZE;
-            let base = env.mmap(len).expect("warmup mmap");
-            env.touch_range(base, len, true).expect("warmup touch");
-        })
+            let base = env.mmap(len)?;
+            env.touch_range(base, len, true)
+        })?
+        .map_err(|_| HostError::SegmentTooSmall)
     }
 
     /// Stops a container, reclaiming its segment, PCID, and every host
@@ -892,19 +897,7 @@ impl CloudHost {
             .containers
             .remove(&id)
             .ok_or(HostError::NoSuchContainer)?;
-        // Unplug the dataplane first: the NIC's rings live in the segment
-        // being reclaimed, and the switch must stop forwarding to the port
-        // (queued frames for it are counted as dropped_dead_port).
-        let port = c.kernel.take_netif().and_then(|nic| nic.port());
-        if let (Some(port), Some(net)) = (port, self.net.as_mut()) {
-            net.switch.detach(port);
-        }
-        self.machine.cpu.tlb.flush_pcid(c.pcid);
-        if let Some(p) = c.kernel.platform.as_any_mut().downcast_mut::<CkiPlatform>() {
-            p.teardown(&mut self.machine);
-        }
-        self.pcids.release(c.pcid);
-        self.segments.free(c.seg);
+        self.release(&mut c);
         self.stopped += 1;
         // Keep the black box of recently stopped containers: a breach can
         // implicate a container that is already gone.
@@ -941,7 +934,7 @@ impl CloudHost {
             owners.push((None, key));
             segs.push(t.seg);
         }
-        let by_start: HashMap<u64, SegmentOwner> = segs
+        let by_start: BTreeMap<u64, SegmentOwner> = segs
             .iter()
             .zip(&owners)
             .map(|(s, o)| (s.start, *o))
@@ -1185,7 +1178,10 @@ mod tests {
             h.enter(id, |env| {
                 let base = env.mmap(64 * 1024).unwrap();
                 env.touch_range(base, 64 * 1024, true).unwrap();
-                assert!(env.kernel.stats().pgfaults >= 16, "container {i}");
+                assert!(
+                    env.kernel.metrics.value_of("os.pgfaults", None) >= 16,
+                    "container {i}"
+                );
             })
             .unwrap();
         }
@@ -1436,7 +1432,7 @@ mod tests {
     fn cross_container_serving_roundtrip() {
         let mut h = host();
         h.enable_observability(64, crate::slo::SloWatchdog::cloud_default(100_000));
-        h.enable_networking(NetConfig::default());
+        h.enable_networking();
         let server = h.start_container(64 * MIB).unwrap();
         let client = h.start_container(64 * MIB).unwrap();
 
@@ -1462,7 +1458,7 @@ mod tests {
         let mut h = host();
         let wd = SloWatchdog::new(1).with_rule(SloWatchdog::serving_p99(10_000));
         h.enable_observability(16, wd);
-        h.enable_networking(NetConfig::default());
+        h.enable_networking();
         let id = h.start_container(64 * MIB).unwrap();
         for _ in 0..20 {
             h.record_request(id, 50_000);
@@ -1477,7 +1473,7 @@ mod tests {
     #[test]
     fn nics_survive_compaction_and_stop_detaches_port() {
         let mut h = CloudHost::new(4096 * MIB, 512 * MIB);
-        h.enable_networking(NetConfig::default());
+        h.enable_networking();
         let small = 128 * MIB;
         let mut ids = Vec::new();
         while h.free_bytes() >= small {

@@ -40,8 +40,9 @@ pub mod slo;
 
 pub use cki_core;
 pub use cloud::{
-    CloudHost, CompactionReport, Container, ContainerId, HostError, NetConfig, StartSpec,
-    CLONE_ACTIVATE_CYCLES, FLIGHT_RECORD_CYCLES, MIGRATE_FIXED_CYCLES, WATCHDOG_TICK_CYCLES,
+    CloudHost, CompactionReport, Container, ContainerId, HostError, StartSpec,
+    CLONE_ACTIVATE_CYCLES, FLIGHT_RECORD_CYCLES, MIGRATE_FIXED_CYCLES, NIC_QUEUE, SWITCH_DEPTH,
+    WATCHDOG_TICK_CYCLES,
 };
 pub use guest_os;
 pub use netsim;
@@ -237,7 +238,8 @@ pub struct StackConfig {
     pub mem_bytes: u64,
     /// VM / delegated-segment size for virtualized backends.
     pub vm_bytes: u64,
-    /// vCPUs for CKI backends (per-vCPU areas and root copies).
+    /// vCPUs for CKI backends (per-vCPU areas and root copies), 1 to
+    /// [`cki_core::MAX_VCPUS`].
     pub vcpus: u32,
     /// PCID override for CKI backends (`None` = the default tag). Hosts
     /// multiplexing containers assign distinct tags per container.
@@ -285,9 +287,9 @@ impl Stack {
     ///
     /// Returns [`BootError`] for configurations that cannot work: a VM /
     /// segment larger than the machine can back (including host overhead
-    /// for page tables and monitor state), zero-sized fields, an
-    /// out-of-range PCID, or a pre-delegated segment whose length
-    /// disagrees with `vm_bytes`.
+    /// for page tables and monitor state), zero-sized fields, a CKI vCPU
+    /// count above [`cki_core::MAX_VCPUS`], an out-of-range PCID, or a
+    /// pre-delegated segment whose length disagrees with `vm_bytes`.
     pub fn try_new(backend: Backend, config: StackConfig) -> Result<Self, BootError> {
         // The machine itself reserves the first 16 MiB for firmware/host
         // text; virtualized backends additionally need frames for their
@@ -317,8 +319,8 @@ impl Stack {
             }
         }
         if backend.needs_cki_hw() {
-            if config.vcpus == 0 {
-                return Err(BootError::InvalidConfig("vcpus must be non-zero"));
+            if !(1..=cki_core::MAX_VCPUS).contains(&config.vcpus) {
+                return Err(BootError::InvalidConfig("vcpus must be in 1..=MAX_VCPUS"));
             }
             if let Some(p) = config.pcid {
                 if p == 0 || p >= sim_hw::pcid::PCID_COUNT - 1 {

@@ -241,11 +241,6 @@ impl SloWatchdog {
         &self.incidents
     }
 
-    /// Drains the incident log.
-    pub fn take_incidents(&mut self) -> Vec<Incident> {
-        std::mem::take(&mut self.incidents)
-    }
-
     /// Whether an evaluation is due at `now`.
     pub fn due(&self, now: u64) -> bool {
         now >= self.next_tick
@@ -343,15 +338,15 @@ impl SloWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// A probe over canned values.
     #[derive(Default)]
     struct Table {
-        quantiles: HashMap<(&'static str, u64), u64>, // (sketch, q*1000)
-        samples: HashMap<&'static str, u64>,
-        gauges: HashMap<&'static str, u64>,
-        worst: HashMap<&'static str, (u64, u32)>,
+        quantiles: BTreeMap<(&'static str, u64), u64>, // (sketch, q*1000)
+        samples: BTreeMap<&'static str, u64>,
+        gauges: BTreeMap<&'static str, u64>,
+        worst: BTreeMap<&'static str, (u64, u32)>,
     }
 
     impl SloProbe for Table {

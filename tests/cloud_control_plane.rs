@@ -3,7 +3,8 @@
 //! mixed-size churn, snapshot-clone cost, and differential equivalence of
 //! cloned vs cold-booted containers.
 
-use cki::{BootError, CloudHost, HostError, StartSpec};
+use cki::cki_core::MAX_VCPUS;
+use cki::{Backend, BootError, CloudHost, HostError, Stack, StackConfig, StartSpec};
 use dt::program::REGION_SLOTS;
 use dt::snapshot_kernel;
 use guest_os::{Env, Sys};
@@ -363,4 +364,60 @@ fn invalid_start_specs_are_refused_without_allocating() {
     }
     assert!(!HostError::InvalidSpec.to_string().is_empty());
     h.start(StartSpec::new(16 * MIB)).unwrap();
+}
+
+/// A start the host cannot serve returns a typed error, and the pool, the
+/// PCID space and the running set are as they were before the call.
+#[test]
+fn refused_starts_leave_the_host_unchanged() {
+    let mut h = CloudHost::new(256 * MIB, 64 * MIB);
+    h.enable_networking();
+    let running = h.start(StartSpec::new(16 * MIB)).unwrap();
+    let state = |h: &CloudHost| {
+        let host_frames = h.machine.frames.available();
+        (h.free_bytes(), h.pcids_in_use(), h.running(), host_frames)
+    };
+    let before = state(&h);
+
+    // The warmup passes the static check, but the kernel's own frames
+    // share the segment with it: the boot gets as far as the warmup
+    // (NIC attached, template booting) before it runs out of frames.
+    let warmup = StartSpec::new(16 * MIB).with_warmup_pages(4096);
+    for spec in [warmup, warmup.cloned()] {
+        assert_eq!(h.start(spec), Err(HostError::SegmentTooSmall), "{spec:?}");
+        assert_eq!(state(&h), before, "{spec:?}");
+    }
+    assert!(!HostError::SegmentTooSmall.to_string().is_empty());
+
+    let vcpus = |vcpus| StartSpec {
+        vcpus,
+        ..StartSpec::new(16 * MIB)
+    };
+    for spec in [vcpus(MAX_VCPUS + 1), vcpus(100_000)] {
+        for spec in [spec, spec.cloned()] {
+            assert_eq!(h.start(spec), Err(HostError::InvalidSpec), "{spec:?}");
+            assert_eq!(state(&h), before, "{spec:?}");
+        }
+    }
+    for vcpus in [MAX_VCPUS + 1, 100_000] {
+        let cfg = StackConfig {
+            vcpus,
+            ..StackConfig::default()
+        };
+        assert!(matches!(
+            Stack::try_new(Backend::Cki, cfg),
+            Err(BootError::InvalidConfig(_))
+        ));
+    }
+
+    // At the bound both paths boot, and the host serves on.
+    let at_bound = StackConfig {
+        vcpus: MAX_VCPUS,
+        ..StackConfig::default()
+    };
+    Stack::try_new(Backend::Cki, at_bound).unwrap();
+    let id = h.start(vcpus(MAX_VCPUS)).unwrap();
+    h.stop_container(id).unwrap();
+    assert_eq!(state(&h), before);
+    h.stop_container(running).unwrap();
 }

@@ -205,6 +205,7 @@ fn workloads_interleave_across_containers() {
         }
     }
     for k in &kernels {
-        assert!(k.stats().pgfaults >= 8, "{} faults", k.stats().pgfaults);
+        let faults = k.metrics.value_of("os.pgfaults", None);
+        assert!(faults >= 8, "{faults} faults");
     }
 }

@@ -88,7 +88,7 @@ fn preemption_does_not_change_results() {
         let base = env.mmap(256 * 4096).unwrap();
         env.touch_range(base, 256 * 4096, true).unwrap();
         let child = env.sys(Sys::Fork).unwrap();
-        (env.kernel.stats().pgfaults, child)
+        (env.kernel.metrics.value_of("os.pgfaults", None), child)
     };
     assert_eq!(fingerprint(false), fingerprint(true));
 }

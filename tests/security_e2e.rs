@@ -296,6 +296,12 @@ fn hvm_guest_cannot_map_host_memory_past_its_window() {
     // end of the window must take an EPT violation that maps nothing:
     // mapping `base + gpa` would hand the guest host memory outside its
     // VM, or make the walk read host memory as a guest page table.
+    let ept_faults = |s: &Stack| {
+        s.machine
+            .cpu
+            .metrics
+            .value_of("vmm.ept_faults", Some("hvm"))
+    };
     for level in [1u8, 2] {
         for gpa in [HVM_WINDOW, HVM_WINDOW + 0x5000, 1 << 40] {
             let (mut stack, va) = hvm_attack_stack();
@@ -305,7 +311,7 @@ fn hvm_guest_cannot_map_host_memory_past_its_window() {
             stack.machine.mem.write_u64(slot, forged);
             stack.machine.cpu.tlb.flush_all();
             let mappings = hvm(&stack).ept().mappings;
-            let exits = hvm(&stack).stats(&stack.machine).ept_faults;
+            let exits = ept_faults(&stack);
 
             let r = stack.env().touch(va, false);
 
@@ -314,7 +320,7 @@ fn hvm_guest_cannot_map_host_memory_past_its_window() {
             let p = hvm(&stack);
             assert_eq!(p.ept().mappings, mappings, "{case}: stage-2 mapping made");
             assert_eq!(
-                p.stats(&stack.machine).ept_faults,
+                ept_faults(&stack),
                 exits + 1,
                 "{case}: the violation still exits once"
             );
@@ -624,6 +630,10 @@ fn every_dataset_cve_maps_to_a_contained_scenario() {
     use cve_model::{dataset, mitigates, Architecture, Category};
     let records = dataset();
     assert_eq!(records.len(), 209, "corpus size matches the paper");
+    #[allow(
+        clippy::disallowed_types,
+        reason = "`Category` has no order, and the map is only looked up"
+    )]
     let mut contained: std::collections::HashMap<Category, bool> = std::collections::HashMap::new();
     for rec in &records {
         // The paper's matrix: VM-level (and thus CKI) mitigates everything;
