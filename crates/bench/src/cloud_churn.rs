@@ -132,7 +132,7 @@ pub fn run(scale: Scale) -> Outcome {
     let obs_pct = 100.0 * obs_cycles as f64 / total_cycles.max(1) as f64;
     let metrics = &host.machine.cpu.metrics;
     let invoke_sketch = metrics
-        .sketch_id_of("cloud.invoke_cycles", None)
+        .sketch_id_of("cloud.invoke_cycles")
         .expect("invoke sketch registered");
     let sketch_p50 = metrics.sketch_quantile(invoke_sketch, 0.50);
     let sketch_p99 = metrics.sketch_quantile(invoke_sketch, 0.99);

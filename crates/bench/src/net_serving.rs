@@ -171,7 +171,7 @@ pub fn run(scale: Scale) -> Outcome {
     }
     let metrics = &host.machine.cpu.metrics;
     let sketch = metrics
-        .sketch_id_of("net.request_cycles", None)
+        .sketch_id_of("net.request_cycles")
         .expect("serving sketch registered");
     let cloud_p99 = metrics.sketch_quantile(sketch, 0.99);
     let incidents: Vec<_> = host

@@ -105,6 +105,9 @@ pub enum KsmError {
     BadRoot,
     /// Request names an undeclared PTP.
     NotAPtp,
+    /// The host has no frame left for a root's per-vCPU copies. Nothing
+    /// was declared or adopted.
+    NoMem,
 }
 
 /// KSM statistics.
@@ -294,9 +297,11 @@ impl Ksm {
 
     /// KSM call: declare `pa` as a page-table page at `level`.
     ///
-    /// Verifies the invariants, zeroes the page, switches its physmap alias
-    /// to [`KEY_PTP`], and — for roots — creates the per-vCPU copies with
-    /// the kernel half stamped in.
+    /// Verifies the invariants, zeroes the page, creates a root's per-vCPU
+    /// copies with the kernel half stamped in, and switches the page's
+    /// physmap alias to [`KEY_PTP`]. A root whose copies do not fit in the
+    /// host's free frames fails with [`KsmError::NoMem`] before the page
+    /// changes kind.
     pub fn declare_ptp(&mut self, m: &mut Machine, pa: Phys, level: u8) -> Result<(), KsmError> {
         self.stats.calls += 1;
         if !(1..=4).contains(&level) {
@@ -312,6 +317,9 @@ impl Ksm {
             return Err(KsmError::BadPageState("page in use"));
         }
         m.mem.zero_frame(pa);
+        if level == 4 {
+            self.make_root_copies(m, pa)?;
+        }
         // Re-key the physmap alias so the guest can read but not write it.
         let va = self.physmap_va(pa);
         let leaf = PageTables::walk(&mut m.mem, self.template_root, va)
@@ -332,21 +340,28 @@ impl Ksm {
             },
         );
         self.stats.declares += 1;
-
-        if level == 4 {
-            self.make_root_copies(m, pa);
-        }
         Ok(())
     }
 
-    /// Creates the per-vCPU copies of a declared root and stamps the kernel
-    /// half (physmap + per-vCPU slot) into each copy and into the original.
-    fn make_root_copies(&mut self, m: &mut Machine, root: Phys) {
+    /// Creates the per-vCPU copies of a root and stamps the kernel half
+    /// (physmap + per-vCPU slot) into each copy and into the original.
+    /// Every copy's host frame is allocated first: if one is missing, the
+    /// ones already taken go back and nothing else changes.
+    fn make_root_copies(&mut self, m: &mut Machine, root: Phys) -> Result<(), KsmError> {
+        let mut copies = Vec::with_capacity(self.vcpus as usize);
+        for _ in 0..self.vcpus {
+            let Some(copy) = m.frames.alloc() else {
+                // LIFO free list: reverse order restores it as it was.
+                for copy in copies.into_iter().rev() {
+                    m.frames.free(copy);
+                }
+                return Err(KsmError::NoMem);
+            };
+            copies.push(copy);
+        }
         // Stamp the template's kernel half into the original root.
         PageTables::copy_root_entries(&mut m.mem, self.template_root, root, 256..512);
-        let mut copies = Vec::new();
-        for v in 0..self.vcpus as usize {
-            let copy = m.frames.alloc().expect("root copy");
+        for (v, &copy) in copies.iter().enumerate() {
             m.mem.zero_frame(copy);
             // Full copy of the original (user half currently empty + kernel half).
             PageTables::copy_root_entries(&mut m.mem, root, copy, 0..512);
@@ -355,9 +370,9 @@ impl Ksm {
                 copy + 8 * pt_index(PERVCPU_BASE, 4) as u64,
                 pte::make(self.vcpu_pdpts[v], pte::P | pte::W),
             );
-            copies.push(copy);
         }
         self.root_copies.insert(root, copies);
+        Ok(())
     }
 
     /// KSM call: write `new_pte` into slot `index` of declared PTP `ptp`.
@@ -590,6 +605,9 @@ impl Ksm {
             return Err(KsmError::BadPageState("page already tracked"));
         }
         if let PageKind::Ptp { level } = desc.kind {
+            if level == 4 {
+                self.make_root_copies(m, pa)?;
+            }
             let va = self.physmap_va(pa);
             let leaf = PageTables::walk(&mut m.mem, self.template_root, va)
                 .expect("physmap covers the segment")
@@ -601,13 +619,8 @@ impl Ksm {
                 pte::with_pkey(leaf, KEY_PTP),
             );
             m.cpu.tlb.flush_va(va, self.pcid);
-            self.descs.insert(pa, desc);
-            if level == 4 {
-                self.make_root_copies(m, pa);
-            }
-        } else {
-            self.descs.insert(pa, desc);
         }
+        self.descs.insert(pa, desc);
         Ok(())
     }
 
@@ -1085,5 +1098,35 @@ mod tests {
                 .leaf,
         );
         assert_eq!(key_after, 0);
+    }
+
+    #[test]
+    fn root_without_host_frames_for_its_copies_is_not_declared() {
+        let (mut m, mut ksm, mut ga) = setup();
+        // Two vCPUs need two copies; leave the host one frame.
+        let mut taken = Vec::new();
+        while m.frames.available() > 1 {
+            taken.extend(m.frames.alloc());
+        }
+        let root = ga.alloc().unwrap();
+        let va = ksm.physmap_va(root);
+        let key = |m: &mut Machine, ksm: &Ksm| {
+            pte::pkey(
+                PageTables::walk(&mut m.mem, ksm.template_root(), va)
+                    .unwrap()
+                    .leaf,
+            )
+        };
+        assert_eq!(ksm.declare_ptp(&mut m, root, 4), Err(KsmError::NoMem));
+        assert_eq!(m.frames.available(), 1, "the partial copy went back");
+        assert_eq!(ksm.desc(root).kind, PageKind::Data);
+        assert_eq!(key(&mut m, &ksm), 0, "physmap alias not re-keyed");
+        assert_eq!(ksm.root_copy(root, 0), None);
+        assert_eq!(ksm.load_cr3(&mut m, root, 0), Err(KsmError::BadRoot));
+        // With a second frame the same page declares as a root.
+        m.frames.free(taken.pop().unwrap());
+        ksm.declare_ptp(&mut m, root, 4).unwrap();
+        assert_eq!(key(&mut m, &ksm), KEY_PTP);
+        assert_eq!(m.frames.available(), 0);
     }
 }

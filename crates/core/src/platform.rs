@@ -262,6 +262,7 @@ impl CkiPlatform {
             Ok(Err(KsmError::BadPageState(w))) => Err(MapFault::Rejected(w)),
             Ok(Err(KsmError::BadRoot)) => Err(MapFault::Rejected("bad root")),
             Ok(Err(KsmError::NotAPtp)) => Err(MapFault::Rejected("not a PTP")),
+            Ok(Err(KsmError::NoMem)) => Err(MapFault::OutOfMemory),
             Err(GateAbort::Fault(f)) => {
                 m.cpu.metrics.inc(self.ids.gate_aborts);
                 Err(MapFault::Arch(f))
@@ -373,8 +374,13 @@ impl Platform for CkiPlatform {
         let c = m.cpu.clock.model().frame_alloc;
         m.cpu.clock.charge(Tag::Handler, c);
         let root = self.guest_frames.alloc().ok_or(MapFault::OutOfMemory)?;
-        self.ksm_invoke(m, |m, k| k.declare_ptp(m, root, 4))?;
-        Ok(root)
+        let declared = self.ksm_invoke(m, |m, k| k.declare_ptp(m, root, 4));
+        if declared == Err(MapFault::OutOfMemory) {
+            // No host frame for the per-vCPU copies: the KSM left the page
+            // undeclared, so it goes back to the guest.
+            self.guest_frames.free(root);
+        }
+        declared.map(|()| root)
     }
 
     fn destroy_root(&mut self, m: &mut Machine, root: Phys) {

@@ -25,7 +25,7 @@
 //! read only fields that already paid their DMA charge, so valid traffic
 //! costs what it did without them.
 
-use std::ops::{AddAssign, Sub};
+use std::ops::AddAssign;
 
 use sim_hw::{Clock, CostModel, Tag};
 use sim_mem::PhysMem;
@@ -212,41 +212,25 @@ pub struct NicStats {
     pub bad_descs: u64,
 }
 
-impl NicStats {
-    /// Combines two snapshots field by field. The literal names every
-    /// field (no `..`), so a new field does not compile until it is
-    /// combined here too.
-    fn zip(&self, o: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
-        NicStats {
-            tx_frames: f(self.tx_frames, o.tx_frames),
-            rx_frames: f(self.rx_frames, o.rx_frames),
-            tx_bytes: f(self.tx_bytes, o.tx_bytes),
-            rx_bytes: f(self.rx_bytes, o.rx_bytes),
-            kicks: f(self.kicks, o.kicks),
-            coalesced_kicks: f(self.coalesced_kicks, o.coalesced_kicks),
-            kick_exits: f(self.kick_exits, o.kick_exits),
-            kick_hypercalls: f(self.kick_hypercalls, o.kick_hypercalls),
-            irqs: f(self.irqs, o.irqs),
-            coalesced_irqs: f(self.coalesced_irqs, o.coalesced_irqs),
-            ring_full: f(self.ring_full, o.ring_full),
-            decode_errors: f(self.decode_errors, o.decode_errors),
-            bad_descs: f(self.bad_descs, o.bad_descs),
-        }
-    }
-}
-
+/// Sums two NICs' counters field by field. The literal names every field
+/// (no `..`), so a new field does not compile until it is summed here too.
 impl AddAssign<&NicStats> for NicStats {
     fn add_assign(&mut self, o: &NicStats) {
-        *self = self.zip(o, |a, b| a + b);
-    }
-}
-
-/// What happened between two snapshots of one NIC's counters.
-impl Sub for &NicStats {
-    type Output = NicStats;
-
-    fn sub(self, o: &NicStats) -> NicStats {
-        self.zip(o, |a, b| a - b)
+        *self = NicStats {
+            tx_frames: self.tx_frames + o.tx_frames,
+            rx_frames: self.rx_frames + o.rx_frames,
+            tx_bytes: self.tx_bytes + o.tx_bytes,
+            rx_bytes: self.rx_bytes + o.rx_bytes,
+            kicks: self.kicks + o.kicks,
+            coalesced_kicks: self.coalesced_kicks + o.coalesced_kicks,
+            kick_exits: self.kick_exits + o.kick_exits,
+            kick_hypercalls: self.kick_hypercalls + o.kick_hypercalls,
+            irqs: self.irqs + o.irqs,
+            coalesced_irqs: self.coalesced_irqs + o.coalesced_irqs,
+            ring_full: self.ring_full + o.ring_full,
+            decode_errors: self.decode_errors + o.decode_errors,
+            bad_descs: self.bad_descs + o.bad_descs,
+        };
     }
 }
 

@@ -1,11 +1,11 @@
-//! Structured export: Chrome-trace JSON, JSONL span events, and (via
-//! [`crate::MetricsRegistry::prometheus`]) Prometheus text exposition.
+//! Structured export: a Chrome-trace JSON dump of completed spans and a
+//! JSON rendering of a metrics snapshot.
 //!
 //! JSON is emitted by hand — the values are flat (names, integers, floats),
 //! so a serializer dependency would buy nothing and the workspace must
 //! build offline.
 
-use crate::metrics::{bucket_lo, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::span::{SpanEvent, SpanProfiler};
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -71,27 +71,9 @@ pub fn chrome_trace(profiler: &SpanProfiler, freq_ghz: f64) -> String {
     out
 }
 
-/// Renders completed spans as JSONL: one JSON object per line with name,
-/// start/end cycles, duration and depth. Suited to `jq`-style pipelines.
-pub fn spans_jsonl(profiler: &SpanProfiler) -> String {
-    let mut out = String::new();
-    for s in profiler.events() {
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"start_cycles\":{},\"end_cycles\":{},\"cycles\":{},\"depth\":{}}}\n",
-            json_escape(s.name),
-            s.start,
-            s.end,
-            s.cycles(),
-            s.depth
-        ));
-    }
-    out
-}
-
 /// Renders a [`MetricsSnapshot`] as one JSON object: counters as a flat
-/// name→value map, histograms as `{count, sum, buckets}` where `buckets`
-/// lists only occupied `[lower_bound, count]` pairs, and quantile sketches
-/// as `{count, sum, min, max, p50, p90, p99, p999}`.
+/// name→value map and quantile sketches as
+/// `{count, sum, min, max, p50, p90, p99, p999}`.
 pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::from("{\"counters\":{");
     let mut first = true;
@@ -101,32 +83,6 @@ pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
         }
         first = false;
         out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-    }
-    out.push_str("},\"histograms\":{");
-    let mut first = true;
-    for (k, h) in &snapshot.histograms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-            json_escape(k),
-            h.count,
-            h.sum
-        ));
-        let mut fb = true;
-        for (i, &n) in h.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !fb {
-                out.push(',');
-            }
-            fb = false;
-            out.push_str(&format!("[{},{n}]", bucket_lo(i)));
-        }
-        out.push_str("]}");
     }
     out.push_str("},\"sketches\":{");
     let mut first = true;
@@ -221,32 +177,21 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_one_object_per_line() {
-        let p = sample();
-        let out = spans_jsonl(&p);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for l in &lines {
-            assert!(json_balanced(l), "line not balanced: {l}");
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
-        assert!(lines[0].contains("\"name\":\"cki.gate\""));
-        assert!(lines[0].contains("\"cycles\":300"));
-    }
-
-    #[test]
     fn metrics_json_shape() {
         let mut r = crate::MetricsRegistry::new();
         let c = r.counter_labeled("os.syscall", Some("getpid"));
         r.add(c, 7);
-        let h = r.histogram("lat");
-        r.observe(h, 5);
-        r.observe(h, 5);
+        let s = r.sketch("lat");
+        r.record(s, 5);
+        r.record(s, 5);
         let json = metrics_json(&r.snapshot());
         assert!(json_balanced(&json));
         assert!(json.contains("\"os.syscall{getpid}\":7"));
-        // 5 lands in the [4, 8) bucket; both observations share it.
-        assert!(json.contains("\"lat\":{\"count\":2,\"sum\":10,\"buckets\":[[4,2]]}"));
+        // Values below 32 are exact: every quantile of two 5s is 5.
+        assert!(json.contains(
+            "\"lat\":{\"count\":2,\"sum\":10,\"min\":5,\"max\":5,\
+             \"p50\":5,\"p90\":5,\"p99\":5,\"p999\":5}"
+        ));
     }
 
     #[test]

@@ -8,25 +8,26 @@
 //!   cycle counts, so a CKI page fault decomposes into
 //!   trap → handler → KSM gate → PTE-verify → iret with exact per-stage
 //!   cycles ([`span`]).
-//! - [`MetricsRegistry`]: named counters, log₂-bucketed histograms and
-//!   streaming quantile sketches with optional per-container / per-backend
-//!   labels, with snapshot/delta ([`metrics`]).
+//! - [`MetricsRegistry`]: named counters (optionally labeled per backend
+//!   or per syscall) and streaming quantile sketches, with
+//!   snapshot/delta/merge ([`metrics`]).
 //! - [`QuantileSketch`]: deterministic log-linear p50/p90/p99/p999
-//!   estimation, mergeable across containers ([`quantile`]).
+//!   estimation ([`quantile`]).
 //! - [`FlightRecorder`]: fixed-capacity per-container ring of recent
 //!   cycle-stamped events, dumpable as a JSONL incident report
 //!   ([`flight`]).
-//! - [`export`]: JSONL event traces, a Chrome-trace (`chrome://tracing`)
-//!   dump, and Prometheus-style text exposition.
+//! - [`export`]: a Chrome-trace (`chrome://tracing`) dump of spans and a
+//!   JSON rendering of a metrics snapshot.
 //!
 //! The crate sits below `sim-mem` in the dependency order and touches no
 //! simulator types: timestamps are plain cycle counts supplied by the
 //! caller (in practice `Clock::cycles()`), so it can be unit-tested — and
 //! reused — in isolation.
 //!
-//! **Zero-cost when disabled**: both the profiler and the registry check an
-//! `enabled` flag before any allocation or hashing, so instrumented hot
-//! paths cost one predictable branch when observability is off.
+//! **Cheap on the hot path**: the profiler and the flight recorder check
+//! an `enabled` flag before any allocation, so they cost one predictable
+//! branch when observability is off; registry updates are an array index
+//! through an id handed out at registration.
 
 pub mod export;
 pub mod flight;
@@ -36,8 +37,6 @@ pub mod rng;
 pub mod span;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use metrics::{
-    CounterId, HistId, HistSnapshot, Label, MetricsRegistry, MetricsSnapshot, SketchId,
-};
+pub use metrics::{CounterId, MetricsRegistry, MetricsSnapshot, SketchId};
 pub use quantile::{QuantileSketch, SketchSnapshot};
 pub use span::{SpanEvent, SpanId, SpanProfiler, SpanStat};

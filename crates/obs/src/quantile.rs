@@ -1,7 +1,7 @@
 //! Streaming quantile sketches.
 //!
-//! A [`QuantileSketch`] is a log-linear histogram in the HdrHistogram /
-//! DDSketch family: each power-of-two octave is subdivided into
+//! A [`QuantileSketch`] counts observations in log-linear buckets, as in
+//! HdrHistogram and DDSketch: each power-of-two octave is subdivided into
 //! [`SUBBUCKETS`] linear sub-buckets, so any recorded value is attributed
 //! to a bucket whose width is at most `value / SUBBUCKETS`. Quantile
 //! estimates are bucket midpoints, which bounds the relative error at
@@ -14,9 +14,9 @@
 //!   at registration; the hot path is two shifts and an array increment.
 //! - **Deterministic**: integer-only bucketing, so two identical seeded
 //!   simulation runs produce bit-identical sketches (and dumps).
-//! - **Mergeable**: per-container sketches sum bucket-wise into a host
-//!   view without losing accuracy ([`QuantileSketch::merge`]), exactly
-//!   like the log₂ histograms already in [`crate::MetricsRegistry`].
+//! - **Mergeable**: frozen sketches sum bucket-wise without losing
+//!   accuracy ([`SketchSnapshot::merge`]), so per-layer registries
+//!   combine into one view ([`crate::MetricsSnapshot::merge`]).
 
 /// Linear sub-buckets per power-of-two octave. 32 gives a worst-case
 /// relative quantile error of 1/64 ≈ 1.6%.
@@ -161,18 +161,6 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Adds every observation of `other` into `self` (bucket-wise; no
-    /// accuracy loss).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Occupied buckets as `(lower_bound, count)` pairs, ascending — the
     /// sparse form snapshots and JSON export use.
     pub fn occupied(&self) -> Vec<(u64, u64)> {
@@ -182,15 +170,6 @@ impl QuantileSketch {
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (sketch_bucket_lo(i), n))
             .collect()
-    }
-
-    /// Resets to empty, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 }
 
@@ -387,12 +366,11 @@ mod tests {
             }
             all.record(v);
         }
-        a.merge(&b);
-        assert_eq!(a, all, "merge is exact at bucket granularity");
-        let sa = SketchSnapshot::of(&a);
-        let sb = SketchSnapshot::of(&all);
-        assert_eq!(sa.merge(&SketchSnapshot::default()), sa);
-        assert_eq!(sa.quantile(0.99), sb.quantile(0.99));
+        let merged = SketchSnapshot::of(&a).merge(&SketchSnapshot::of(&b));
+        let whole = SketchSnapshot::of(&all);
+        assert_eq!(merged, whole, "merge is exact at bucket granularity");
+        assert_eq!(merged.merge(&SketchSnapshot::default()), merged);
+        assert_eq!(merged.quantile(0.99), whole.quantile(0.99));
     }
 
     #[test]
@@ -411,13 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_reset() {
-        let mut s = QuantileSketch::new();
+    fn empty_sketch_reads_zero() {
+        let s = QuantileSketch::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.min(), 0);
-        s.record(42);
-        s.reset();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.quantile(0.5), 0);
+        assert_eq!(SketchSnapshot::of(&s).quantile(0.5), 0);
     }
 }

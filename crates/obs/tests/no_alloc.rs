@@ -7,8 +7,8 @@
 //! - a **disabled** flight recorder and profiler — the obs-off
 //!   configuration every production container starts in — must not touch
 //!   the allocator at all;
-//! - the **enabled** steady state (flight ring, counters, histograms,
-//!   quantile sketches) must also be allocation-free, because all storage
+//! - the **enabled** steady state (flight ring, counters, quantile
+//!   sketches) must also be allocation-free, because all storage
 //!   is fixed at registration time.
 //!
 //! One `#[test]` only: the allocation counter is process-global, and a
@@ -56,7 +56,6 @@ fn obs_hot_paths_are_allocation_free() {
     let mut profiler = SpanProfiler::new(1024); // disabled by default
     let mut registry = MetricsRegistry::new();
     let ctr = registry.counter("hot.counter");
-    let hist = registry.histogram("hot.hist");
     let sketch = registry.sketch("hot.sketch");
 
     // Obs-off: the configuration every container starts in.
@@ -76,7 +75,6 @@ fn obs_hot_paths_are_allocation_free() {
         for i in 0..10_000u64 {
             on_flight.record(i, "event", i);
             registry.add(ctr, 1);
-            registry.observe(hist, i);
             registry.record(sketch, i);
         }
     });

@@ -10,11 +10,10 @@
 //! The workload is closed-loop: every client keeps exactly one request in
 //! flight against the server's listening socket, the server drains its
 //! backlog and answers each request after a fixed slab of KV compute, and
-//! per-request latency lands in the machine's metrics registry — globally
-//! (`net.request_cycles`), per NIC (`net.request_cycles{c<i>}`), and per
-//! flow (`net.flow_cycles{c<i>->s}`). Every hash `NetSend` returns is kept
-//! until a `NetRecv` returns it; a receive whose hash matches no request
-//! (at the server) or reply (at a client) in flight is a payload mismatch.
+//! per-request latency lands in the machine's `net.request_cycles` sketch.
+//! Every hash `NetSend` returns is kept until a `NetRecv` returns it; a
+//! receive whose hash matches no request (at the server) or reply (at a
+//! client) in flight is a payload mismatch.
 //!
 //! What the paper's serving comparison measures falls out of the doorbell
 //! and interrupt *mechanism*, not tuned constants: clients never call
@@ -27,7 +26,6 @@ use std::collections::BTreeMap;
 use cki::{Backend, NIC_QUEUE, SWITCH_DEPTH};
 use guest_os::{Errno, Fd, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
-use obs::SketchId;
 use sim_hw::{HwExtensions, Machine, Mode, Tag};
 use sim_mem::PAGE_SIZE;
 
@@ -222,29 +220,12 @@ impl Cluster {
     }
 }
 
-struct Sketches {
-    all: SketchId,
-    per_nic: Vec<SketchId>,
-    per_flow: Vec<SketchId>,
-}
-
 /// Runs the closed-loop serving benchmark and reports what it measured.
 pub fn run(cfg: &ServingConfig) -> ServingReport {
     let mut cl = Cluster::build(cfg);
     let server_mac = cl.server_mac();
 
-    let sketches = {
-        let m = &mut cl.machine.cpu.metrics;
-        Sketches {
-            all: m.sketch("net.request_cycles"),
-            per_nic: (0..cfg.clients)
-                .map(|c| m.sketch_owned("net.request_cycles", format!("c{}", c + 1)))
-                .collect(),
-            per_flow: (0..cfg.clients)
-                .map(|c| m.sketch_owned("net.flow_cycles", format!("c{}->s", c + 1)))
-                .collect(),
-        }
-    };
+    let latency = cl.machine.cpu.metrics.sketch("net.request_cycles");
 
     // One scratch page per node for payload staging.
     let mut bufs = vec![0u64; cfg.clients + 1];
@@ -386,10 +367,7 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
                 Ok(hash) => {
                     payload_mismatches += u64::from(!replies.take(hash));
                     let lat = cl.machine.cpu.clock.cycles() - t0;
-                    let m = &mut cl.machine.cpu.metrics;
-                    m.record(sketches.all, lat);
-                    m.record(sketches.per_nic[c], lat);
-                    m.record(sketches.per_flow[c], lat);
+                    cl.machine.cpu.metrics.record(latency, lat);
                     sent_at[c] = None;
                     done += 1;
                 }
@@ -413,8 +391,8 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
         } else {
             0.0
         },
-        p50_cycles: m.sketch_quantile(sketches.all, 0.50),
-        p99_cycles: m.sketch_quantile(sketches.all, 0.99),
+        p50_cycles: m.sketch_quantile(latency, 0.50),
+        p99_cycles: m.sketch_quantile(latency, 0.99),
         exits_per_request: nics.kick_exits as f64 / done.max(1) as f64,
         hypercalls_per_request: nics.kick_hypercalls as f64 / done.max(1) as f64,
         payload_mismatches,

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 use cki_core::{CkiPlatform, MAX_VCPUS};
 use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
-use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
+use netsim::{Coalesce, HostSwitch, Mac, SwitchStats};
 use obs::FlightRecorder;
 use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
@@ -184,17 +184,6 @@ struct NetPlane {
     request_sketch: obs::SketchId,
 }
 
-/// Dense ids of one container's NIC metric series, plus the last-synced
-/// stats snapshot (registry counters are monotonic, so the NIC's running
-/// totals are published as deltas).
-struct NetSeries {
-    tx: obs::CounterId,
-    rx: obs::CounterId,
-    coalesced: obs::CounterId,
-    requests: obs::SketchId,
-    last: NicStats,
-}
-
 /// One running secure container.
 pub struct Container {
     /// Id on this host.
@@ -208,11 +197,6 @@ pub struct Container {
     /// Black box of this container's recent events (disabled unless the
     /// host enabled observability before the start).
     pub flight: FlightRecorder,
-    /// Per-container invoke counter (registered when observability is on,
-    /// so the series can name this container in incident queries).
-    invokes: Option<obs::CounterId>,
-    /// Per-container NIC metric series (networking on only).
-    net: Option<NetSeries>,
 }
 
 /// What one [`CloudHost::compact`] pass did.
@@ -228,7 +212,7 @@ pub struct CompactionReport {
     pub cycles: u64,
 }
 
-/// Dense registry ids for the control plane's counters/histograms.
+/// Dense registry ids for the control plane's counters and sketches.
 struct CloudIds {
     starts: obs::CounterId,
     cold_boots: obs::CounterId,
@@ -238,8 +222,6 @@ struct CloudIds {
     pages_migrated: obs::CounterId,
     frag_failures: obs::CounterId,
     stall_recoveries: obs::CounterId,
-    boot_cycles: obs::HistId,
-    clone_cycles: obs::HistId,
     boot_sketch: obs::SketchId,
     clone_sketch: obs::SketchId,
     invoke_sketch: obs::SketchId,
@@ -325,8 +307,6 @@ impl CloudHost {
             pages_migrated: m.counter("cloud.pages_migrated"),
             frag_failures: m.counter("cloud.frag_failures"),
             stall_recoveries: m.counter("cloud.stall_recoveries"),
-            boot_cycles: m.histogram_labeled("cloud.start_cycles", Some("boot")),
-            clone_cycles: m.histogram_labeled("cloud.start_cycles", Some("clone")),
             boot_sketch: m.sketch("cloud.boot_cycles"),
             clone_sketch: m.sketch("cloud.clone_cycles"),
             invoke_sketch: m.sketch("cloud.invoke_cycles"),
@@ -610,13 +590,10 @@ impl CloudHost {
 
         let id = self.next_id;
         self.next_id += 1;
-        let net = if with_nic {
-            self.attach_nic(id, &mut kernel)
-        } else {
-            None
-        };
+        if with_nic {
+            self.attach_nic(id, &mut kernel);
+        }
         let flight = self.new_flight();
-        let invokes = self.register_container_series(id);
         self.containers.insert(
             id,
             Container {
@@ -625,8 +602,6 @@ impl CloudHost {
                 seg,
                 pcid,
                 flight,
-                invokes,
-                net,
             },
         );
         if let Err(e) = self.warmup(id, spec.warmup_pages) {
@@ -646,55 +621,27 @@ impl CloudHost {
         self.machine
             .cpu
             .metrics
-            .observe(self.ids.boot_cycles, cycles);
-        self.machine
-            .cpu
-            .metrics
             .record(self.ids.boot_sketch, cycles);
-        self.label_start_cycles(id, "boot", cycles);
         self.note_worst("cloud.boot_cycles", cycles, id);
         self.flight_note(id, "start.boot", cycles);
         Ok(id)
-    }
-
-    /// Registers the per-container metric series for a new container
-    /// (observability on only): the invoke counter whose id is cached on
-    /// the [`Container`], so hot-path bumps stay an array index.
-    fn register_container_series(&mut self, id: ContainerId) -> Option<obs::CounterId> {
-        if self.flight_capacity == 0 {
-            return None;
-        }
-        Some(
-            self.machine
-                .cpu
-                .metrics
-                .counter_owned("cloud.invokes_per_container", format!("c{id}")),
-        )
     }
 
     /// Gives a new container its NIC: ring and buffer frames allocated
     /// from the container's own delegated segment, a CKI shared-memory
     /// doorbell (zero-exit — the vhost worker reads the avail index
     /// through its KSM-owned mapping), and a port on the vhost switch.
-    /// Also registers the per-container NIC series (owned-label API) so
-    /// incident flight dumps and metric snapshots can name the
-    /// container's net state. No-op while networking is off.
-    fn attach_nic(&mut self, id: ContainerId, kernel: &mut Kernel) -> Option<NetSeries> {
-        let net = self.net.as_mut()?;
+    /// The NIC keeps its own counters ([`netsim::NicStats`], read through
+    /// [`Container::kernel`]). No-op while networking is off.
+    fn attach_nic(&mut self, id: ContainerId, kernel: &mut Kernel) {
+        let Some(net) = self.net.as_mut() else {
+            return;
+        };
         let mac = Self::container_mac(id);
         let nic = kernel
             .attach_netif(&mut self.machine, NIC_QUEUE, mac, Coalesce::default())
             .expect("NIC ring frames from the delegated segment");
         net.switch.attach(nic);
-        let m = &mut self.machine.cpu.metrics;
-        let series = NetSeries {
-            tx: m.counter_owned("net.tx_frames", format!("c{id}")),
-            rx: m.counter_owned("net.rx_frames", format!("c{id}")),
-            coalesced: m.counter_owned("net.coalesced_kicks", format!("c{id}")),
-            requests: m.sketch_owned("net.request_cycles", format!("c{id}")),
-            last: NicStats::default(),
-        };
-        Some(series)
     }
 
     /// One vhost service pass ([`HostSwitch::service`]) over every
@@ -703,9 +650,8 @@ impl CloudHost {
     /// each NIC's TX ring into the switch (dropping frames whose source is
     /// not their port's MAC, backpressuring on full port FIFOs instead of
     /// dropping), phase B delivers each port's queued frames into its
-    /// owner's RX ring and flushes the coalesced interrupt. Returns the number of frames
-    /// moved; the per-container NIC counters are synced afterwards so a
-    /// snapshot taken between passes is current.
+    /// owner's RX ring and flushes the coalesced interrupt. Returns the
+    /// number of frames moved.
     pub fn net_service(&mut self) -> u64 {
         let Some(net) = self.net.as_mut() else {
             return 0;
@@ -718,64 +664,21 @@ impl CloudHost {
                 .for_each(visit)
         };
         let (mem, clock) = (&mut self.machine.mem, &mut self.machine.cpu.clock);
-        let moved = net.switch.service(mem, clock, nics, |_| {}) as u64;
-        self.sync_net_counters();
-        moved
-    }
-
-    /// Publishes each networked container's NIC statistics into its
-    /// per-container counters as deltas since the last sync.
-    fn sync_net_counters(&mut self) {
-        let metrics = &mut self.machine.cpu.metrics;
-        for c in self.containers.values_mut() {
-            let (Some(series), Some(nic)) = (c.net.as_mut(), c.kernel.netif()) else {
-                continue;
-            };
-            let d = &nic.stats - &series.last;
-            metrics.add(series.tx, d.tx_frames);
-            metrics.add(series.rx, d.rx_frames);
-            metrics.add(series.coalesced, d.coalesced_kicks);
-            series.last = nic.stats.clone();
-        }
+        net.switch.service(mem, clock, nics, |_| {}) as u64
     }
 
     /// Records one completed request/response round trip served by
-    /// container `id`: the global `net.request_cycles` sketch (what the
-    /// serving SLO rule watches), the container's own request sketch,
-    /// worst-offender tracking for incident attribution, and the
-    /// container's flight ring. Ticks the watchdog.
+    /// container `id`: the `net.request_cycles` sketch (what the serving
+    /// SLO rule watches), worst-offender tracking for incident
+    /// attribution, and the container's flight ring. Ticks the watchdog.
     pub fn record_request(&mut self, id: ContainerId, cycles: u64) {
         let Some(net) = self.net.as_ref() else {
             return;
         };
-        let global = net.request_sketch;
-        self.machine.cpu.metrics.record(global, cycles);
-        if let Some(sk) = self
-            .containers
-            .get(&id)
-            .and_then(|c| c.net.as_ref())
-            .map(|n| n.requests)
-        {
-            self.machine.cpu.metrics.record(sk, cycles);
-        }
+        self.machine.cpu.metrics.record(net.request_sketch, cycles);
         self.note_worst("net.request_cycles", cycles, id);
         self.flight_note(id, "net.request", cycles);
         self.tick_watchdog();
-    }
-
-    /// Attributes a start's cycle cost to its container as an owned-label
-    /// series (`cloud.start_cycles_per_container{c7:boot}`) so incident
-    /// queries can rank containers by the cost they induced.
-    fn label_start_cycles(&mut self, id: ContainerId, how: &str, cycles: u64) {
-        if self.flight_capacity == 0 {
-            return;
-        }
-        let ctr = self
-            .machine
-            .cpu
-            .metrics
-            .counter_owned("cloud.start_cycles_per_container", format!("c{id}:{how}"));
-        self.machine.cpu.metrics.add(ctr, cycles);
     }
 
     /// Snapshot clone: construct the container's monitor state, restore
@@ -821,9 +724,8 @@ impl CloudHost {
         // The template has no NIC (its rings would be snapshotted at stale
         // physical addresses); each clone attaches a fresh one here, after
         // the frame-allocator cursor was adopted from the template.
-        let net = self.attach_nic(id, &mut kernel);
+        self.attach_nic(id, &mut kernel);
         let flight = self.new_flight();
-        let invokes = self.register_container_series(id);
         self.containers.insert(
             id,
             Container {
@@ -832,8 +734,6 @@ impl CloudHost {
                 seg,
                 pcid,
                 flight,
-                invokes,
-                net,
             },
         );
 
@@ -847,12 +747,7 @@ impl CloudHost {
         self.machine
             .cpu
             .metrics
-            .observe(self.ids.clone_cycles, cycles);
-        self.machine
-            .cpu
-            .metrics
             .record(self.ids.clone_sketch, cycles);
-        self.label_start_cycles(id, "clone", cycles);
         self.note_worst("cloud.clone_cycles", cycles, id);
         self.flight_note(id, "start.clone", cycles);
         Ok(id)
@@ -889,10 +784,6 @@ impl CloudHost {
     /// Stops a container, reclaiming its segment, PCID, and every host
     /// frame its monitor state occupied.
     pub fn stop_container(&mut self, id: ContainerId) -> Result<(), HostError> {
-        if self.containers.contains_key(&id) {
-            // Final sync so the container's NIC totals survive its NIC.
-            self.sync_net_counters();
-        }
         let mut c = self
             .containers
             .remove(&id)
@@ -993,24 +884,16 @@ impl CloudHost {
             .cpu
             .metrics
             .record(self.ids.compact_sketch, report.cycles);
-        if self.flight_capacity > 0 {
-            for (id, resident) in migrated {
-                let ctr = self
-                    .machine
-                    .cpu
-                    .metrics
-                    .counter_owned("cloud.pages_migrated_per_container", format!("c{id}"));
-                self.machine.cpu.metrics.add(ctr, resident);
-                self.flight_note(id, "compact.moved", resident);
-            }
+        for (id, resident) in migrated {
+            self.flight_note(id, "compact.moved", resident);
         }
         self.tick_watchdog();
         report
     }
 
     /// Runs `f` inside container `id` (switching the CPU to it first),
-    /// recording the invocation's cycle cost into the invoke sketch, the
-    /// container's flight ring, and its per-container invoke series.
+    /// recording the invocation's cycle cost into the invoke sketch,
+    /// worst-offender tracking and the container's flight ring.
     pub fn enter<R>(
         &mut self,
         id: ContainerId,
@@ -1023,9 +906,6 @@ impl CloudHost {
             .cpu
             .metrics
             .record(self.ids.invoke_sketch, cycles);
-        if let Some(ctr) = self.containers.get(&id).and_then(|c| c.invokes) {
-            self.machine.cpu.metrics.inc(ctr);
-        }
         self.note_worst("cloud.invoke_cycles", cycles, id);
         self.flight_note(id, "invoke", cycles);
         self.tick_watchdog();
@@ -1102,14 +982,13 @@ impl CloudHost {
 impl SloProbe for CloudHost {
     fn quantile(&self, sketch: &'static str, q: f64) -> Option<u64> {
         let m = &self.machine.cpu.metrics;
-        let id = m.sketch_id_of(sketch, None)?;
+        let id = m.sketch_id_of(sketch)?;
         Some(m.sketch_quantile(id, q))
     }
 
     fn samples(&self, sketch: &'static str) -> u64 {
         let m = &self.machine.cpu.metrics;
-        m.sketch_id_of(sketch, None)
-            .map_or(0, |id| m.sketch_count(id))
+        m.sketch_id_of(sketch).map_or(0, |id| m.sketch_count(id))
     }
 
     fn gauge(&self, gauge: &'static str) -> Option<u64> {
@@ -1304,12 +1183,8 @@ mod tests {
         assert!(dump.contains("\"event\":\"start.boot\""));
         assert_eq!(dump.matches("\"event\":\"invoke\"").count(), 3);
         let m = &h.machine.cpu.metrics;
-        let sk = m.sketch_id_of("cloud.invoke_cycles", None).unwrap();
+        let sk = m.sketch_id_of("cloud.invoke_cycles").unwrap();
         assert_eq!(m.sketch_count(sk), 3, "warmup not counted as invoke");
-        assert_eq!(
-            m.value_of("cloud.invokes_per_container", Some(&format!("c{id}"))),
-            3
-        );
         assert!(h.flight_records() >= 4);
         assert!(h.obs_overhead_cycles() > 0);
         // Retired containers keep their black box.
@@ -1442,10 +1317,11 @@ mod tests {
         let cycles = h.machine.cpu.clock.since(mark);
         h.record_request(server, cycles);
 
+        let nic = |id| &h.container(id).unwrap().kernel.netif().unwrap().stats;
+        assert!(nic(client).tx_frames >= 1);
+        assert!(nic(server).rx_frames >= 1);
         let m = &h.machine.cpu.metrics;
-        assert!(m.value_of("net.tx_frames", Some(&format!("c{client}"))) >= 1);
-        assert!(m.value_of("net.rx_frames", Some(&format!("c{server}"))) >= 1);
-        let sk = m.sketch_id_of("net.request_cycles", None).unwrap();
+        let sk = m.sketch_id_of("net.request_cycles").unwrap();
         assert_eq!(m.sketch_count(sk), 1);
         let sw = h.switch_stats().unwrap();
         assert!(sw.forwarded >= 2, "request + response forwarded");

@@ -421,3 +421,70 @@ fn refused_starts_leave_the_host_unchanged() {
     assert_eq!(state(&h), before);
     h.stop_container(running).unwrap();
 }
+
+/// A guest that forks until the host has no frame left for a new root's
+/// per-vCPU copies gets `NoMem` back, not a host panic, and its host
+/// frames all come back when the container stops.
+#[test]
+fn fork_loop_exhausting_host_frames_returns_nomem() {
+    let mut h = CloudHost::new(256 * MIB, 64 * MIB);
+    let host_frames = h.machine.frames.available();
+    let spec = StartSpec {
+        vcpus: MAX_VCPUS,
+        ..StartSpec::new(16 * MIB)
+    };
+    let id = h.start(spec).unwrap();
+    let (forks, err) = h
+        .enter(id, |env| {
+            let mut forks = 0u32;
+            loop {
+                match env.sys(Sys::Fork) {
+                    Ok(_) => forks += 1,
+                    Err(e) => return (forks, e),
+                }
+            }
+        })
+        .unwrap();
+    assert_eq!(err, guest_os::Errno::NoMem);
+    assert!(forks > 0, "some forks fit before the host ran out");
+    assert!(
+        h.machine.frames.available() < u64::from(MAX_VCPUS),
+        "the host's frames, not the segment, ran out"
+    );
+    // The guest still runs after the refused fork.
+    let pid = h.enter(id, |env| env.sys(Sys::Getpid)).unwrap();
+    assert_eq!(pid, Ok(1));
+    h.stop_container(id).unwrap();
+    assert_eq!(h.machine.frames.available(), host_frames);
+}
+
+/// Starting and stopping containers does not grow the host's metrics
+/// registry: with observability and networking on, every series is
+/// registered by the end of the first cycle, and 199 more cycles of cold
+/// and cloned starts, invocations, requests and compactions add none.
+#[test]
+fn registry_is_bounded_under_churn() {
+    let mut h = CloudHost::new(256 * MIB, 64 * MIB);
+    h.enable_observability(64, cki::SloWatchdog::cloud_default(100_000));
+    h.enable_networking();
+    let spec = StartSpec::new(16 * MIB);
+    let series = |h: &CloudHost| {
+        let s = h.machine.cpu.metrics.snapshot();
+        s.counters.len() + s.sketches.len()
+    };
+    let mut first = None;
+    for cycle in 0..200 {
+        let cold = h.start(spec).unwrap();
+        let cloned = h.start(spec.cloned()).unwrap();
+        for id in [cold, cloned] {
+            h.enter(id, |env| env.sys(Sys::Getpid).unwrap()).unwrap();
+            h.record_request(id, 10_000);
+        }
+        h.stop_container(cold).unwrap();
+        h.compact();
+        h.stop_container(cloned).unwrap();
+        let n = series(&h);
+        assert_eq!(*first.get_or_insert(n), n, "cycle {cycle}");
+    }
+    assert_eq!(h.running(), 0);
+}
