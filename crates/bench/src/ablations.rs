@@ -87,7 +87,7 @@ fn future_work() -> Matrix {
     let mut machine = Machine::new(256 << 20, HwExtensions::cki());
     machine.cpu.mode = Mode::Kernel;
     machine.cpu.pkrs = fastpath::pkrs_kapp();
-    let mut app = KernelApp::new("bench");
+    let app = KernelApp::new("bench");
     let iters = 1000;
     let mark = machine.cpu.clock.mark();
     for _ in 0..iters {
@@ -124,7 +124,7 @@ fn future_work() -> Matrix {
         let Machine { mem, frames, .. } = &mut machine;
         sim_mem::PageTables::new_root(mem, &mut || frames.alloc()).unwrap()
     };
-    let mut sb = sandbox::DriverSandbox::new(&mut machine, root, "nic", 0x6000_0000, 0x6100_0000);
+    let sb = sandbox::DriverSandbox::new(&mut machine, root, "nic", 0x6000_0000, 0x6100_0000);
     machine.cpu.set_cr3(root, 1, false);
     machine.cpu.mode = Mode::Kernel;
     machine.cpu.pkrs = sandbox::pkrs_kernel();

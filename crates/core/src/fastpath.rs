@@ -27,30 +27,16 @@ pub fn pkrs_kapp() -> u32 {
     pkrs_deny_access(KEY_KPRIV)
 }
 
-/// Statistics of a fast-path app.
-#[derive(Debug, Default, Clone)]
-pub struct FastPathStats {
-    /// Fast syscalls served.
-    pub fast_syscalls: u64,
-    /// Simulated cycles spent in the crossing (both directions).
-    pub crossing_cycles: u64,
-}
-
 /// A syscall-intensive application hosted inside kernel mode.
 pub struct KernelApp {
     /// App name.
     pub name: &'static str,
-    /// Statistics.
-    pub stats: FastPathStats,
 }
 
 impl KernelApp {
     /// Creates an in-kernel application context.
     pub fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            stats: FastPathStats::default(),
-        }
+        Self { name }
     }
 
     /// A fast syscall: PKS switch into the kernel view, run the handler,
@@ -60,13 +46,7 @@ impl KernelApp {
     ///
     /// Panics if the CPU lacks the `wrpkrs` extension (the feature *is*
     /// the co-design).
-    pub fn fast_syscall<R>(
-        &mut self,
-        m: &mut Machine,
-        handler: impl FnOnce(&mut Machine) -> R,
-    ) -> R {
-        self.stats.fast_syscalls += 1;
-        let mark = m.cpu.clock.mark();
+    pub fn fast_syscall<R>(&self, m: &mut Machine, handler: impl FnOnce(&mut Machine) -> R) -> R {
         let pks_check = m.cpu.clock.model().pks_check;
         m.cpu
             .exec(&mut m.mem, Instr::Wrpkrs { value: 0 })
@@ -79,7 +59,6 @@ impl KernelApp {
             .exec(&mut m.mem, Instr::Wrpkrs { value: pkrs_kapp() })
             .expect("fast-syscall exit switch");
         m.cpu.clock.charge(Tag::SyscallPath, pks_check);
-        self.stats.crossing_cycles += m.cpu.clock.since(mark);
         r
     }
 }
@@ -95,7 +74,7 @@ mod tests {
         let mut m = Machine::new(64 << 20, HwExtensions::cki());
         m.cpu.mode = Mode::Kernel;
         m.cpu.pkrs = pkrs_kapp();
-        let mut app = KernelApp::new("kv-in-kernel");
+        let app = KernelApp::new("kv-in-kernel");
 
         // Fast path: getpid-equivalent through the PKS switch.
         let mark = m.cpu.clock.mark();
@@ -126,7 +105,6 @@ mod tests {
             fast_ns < 0.4 * trap_mitigated_ns,
             "fast {fast_ns:.0} ns should beat mitigated trap {trap_mitigated_ns:.0} ns"
         );
-        assert_eq!(app.stats.fast_syscalls, 1);
     }
 
     #[test]
@@ -153,7 +131,7 @@ mod tests {
         let mut m = Machine::new(64 << 20, HwExtensions::cki());
         m.cpu.mode = Mode::Kernel;
         m.cpu.pkrs = pkrs_kapp();
-        let mut app = KernelApp::new("t");
+        let app = KernelApp::new("t");
         let out = app.fast_syscall(&mut m, |m| {
             assert_eq!(m.cpu.pkrs, 0, "kernel view inside the handler");
             1234u64

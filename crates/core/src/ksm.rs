@@ -16,9 +16,15 @@
 //! so that the per-vCPU area (secure stacks, saved contexts) appears at a
 //! constant virtual address on every vCPU without trusting `kernel_gs`
 //! (§4.2, Figure 8c), and it owns the IDT/TSS/IST memory (§4.4).
+//!
+//! Its activity is counted on the machine's metrics registry:
+//! `cki.ksm.{calls,declares,pte_updates,rejected,cr3_loads}{cki}`,
+//! registered when the first KSM on the machine is built and shared by
+//! every KSM on it.
 
 use std::collections::BTreeMap;
 
+use obs::CounterId;
 use sim_hw::idt::{self, IdtEntry};
 use sim_hw::{pkrs_deny_access, pkrs_deny_write, Machine};
 use sim_mem::addr::pt_index;
@@ -110,19 +116,14 @@ pub enum KsmError {
     NoMem,
 }
 
-/// KSM statistics.
-#[derive(Debug, Default, Clone)]
-pub struct KsmStats {
-    /// KSM calls served.
-    pub calls: u64,
-    /// PTPs declared.
-    pub declares: u64,
-    /// PTE updates applied.
-    pub pte_updates: u64,
-    /// Requests rejected.
-    pub rejected: u64,
-    /// CR3 loads validated.
-    pub cr3_loads: u64,
+/// Registry ids of the KSM's counters, `cki.ksm.<name>{cki}` on the
+/// machine's registry: every KSM on a host adds to the same five.
+struct KsmCounterIds {
+    calls: CounterId,
+    declares: CounterId,
+    pte_updates: CounterId,
+    rejected: CounterId,
+    cr3_loads: CounterId,
 }
 
 /// The per-container Kernel Security Monitor.
@@ -146,8 +147,7 @@ pub struct Ksm {
     pub tss_pa: Phys,
     /// PCID assigned to this container.
     pub pcid: u16,
-    /// Statistics.
-    pub stats: KsmStats,
+    ids: KsmCounterIds,
     vcpus: u32,
 }
 
@@ -164,6 +164,14 @@ impl Ksm {
             (1..=MAX_VCPUS).contains(&vcpus),
             "container needs 1..=MAX_VCPUS vCPUs"
         );
+        let mut counter = |name| m.cpu.metrics.counter_labeled(name, Some("cki"));
+        let ids = KsmCounterIds {
+            calls: counter("cki.ksm.calls"),
+            declares: counter("cki.ksm.declares"),
+            pte_updates: counter("cki.ksm.pte_updates"),
+            rejected: counter("cki.ksm.rejected"),
+            cr3_loads: counter("cki.ksm.cr3_loads"),
+        };
         let Machine { mem, frames, .. } = m;
         let template_root =
             PageTables::new_root(mem, &mut || frames.alloc()).expect("KSM template root");
@@ -237,7 +245,7 @@ impl Ksm {
             idt_pa,
             tss_pa,
             pcid,
-            stats: KsmStats::default(),
+            ids,
             vcpus,
         };
         ksm.init_interrupts(m);
@@ -303,17 +311,17 @@ impl Ksm {
     /// host's free frames fails with [`KsmError::NoMem`] before the page
     /// changes kind.
     pub fn declare_ptp(&mut self, m: &mut Machine, pa: Phys, level: u8) -> Result<(), KsmError> {
-        self.stats.calls += 1;
+        m.cpu.metrics.inc(self.ids.calls);
         if !(1..=4).contains(&level) {
             return Err(KsmError::BadPageState("bad PTP level"));
         }
         if !self.seg.contains(pa) {
-            self.stats.rejected += 1;
+            m.cpu.metrics.inc(self.ids.rejected);
             return Err(KsmError::OutsideSegment);
         }
         let d = self.desc(pa);
         if d.kind != PageKind::Data || d.mapped != 0 {
-            self.stats.rejected += 1;
+            m.cpu.metrics.inc(self.ids.rejected);
             return Err(KsmError::BadPageState("page in use"));
         }
         m.mem.zero_frame(pa);
@@ -339,7 +347,7 @@ impl Ksm {
                 mapped: 1,
             },
         );
-        self.stats.declares += 1;
+        m.cpu.metrics.inc(self.ids.declares);
         Ok(())
     }
 
@@ -389,17 +397,32 @@ impl Ksm {
         index: usize,
         new_pte: u64,
     ) -> Result<u64, KsmError> {
-        self.stats.calls += 1;
+        let r = self.write_valid_pte(m, ptp, index, new_pte);
+        m.cpu.metrics.inc(self.ids.calls);
+        let outcome = if r.is_ok() {
+            self.ids.pte_updates
+        } else {
+            self.ids.rejected
+        };
+        m.cpu.metrics.inc(outcome);
+        r
+    }
+
+    /// [`Ksm::update_pte`]'s validation and write, uncounted.
+    fn write_valid_pte(
+        &mut self,
+        m: &mut Machine,
+        ptp: Phys,
+        index: usize,
+        new_pte: u64,
+    ) -> Result<u64, KsmError> {
         let PageKind::Ptp { level } = self.desc(ptp).kind else {
-            self.stats.rejected += 1;
             return Err(KsmError::NotAPtp);
         };
         if index >= 512 {
-            self.stats.rejected += 1;
             return Err(KsmError::BadPte("index out of range"));
         }
         if level == 4 && index >= 256 {
-            self.stats.rejected += 1;
             return Err(KsmError::BadPte("kernel half is KSM-managed"));
         }
         let slot = ptp + 8 * index as u64;
@@ -408,7 +431,6 @@ impl Ksm {
         if pte::present(new_pte) {
             let target = pte::addr(new_pte);
             if !self.seg.contains(target) {
-                self.stats.rejected += 1;
                 return Err(KsmError::BadPte("target outside delegated segment"));
             }
             let tdesc = self.desc(target);
@@ -417,24 +439,20 @@ impl Ksm {
                 // hardware walk, over whatever the target holds (a declared
                 // PTP, say). No guest path maps huge pages.
                 if pte::huge(new_pte) {
-                    self.stats.rejected += 1;
                     return Err(KsmError::BadPte("huge mapping"));
                 }
                 match tdesc.kind {
                     PageKind::Ptp { level: tl } if tl == level - 1 => {}
                     _ => {
-                        self.stats.rejected += 1;
                         return Err(KsmError::BadPte("non-leaf target is not a declared PTP"));
                     }
                 }
             } else {
                 if matches!(tdesc.kind, PageKind::Ptp { .. }) {
-                    self.stats.rejected += 1;
                     return Err(KsmError::BadPte("leaf maps a declared PTP"));
                 }
                 // Kernel-executable mapping: U=0 and NX=0 — forbidden.
                 if new_pte & pte::U == 0 && new_pte & pte::NX == 0 {
-                    self.stats.rejected += 1;
                     return Err(KsmError::BadPte("new kernel-executable mapping"));
                 }
                 // Reference counting: leaves map data pages.
@@ -466,7 +484,6 @@ impl Ksm {
                 }
             }
         }
-        self.stats.pte_updates += 1;
         Ok(old)
     }
 
@@ -475,16 +492,16 @@ impl Ksm {
     /// Only declared top-level PTPs are accepted; the per-vCPU *copy* is
     /// what actually lands in CR3 (§4.3).
     pub fn load_cr3(&mut self, m: &mut Machine, root: Phys, vcpu: u32) -> Result<(), KsmError> {
-        self.stats.calls += 1;
+        m.cpu.metrics.inc(self.ids.calls);
         let Some(copies) = self.root_copies.get(&root) else {
-            self.stats.rejected += 1;
+            m.cpu.metrics.inc(self.ids.rejected);
             return Err(KsmError::BadRoot);
         };
         let copy = copies[vcpu as usize % copies.len()];
         // Same-PCID process switch inside the container: flush. The PCID
         // still protects *other* containers' entries (§4.1).
         m.cpu.set_cr3(copy, self.pcid, false);
-        self.stats.cr3_loads += 1;
+        m.cpu.metrics.inc(self.ids.cr3_loads);
         Ok(())
     }
 
@@ -496,7 +513,7 @@ impl Ksm {
         root: Phys,
         index: usize,
     ) -> Result<u64, KsmError> {
-        self.stats.calls += 1;
+        m.cpu.metrics.inc(self.ids.calls);
         let Some(copies) = self.root_copies.get(&root) else {
             return Err(KsmError::BadRoot);
         };
@@ -515,7 +532,7 @@ impl Ksm {
     /// explicit KSM-call replacements in Table 3 ("toggling CR0 TS-bit for
     /// lazy FPU switching"). Only the TS bit may change.
     pub fn set_cr0_ts(&mut self, m: &mut Machine, ts: bool) -> Result<(), KsmError> {
-        self.stats.calls += 1;
+        m.cpu.metrics.inc(self.ids.calls);
         const CR0_TS: u64 = 1 << 3;
         let new_cr0 = if ts {
             m.cpu.cr0 | CR0_TS
@@ -531,7 +548,7 @@ impl Ksm {
 
     /// KSM call: undeclare a PTP (teardown). The page reverts to data.
     pub fn undeclare_ptp(&mut self, m: &mut Machine, pa: Phys) -> Result<(), KsmError> {
-        self.stats.calls += 1;
+        m.cpu.metrics.inc(self.ids.calls);
         let PageKind::Ptp { level } = self.desc(pa).kind else {
             return Err(KsmError::NotAPtp);
         };
@@ -747,11 +764,7 @@ impl Ksm {
 
 impl std::fmt::Debug for Ksm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ksm")
-            .field("seg", &self.seg)
-            .field("declared", &self.stats.declares)
-            .field("pte_updates", &self.stats.pte_updates)
-            .finish()
+        f.debug_struct("Ksm").field("seg", &self.seg).finish()
     }
 }
 
@@ -771,6 +784,18 @@ mod tests {
         let ksm = Ksm::new(&mut m, seg, 2, 3);
         let guest_alloc = FrameAllocator::new(seg.start, seg.end);
         (m, ksm, guest_alloc)
+    }
+
+    /// Asserts the machine's `cki.ksm.*` counters: calls, declares, PTE
+    /// updates, rejected requests and CR3 loads.
+    #[track_caller]
+    fn assert_ksm_counts(m: &Machine, want: [u64; 5]) {
+        let got = ["calls", "declares", "pte_updates", "rejected", "cr3_loads"]
+            .map(|n| m.cpu.metrics.value_of(&format!("cki.ksm.{n}"), Some("cki")));
+        assert_eq!(
+            got, want,
+            "[calls, declares, pte_updates, rejected, cr3_loads]"
+        );
     }
 
     #[test]
@@ -817,6 +842,9 @@ mod tests {
         let copy = ksm.root_copy(root, 0).unwrap();
         let w = PageTables::walk(&mut m.mem, copy, 0x40_0000).unwrap();
         assert_eq!(pte::addr(w.leaf), data);
+        assert_ksm_counts(&m, [8, 4, 4, 0, 0]);
+        ksm.load_cr3(&mut m, root, 0).unwrap();
+        assert_ksm_counts(&m, [9, 4, 4, 0, 1]);
     }
 
     #[test]
@@ -832,6 +860,7 @@ mod tests {
             err,
             KsmError::BadPte("non-leaf target is not a declared PTP")
         );
+        assert_ksm_counts(&m, [2, 1, 0, 1, 0]);
     }
 
     #[test]
@@ -850,6 +879,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, KsmError::BadPte("leaf maps a declared PTP"));
+        assert_ksm_counts(&m, [3, 2, 0, 1, 0]);
     }
 
     #[test]
@@ -868,6 +898,7 @@ mod tests {
             .unwrap();
         ksm.update_pte(&mut m, pt1, 1, pte::make(data, pte::P | pte::NX))
             .unwrap();
+        assert_ksm_counts(&m, [4, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -877,6 +908,7 @@ mod tests {
             ksm.declare_ptp(&mut m, 0x1000, 4),
             Err(KsmError::OutsideSegment)
         );
+        assert_ksm_counts(&m, [1, 0, 0, 1, 0]);
         let (mut m2, mut ksm2, mut ga2) = setup();
         let pt1 = ga2.alloc().unwrap();
         ksm2.declare_ptp(&mut m2, pt1, 1).unwrap();
@@ -884,6 +916,7 @@ mod tests {
             .update_pte(&mut m2, pt1, 0, pte::make(0x2000, pte::P | pte::U))
             .unwrap_err();
         assert_eq!(err, KsmError::BadPte("target outside delegated segment"));
+        assert_ksm_counts(&m2, [2, 1, 0, 1, 0]);
     }
 
     #[test]
@@ -902,6 +935,7 @@ mod tests {
             ksm.declare_ptp(&mut m, data, 1),
             Err(KsmError::BadPageState("page in use"))
         );
+        assert_ksm_counts(&m, [5, 2, 1, 2, 0]);
     }
 
     #[test]

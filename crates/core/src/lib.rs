@@ -26,9 +26,7 @@ pub mod sandbox;
 
 pub use fastpath::KernelApp;
 pub use gates::{hypercall_gate, interrupt_gate, ksm_call, GateAbort, GateEntry};
-pub use ksm::{
-    pkrs_guest, Ksm, KsmError, KsmStats, PageDesc, PageKind, KEY_KSM, KEY_PTP, MAX_VCPUS,
-};
+pub use ksm::{pkrs_guest, Ksm, KsmError, PageDesc, PageKind, KEY_KSM, KEY_PTP, MAX_VCPUS};
 pub use platform::{CkiConfig, CkiPlatform, CloneReport};
 pub use sandbox::{DriverOutcome, DriverSandbox};
 

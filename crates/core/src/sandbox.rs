@@ -47,15 +47,6 @@ pub enum DriverOutcome {
     Contained(Fault),
 }
 
-/// Statistics of a sandbox.
-#[derive(Debug, Default, Clone)]
-pub struct SandboxStats {
-    /// Gate crossings into the driver.
-    pub calls: u64,
-    /// Faults contained.
-    pub contained: u64,
-}
-
 /// A ring-0 sandbox for one untrusted driver.
 pub struct DriverSandbox {
     /// Driver name (diagnostics).
@@ -64,8 +55,6 @@ pub struct DriverSandbox {
     pub state_va: Virt,
     /// VA of a kernel-private page the driver must never read.
     pub kernel_priv_va: Virt,
-    /// Statistics.
-    pub stats: SandboxStats,
 }
 
 impl DriverSandbox {
@@ -107,7 +96,6 @@ impl DriverSandbox {
             name,
             state_va,
             kernel_priv_va,
-            stats: SandboxStats::default(),
         }
     }
 
@@ -115,11 +103,10 @@ impl DriverSandbox {
     /// [`pkrs_driver`]; any fault it takes is contained and reported, and
     /// the kernel view is restored either way.
     pub fn invoke(
-        &mut self,
+        &self,
         m: &mut Machine,
         driver_body: impl FnOnce(&mut Machine) -> Result<u64, Fault>,
     ) -> DriverOutcome {
-        self.stats.calls += 1;
         // Entry switch: wrpkrs to the driver view + check (Figure 8a's
         // switch_pks, reused verbatim for driver gates).
         let pks_check = m.cpu.clock.model().pks_check;
@@ -148,10 +135,7 @@ impl DriverSandbox {
 
         match result {
             Ok(v) => DriverOutcome::Ok(v),
-            Err(f) => {
-                self.stats.contained += 1;
-                DriverOutcome::Contained(f)
-            }
+            Err(f) => DriverOutcome::Contained(f),
         }
     }
 }
@@ -177,7 +161,7 @@ mod tests {
 
     #[test]
     fn wellbehaved_driver_runs_fast() {
-        let (mut m, mut sb, _root) = setup();
+        let (mut m, sb, _root) = setup();
         let mark = m.cpu.clock.mark();
         let out = sb.invoke(&mut m, |m| {
             // Touch its own state: fine.
@@ -194,7 +178,7 @@ mod tests {
 
     #[test]
     fn driver_cannot_read_kernel_private_data() {
-        let (mut m, mut sb, _root) = setup();
+        let (mut m, sb, _root) = setup();
         let out = sb.invoke(&mut m, |m| {
             m.cpu.mem_access(&mut m.mem, PRIV_VA, Access::Read, None)?;
             Ok(0)
@@ -209,12 +193,11 @@ mod tests {
             ),
             "{out:?}"
         );
-        assert_eq!(sb.stats.contained, 1);
     }
 
     #[test]
     fn driver_cannot_execute_destructive_instructions() {
-        let (mut m, mut sb, _root) = setup();
+        let (mut m, sb, _root) = setup();
         for (instr, name) in [
             (Instr::Cli, "cli"),
             (

@@ -166,7 +166,7 @@ impl Executor {
         let mut stack = Stack::new(backend, StackConfig::default());
         // The span profiler feeds the obs self-time invariant.
         stack.set_profiling(true);
-        stack.machine.cpu.tracer.enable();
+        stack.machine.cpu.enable_tracer();
         let buf = {
             let mut env = stack.env();
             let b = env.mmap(64 * 1024).expect("bootstrap buffer");
@@ -484,7 +484,7 @@ impl Executor {
     /// Short trace tail for divergence reports (cost-free causality view).
     pub fn trace_tail(&self, n: usize) -> String {
         let freq = self.stack.machine.cpu.clock.model().freq_ghz;
-        self.stack.machine.cpu.tracer.render_tail(n, freq)
+        sim_hw::trace::render_tail(&self.stack.machine.cpu.tracer, n, freq)
     }
 
     /// The VA of one page within a region slot, if mapped (injection

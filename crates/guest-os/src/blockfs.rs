@@ -11,10 +11,14 @@
 //! Design: fixed 4 KiB blocks, per-file block lists, and a write-back
 //! buffer cache with LRU-ish eviction. Metadata is kept guest-side (the
 //! interesting costs are the device crossings, not the on-disk format).
+//! Device reads, device writes and cache hits are counted on the guest
+//! kernel's registry as `os.blk.dev_reads`, `os.blk.dev_writes` and
+//! `os.blk.cache_hits`.
 
 use std::collections::BTreeMap;
 
 use netsim::VirtioBlk;
+use obs::CounterId;
 
 use crate::env::Env;
 use crate::syscall::Errno;
@@ -29,17 +33,6 @@ struct CacheEntry {
     stamp: u64,
 }
 
-/// Block-device filesystem statistics.
-#[derive(Debug, Default, Clone)]
-pub struct BlockFsStats {
-    /// Device reads issued.
-    pub dev_reads: u64,
-    /// Device writes issued.
-    pub dev_writes: u64,
-    /// Buffer-cache hits.
-    pub cache_hits: u64,
-}
-
 /// The filesystem.
 pub struct BlockFs {
     dev: VirtioBlk,
@@ -50,21 +43,24 @@ pub struct BlockFs {
     cache: BTreeMap<u32, CacheEntry>,
     cache_cap: usize,
     tick: u64,
-    /// Statistics.
-    pub stats: BlockFsStats,
+    dev_reads: CounterId,
+    dev_writes: CounterId,
+    cache_hits: CounterId,
 }
 
 impl BlockFs {
     /// Formats a filesystem over a device of `blocks` blocks, notified
     /// the way `env`'s platform notifies its devices, with a buffer cache
-    /// of `cache_blocks` blocks.
+    /// of `cache_blocks` blocks. Registers the `os.blk.*` counters on the
+    /// kernel's registry.
     ///
     /// # Panics
     ///
     /// Panics if either size is zero.
-    pub fn format(env: &Env<'_>, blocks: u32, cache_blocks: usize) -> Self {
+    pub fn format(env: &mut Env<'_>, blocks: u32, cache_blocks: usize) -> Self {
         assert!(blocks > 0 && cache_blocks > 0, "degenerate filesystem");
         let kind = env.kernel.platform.device_kind();
+        let metrics = &mut env.kernel.metrics;
         Self {
             dev: VirtioBlk::for_backend(kind, env.machine.cpu.clock.model()),
             files: BTreeMap::new(),
@@ -74,7 +70,9 @@ impl BlockFs {
             cache: BTreeMap::new(),
             cache_cap: cache_blocks,
             tick: 0,
-            stats: BlockFsStats::default(),
+            dev_reads: metrics.counter("os.blk.dev_reads"),
+            dev_writes: metrics.counter("os.blk.dev_writes"),
+            cache_hits: metrics.counter("os.blk.cache_hits"),
         }
     }
 
@@ -97,8 +95,10 @@ impl BlockFs {
             .map(|b| b.len() as u64 * BLOCK_SIZE as u64)
     }
 
-    /// Sends one block-sized device request and waits for it.
-    fn dev_io(&self, env: &mut Env<'_>) {
+    /// Sends one block-sized device request and waits for it, counting it
+    /// under `counter`.
+    fn dev_io(&self, env: &mut Env<'_>, counter: CounterId) {
+        env.kernel.metrics.inc(counter);
         let sp = env.machine.cpu.span_enter("os.blk.submit");
         self.dev.submit(&mut env.machine.cpu.clock, BLOCK_SIZE);
         env.machine.cpu.span_exit(sp);
@@ -129,7 +129,7 @@ impl BlockFs {
         if let Some(e) = self.cache.get_mut(&block) {
             e.stamp = self.tick;
             e.dirty |= dirty;
-            self.stats.cache_hits += 1;
+            env.kernel.metrics.inc(self.cache_hits);
             env.compute(120); // cache lookup
             return Ok(());
         }
@@ -143,13 +143,11 @@ impl BlockFs {
                 .expect("non-empty cache");
             self.cache.remove(&victim.0);
             if victim.1 {
-                self.stats.dev_writes += 1;
-                self.dev_io(env);
+                self.dev_io(env, self.dev_writes);
             }
         }
         if read_from_dev {
-            self.stats.dev_reads += 1;
-            self.dev_io(env);
+            self.dev_io(env, self.dev_reads);
         }
         let tick = self.tick;
         self.cache.insert(block, CacheEntry { dirty, stamp: tick });
@@ -164,7 +162,8 @@ impl BlockFs {
         offset: u64,
         len: u32,
     ) -> Result<(), Errno> {
-        env.compute(300 + len as u64 * 3 / 100); // copy + inode update
+        let copy = env.machine.cpu.clock.model().copy_cycles(len as u64);
+        env.compute(300 + copy); // copy + inode update
         let end_block = ((offset + len as u64).div_ceil(BLOCK_SIZE as u64)) as usize;
         // Extend the file.
         while self.files.get(path).ok_or(Errno::NoEnt)?.len() < end_block {
@@ -192,7 +191,8 @@ impl BlockFs {
         offset: u64,
         len: u32,
     ) -> Result<u32, Errno> {
-        env.compute(300 + len as u64 * 3 / 100);
+        let copy = env.machine.cpu.clock.model().copy_cycles(len as u64);
+        env.compute(300 + copy);
         let file = self.files.get(path).ok_or(Errno::NoEnt)?;
         let file_len = file.len() as u64 * BLOCK_SIZE as u64;
         if offset >= file_len {
@@ -217,8 +217,7 @@ impl BlockFs {
             .map(|(b, _)| *b)
             .collect();
         for b in dirty {
-            self.stats.dev_writes += 1;
-            self.dev_io(env);
+            self.dev_io(env, self.dev_writes);
             if let Some(e) = self.cache.get_mut(&b) {
                 e.dirty = false;
             }
@@ -236,7 +235,6 @@ impl std::fmt::Debug for BlockFs {
                 "used_blocks",
                 &(self.next_block - 1 - self.free.len() as u32),
             )
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -248,6 +246,10 @@ mod tests {
     use crate::platform::NativePlatform;
     use sim_hw::{HwExtensions, Machine};
 
+    fn blk(env: &Env<'_>, name: &str) -> u64 {
+        env.kernel.metrics.value_of(name, None)
+    }
+
     fn boot() -> (Kernel, Machine) {
         let mut m = Machine::new(512 << 20, HwExtensions::baseline());
         let k = Kernel::boot(Box::new(NativePlatform::new(1)), &mut m);
@@ -258,40 +260,44 @@ mod tests {
     fn write_read_roundtrip_with_device_traffic() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(&env, 1024, 16);
+        let mut fs = BlockFs::format(&mut env, 1024, 16);
         fs.create(&mut env, "/db").unwrap();
         fs.write(&mut env, "/db", 0, 3 * BLOCK_SIZE).unwrap();
         assert_eq!(fs.size("/db"), Some(3 * BLOCK_SIZE as u64));
         // Fresh writes need no reads.
-        assert_eq!(fs.stats.dev_reads, 0);
+        assert_eq!(blk(&env, "os.blk.dev_reads"), 0);
         fs.sync(&mut env).unwrap();
-        assert_eq!(fs.stats.dev_writes, 3);
+        assert_eq!(blk(&env, "os.blk.dev_writes"), 3);
         // Cached read: no device traffic.
         assert_eq!(fs.read(&mut env, "/db", 0, BLOCK_SIZE).unwrap(), BLOCK_SIZE);
-        assert_eq!(fs.stats.dev_reads, 0);
-        assert!(fs.stats.cache_hits > 0);
+        assert_eq!(blk(&env, "os.blk.dev_reads"), 0);
+        assert!(blk(&env, "os.blk.cache_hits") > 0);
     }
 
     #[test]
     fn cache_eviction_writes_back_and_rereads() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(&env, 1024, 4); // tiny cache
+        let mut fs = BlockFs::format(&mut env, 1024, 4); // tiny cache
         fs.create(&mut env, "/big").unwrap();
         fs.write(&mut env, "/big", 0, 16 * BLOCK_SIZE).unwrap();
         // 16 dirty blocks through a 4-block cache: at least 12 evictions.
-        assert!(fs.stats.dev_writes >= 12, "{}", fs.stats.dev_writes);
+        assert!(
+            blk(&env, "os.blk.dev_writes") >= 12,
+            "{}",
+            blk(&env, "os.blk.dev_writes")
+        );
         // Reading the start again must hit the device.
-        let before = fs.stats.dev_reads;
+        let before = blk(&env, "os.blk.dev_reads");
         fs.read(&mut env, "/big", 0, BLOCK_SIZE).unwrap();
-        assert_eq!(fs.stats.dev_reads, before + 1);
+        assert_eq!(blk(&env, "os.blk.dev_reads"), before + 1);
     }
 
     #[test]
     fn device_latency_dominates_cold_io() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(&env, 1024, 4);
+        let mut fs = BlockFs::format(&mut env, 1024, 4);
         fs.create(&mut env, "/f").unwrap();
         fs.write(&mut env, "/f", 0, 8 * BLOCK_SIZE).unwrap();
         fs.sync(&mut env).unwrap();
@@ -307,7 +313,7 @@ mod tests {
     fn out_of_space() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(&env, 4, 4);
+        let mut fs = BlockFs::format(&mut env, 4, 4);
         fs.create(&mut env, "/f").unwrap();
         let r = fs.write(&mut env, "/f", 0, 16 * BLOCK_SIZE);
         assert_eq!(r, Err(Errno::NoMem));
@@ -320,7 +326,7 @@ mod tests {
     fn missing_file() {
         let (mut k, mut m) = boot();
         let mut env = Env::new(&mut k, &mut m);
-        let mut fs = BlockFs::format(&env, 64, 4);
+        let mut fs = BlockFs::format(&mut env, 64, 4);
         assert_eq!(fs.read(&mut env, "/nope", 0, 64), Err(Errno::NoEnt));
         assert_eq!(fs.write(&mut env, "/nope", 0, 64), Err(Errno::NoEnt));
         assert_eq!(fs.size("/nope"), None);

@@ -66,24 +66,3 @@ pub const PF_SOFT: u64 = 220;
 
 /// fsync on tmpfs (no device, just dirtying bookkeeping).
 pub const FSYNC_TMPFS: u64 = 260;
-
-/// Copying bytes between kernel and user space: cycles per 100 bytes
-/// (matches `CostModel::copy_per_byte_x100`; ~12.5 ns per KiB).
-pub const fn copy_cycles(bytes: u64) -> u64 {
-    bytes * 3 / 100
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn copy_cost_scales() {
-        assert_eq!(copy_cycles(0), 0);
-        assert_eq!(copy_cycles(100), 3);
-        assert_eq!(copy_cycles(4096), 122);
-        // 1 MiB copy ≈ 13 µs at 2.4 GHz.
-        let us = copy_cycles(1 << 20) as f64 / 2400.0;
-        assert!((10.0..20.0).contains(&us));
-    }
-}

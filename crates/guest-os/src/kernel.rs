@@ -438,10 +438,8 @@ impl Kernel {
             // Fill from the page cache.
             let file_off = offset + (page - vma.start);
             let n = self.vfs.read(inode, file_off, PAGE_SIZE as usize);
-            m.cpu.clock.charge(
-                Tag::Handler,
-                costs::PAGE_CACHE + costs::copy_cycles(n as u64),
-            );
+            let copy = m.cpu.clock.model().copy_cycles(n as u64);
+            m.cpu.clock.charge(Tag::Handler, costs::PAGE_CACHE + copy);
         }
         let flags = MapFlags::user_rw().with_write(vma.write);
         self.platform
@@ -491,10 +489,9 @@ impl Kernel {
         }
         // Shared: copy to a fresh frame.
         let new_pa = self.platform.alloc_frame(m).ok_or(Errno::NoMem)?;
-        let alloc_c = m.cpu.clock.model().frame_alloc;
-        m.cpu
-            .clock
-            .charge(Tag::Handler, alloc_c + costs::copy_cycles(PAGE_SIZE));
+        let model = m.cpu.clock.model();
+        let cycles = model.frame_alloc + model.copy_cycles(PAGE_SIZE);
+        m.cpu.clock.charge(Tag::Handler, cycles);
         self.platform
             .unmap_page(m, root, page)
             .map_err(|_| Errno::Fault)?;
@@ -534,9 +531,8 @@ impl Kernel {
             return Ok(());
         }
         self.touch_range(m, buf, len as u64, write_to_user)?;
-        m.cpu
-            .clock
-            .charge(Tag::Compute, costs::copy_cycles(len as u64));
+        let copy = m.cpu.clock.model().copy_cycles(len as u64);
+        m.cpu.clock.charge(Tag::Compute, copy);
         Ok(())
     }
 

@@ -178,7 +178,8 @@ pub struct CostModel {
     pub net_packet: u64,
     /// Interrupt injection bookkeeping in the host.
     pub irq_inject: u64,
-    /// Application-level cost of one byte of copying (memcpy throughput).
+    /// Application-level cost of one byte of copying (memcpy throughput),
+    /// in cycles per 100 bytes; [`CostModel::copy_cycles`] applies it.
     pub copy_per_byte_x100: u64,
 }
 
@@ -237,6 +238,12 @@ impl CostModel {
     /// Converts nanoseconds to cycles at the modelled frequency.
     pub fn ns_to_cycles(&self, ns: f64) -> u64 {
         (ns * self.freq_ghz).round() as u64
+    }
+
+    /// Cycles to copy `bytes` bytes (kernel↔user, device buffers, page
+    /// images): `copy_per_byte_x100` per 100 bytes, rounded down.
+    pub fn copy_cycles(&self, bytes: u64) -> u64 {
+        bytes * self.copy_per_byte_x100 / 100
     }
 }
 
@@ -330,6 +337,17 @@ mod tests {
         let m = CostModel::default();
         assert!((m.cycles_to_ns(240) - 100.0).abs() < 1e-9);
         assert_eq!(m.ns_to_cycles(100.0), 240);
+    }
+
+    #[test]
+    fn copy_cost_scales() {
+        let m = CostModel::default();
+        assert_eq!(m.copy_cycles(0), 0);
+        assert_eq!(m.copy_cycles(100), 3);
+        assert_eq!(m.copy_cycles(4096), 122);
+        // 1 MiB copy ≈ 13 µs at 2.4 GHz.
+        let us = m.copy_cycles(1 << 20) as f64 / 2400.0;
+        assert!((10.0..20.0).contains(&us));
     }
 
     #[test]

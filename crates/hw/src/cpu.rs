@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use obs::{CounterId, MetricsRegistry, SpanId, SpanProfiler};
+use obs::{CounterId, MetricsRegistry, Ring, SpanId, SpanProfiler};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, Phys, PhysMem, Virt, PAGE_SIZE};
 
@@ -13,7 +13,7 @@ use crate::idt::{self, IdtEntry, IretFrame};
 use crate::instr::{GuestPolicy, Instr, InvpcidMode};
 use crate::pkey;
 use crate::tlb::{Tlb, TlbEntry};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{TraceEvent, TRACE_CAPACITY};
 
 /// CPU privilege mode (x86 ring 3 / ring 0). CKI's point is that the *third*
 /// level the paper needs is built inside `Kernel` via PKS, not provided by
@@ -132,8 +132,9 @@ pub struct Cpu {
     pub ext: HwExtensions,
     /// Whether the CPU is halted (set by `hlt`, cleared by interrupts).
     pub halted: bool,
-    /// Architectural event tracer (disabled by default).
-    pub tracer: Tracer,
+    /// Architectural event tracer: cycle-stamped events in a bounded ring
+    /// ([`crate::trace`]; disabled until [`Cpu::enable_tracer`]).
+    pub tracer: Ring<(u64, TraceEvent)>,
     /// Cycle-attributed span profiler (disabled by default; all layers
     /// reach it through the machine).
     pub profiler: SpanProfiler,
@@ -183,12 +184,18 @@ impl Cpu {
             clock: Clock::new(model),
             ext,
             halted: false,
-            tracer: Tracer::default(),
+            tracer: Ring::disabled(),
             profiler: SpanProfiler::default(),
             metrics,
             ids,
             instructions: 0,
         }
+    }
+
+    /// Starts recording architectural events into a fresh ring of
+    /// [`TRACE_CAPACITY`] slots, allocated here once.
+    pub fn enable_tracer(&mut self) {
+        self.tracer = Ring::new(TRACE_CAPACITY);
     }
 
     /// Opens a profiler span stamped with the current simulated cycle
@@ -244,7 +251,7 @@ impl Cpu {
     pub fn set_cr3(&mut self, root: Phys, pcid: u16, preserve_tlb: bool) {
         let cycles = self.clock.cycles();
         self.tracer
-            .record(cycles, TraceEvent::Cr3Load { root, pcid });
+            .record((cycles, TraceEvent::Cr3Load { root, pcid }));
         self.cr3_root = root;
         self.pcid = pcid;
         if !preserve_tlb {
@@ -282,13 +289,13 @@ impl Cpu {
             && instr.guest_policy() == GuestPolicy::Blocked
         {
             let cycles = self.clock.cycles();
-            self.tracer.record(
+            self.tracer.record((
                 cycles,
                 TraceEvent::InstrBlocked {
                     mnemonic: instr.mnemonic(),
                     pkrs: self.pkrs,
                 },
-            );
+            ));
             return Err(Fault::BlockedPrivileged {
                 mnemonic: instr.mnemonic(),
             });
@@ -444,13 +451,13 @@ impl Cpu {
             ),
             Instr::Wrpkrs { value } => {
                 let cycles = self.clock.cycles();
-                self.tracer.record(
+                self.tracer.record((
                     cycles,
                     TraceEvent::PkrsSwitch {
                         from: self.pkrs,
                         to: value,
                     },
-                );
+                ));
                 self.pkrs = value;
                 (Tag::KsmCall, self.clock.model().wrpkrs, ExecResult::Done)
             }
@@ -605,7 +612,7 @@ impl Cpu {
         self.clock.charge(Tag::Handler, c);
         let cycles = self.clock.cycles();
         self.tracer
-            .record(cycles, TraceEvent::InterruptDelivered { vector, hw });
+            .record((cycles, TraceEvent::InterruptDelivered { vector, hw }));
         Ok(Delivery {
             handler: entry.handler,
             frame,
@@ -692,14 +699,14 @@ impl Cpu {
                     || (is_write && pkey::denies_write(r, entry.pkey))
                 {
                     let cycles = self.clock.cycles();
-                    self.tracer.record(
+                    self.tracer.record((
                         cycles,
                         TraceEvent::PkViolation {
                             va,
                             key: entry.pkey,
                             write: is_write,
                         },
-                    );
+                    ));
                     return Err(Fault::PkViolation {
                         addr: va,
                         key: entry.pkey,

@@ -44,7 +44,7 @@ pub use machine::Machine;
 pub use pcid::PcidAllocator;
 pub use pkey::{pkrs_deny_access, pkrs_deny_write, PKEY_COUNT};
 pub use tlb::Tlb;
-pub use trace::{TraceEvent, TraceKind, Tracer};
+pub use trace::{TraceEvent, TraceKind};
 
 // Observability substrate (spans + metrics) lives in the leaf `obs` crate;
 // re-export it so every layer that depends on sim-hw shares one instance.

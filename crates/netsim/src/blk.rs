@@ -38,7 +38,7 @@ impl VirtioBlk {
     pub fn submit(&self, clock: &mut Clock, bytes: u32) {
         self.doorbell.ring(clock);
         let m = clock.model();
-        let service = m.virtio_process + bytes as u64 * m.copy_per_byte_x100 / 100;
+        let service = m.virtio_process + m.copy_cycles(bytes as u64);
         clock.charge(Tag::Io, service);
         clock.charge(Tag::Io, DEVICE_CYCLES);
         clock.charge(Tag::Io, self.irq.inject);

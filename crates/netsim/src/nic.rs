@@ -396,8 +396,8 @@ impl VirtioNic {
     }
 
     fn charge_copy(clock: &mut Clock, bytes: usize) {
-        let per100 = clock.model().copy_per_byte_x100;
-        clock.charge(Tag::Io, bytes as u64 * per100 / 100);
+        let cycles = clock.model().copy_cycles(bytes as u64);
+        clock.charge(Tag::Io, cycles);
     }
 
     fn post_rx(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> bool {

@@ -13,9 +13,10 @@
 //!   snapshot/delta/merge ([`metrics`]).
 //! - [`QuantileSketch`]: deterministic log-linear p50/p90/p99/p999
 //!   estimation ([`quantile`]).
-//! - [`FlightRecorder`]: fixed-capacity per-container ring of recent
-//!   cycle-stamped events, dumpable as a JSONL incident report
-//!   ([`flight`]).
+//! - [`Ring`]: the one fixed-capacity, overwrite-oldest ring, allocated
+//!   once. A [`FlightRecorder`] is a ring of cycle-stamped control-plane
+//!   events, dumpable as a JSONL incident report; the CPU's architectural
+//!   tracer and the host's retired recorders are rings too ([`flight`]).
 //! - [`export`]: a Chrome-trace (`chrome://tracing`) dump of spans and a
 //!   JSON rendering of a metrics snapshot.
 //!
@@ -24,10 +25,10 @@
 //! caller (in practice `Clock::cycles()`), so it can be unit-tested — and
 //! reused — in isolation.
 //!
-//! **Cheap on the hot path**: the profiler and the flight recorder check
-//! an `enabled` flag before any allocation, so they cost one predictable
-//! branch when observability is off; registry updates are an array index
-//! through an id handed out at registration.
+//! **Cheap on the hot path**: the profiler checks an `enabled` flag and a
+//! disabled ring holds no slots, so each costs one predictable branch when
+//! observability is off; registry updates are an array index through an
+//! id handed out at registration.
 
 pub mod export;
 pub mod flight;
@@ -36,7 +37,7 @@ pub mod quantile;
 pub mod rng;
 pub mod span;
 
-pub use flight::{FlightEvent, FlightRecorder};
+pub use flight::{FlightEvent, FlightRecorder, Ring};
 pub use metrics::{CounterId, MetricsRegistry, MetricsSnapshot, SketchId};
 pub use quantile::{QuantileSketch, SketchSnapshot};
 pub use span::{SpanEvent, SpanId, SpanProfiler, SpanStat};

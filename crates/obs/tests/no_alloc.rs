@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use obs::{FlightRecorder, MetricsRegistry, SpanProfiler};
+use obs::{FlightEvent, FlightRecorder, MetricsRegistry, SpanProfiler};
 
 struct CountingAlloc;
 
@@ -57,11 +57,16 @@ fn obs_hot_paths_are_allocation_free() {
     let mut registry = MetricsRegistry::new();
     let ctr = registry.counter("hot.counter");
     let sketch = registry.sketch("hot.sketch");
+    let event = |i| FlightEvent {
+        cycles: i,
+        name: "event",
+        value: i,
+    };
 
     // Obs-off: the configuration every container starts in.
     let off = allocations(|| {
         for i in 0..10_000u64 {
-            off_flight.record(i, "event", i);
+            off_flight.record(event(i));
             let id = profiler.enter("span", i);
             profiler.exit(id, i + 1);
         }
@@ -73,7 +78,7 @@ fn obs_hot_paths_are_allocation_free() {
     // Obs-on steady state: ring overwrite + every metric kind.
     let on = allocations(|| {
         for i in 0..10_000u64 {
-            on_flight.record(i, "event", i);
+            on_flight.record(event(i));
             registry.add(ctr, 1);
             registry.record(sketch, i);
         }

@@ -8,12 +8,12 @@
 
 use cki::cki_core::{self, gates, CkiPlatform};
 use cki::guest_os::Sys;
-use cki::sim_hw::{instr::InvpcidMode, Access, Fault, Instr, IretFrame, Mode};
+use cki::sim_hw::{instr::InvpcidMode, trace, Access, Fault, Instr, IretFrame, Mode, TraceKind};
 use cki::{Backend, Stack, StackConfig};
 
 fn main() {
     let mut stack = Stack::new(Backend::Cki, StackConfig::default());
-    stack.machine.cpu.tracer.enable();
+    stack.machine.cpu.enable_tracer();
     // Give the container something to protect: a mapped page (hence a
     // declared PTP) in process 1.
     {
@@ -180,16 +180,10 @@ fn main() {
 
     println!("\n== Hardware audit trail (last events) ==");
     let freq = stack.machine.cpu.clock.model().freq_ghz;
-    let blocked = stack
-        .machine
-        .cpu
-        .tracer
-        .count_of(cki::sim_hw::TraceKind::InstrBlocked);
-    let pk = stack
-        .machine
-        .cpu
-        .tracer
-        .count_of(cki::sim_hw::TraceKind::PkViolation);
-    print!("{}", stack.machine.cpu.tracer.render_tail(8, freq));
+    let tracer = &stack.machine.cpu.tracer;
+    assert_eq!(tracer.overwritten(), 0, "counts cover every event");
+    let blocked = trace::count_of(tracer, TraceKind::InstrBlocked);
+    let pk = trace::count_of(tracer, TraceKind::PkViolation);
+    print!("{}", trace::render_tail(tracer, 8, freq));
     println!("totals: {blocked} blocked instructions, {pk} PK violations recorded");
 }

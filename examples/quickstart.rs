@@ -4,7 +4,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use cki::cki_core::CkiPlatform;
 use cki::guest_os::Sys;
 use cki::{Backend, Stack, StackConfig};
 
@@ -68,16 +67,13 @@ fn main() {
     kernel.syscall(machine, Sys::Wait).expect("wait");
 
     // --- What the KSM did for us along the way. ---------------------------
-    let ksm = &stack
-        .kernel
-        .platform
-        .as_any()
-        .downcast_ref::<CkiPlatform>()
-        .expect("cki platform")
-        .ksm;
+    let ksm = |name| stack.machine.cpu.metrics.value_of(name, Some("cki"));
     println!(
         "\nKSM activity: {} calls, {} PTPs declared, {} PTE updates, {} rejected",
-        ksm.stats.calls, ksm.stats.declares, ksm.stats.pte_updates, ksm.stats.rejected
+        ksm("cki.ksm.calls"),
+        ksm("cki.ksm.declares"),
+        ksm("cki.ksm.pte_updates"),
+        ksm("cki.ksm.rejected")
     );
     println!("total simulated time: {:.3} ms", stack.ns() / 1e6);
 }

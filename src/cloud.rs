@@ -24,13 +24,12 @@
 //!   failing permanently. Compaction is never run implicitly: the §4.3
 //!   failure mode stays observable unless the operator opts in.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use cki_core::{CkiPlatform, MAX_VCPUS};
-use guest_os::costs::copy_cycles;
 use guest_os::{Env, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, SwitchStats};
-use obs::FlightRecorder;
+use obs::{FlightEvent, FlightRecorder, Ring};
 use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
 
@@ -98,7 +97,7 @@ pub enum HostError {
     /// allocated.
     InvalidSpec,
     /// The segment could not hold the container's own kernel frames plus
-    /// its warmup working set. The start was undone.
+    /// its NIC rings or its warmup working set. The start was undone.
     SegmentTooSmall,
 }
 
@@ -111,7 +110,9 @@ impl std::fmt::Display for HostError {
             HostError::NoSuchContainer => write!(f, "no such container"),
             HostError::OutOfPcids => write!(f, "PCID space exhausted"),
             HostError::InvalidSpec => write!(f, "invalid start spec"),
-            HostError::SegmentTooSmall => write!(f, "segment too small for the warmup"),
+            HostError::SegmentTooSmall => {
+                write!(f, "segment too small for the NIC rings or the warmup")
+            }
         }
     }
 }
@@ -251,8 +252,8 @@ pub struct CloudHost {
     /// Worst observation per sketch in the current watchdog window, with
     /// the container it came from — how incidents name an offender.
     worst: BTreeMap<&'static str, (u64, ContainerId)>,
-    /// Flight recorders of recently stopped containers (bounded).
-    retired_flights: VecDeque<(ContainerId, FlightRecorder)>,
+    /// Flight recorders of the last [`RETIRED_FLIGHTS`] stopped containers.
+    retired_flights: Ring<(ContainerId, FlightRecorder)>,
     /// Cycle stamp of the first start failure of the current
     /// fragmentation-stall episode (cleared by the next successful start).
     stall_begin: Option<u64>,
@@ -326,7 +327,7 @@ impl CloudHost {
             flight_capacity: 0,
             watchdog: None,
             worst: BTreeMap::new(),
-            retired_flights: VecDeque::new(),
+            retired_flights: Ring::new(RETIRED_FLIGHTS),
             stall_begin: None,
             flight_records: 0,
             net: None,
@@ -447,7 +448,11 @@ impl CloudHost {
         }
         let now = self.machine.cpu.clock.cycles();
         if let Some(c) = self.containers.get_mut(&id) {
-            c.flight.record(now, name, value);
+            c.flight.record(FlightEvent {
+                cycles: now,
+                name,
+                value,
+            });
             self.flight_records += 1;
             self.machine
                 .cpu
@@ -586,32 +591,15 @@ impl CloudHost {
         let physmap =
             pages * model.pte_write + (pages / 512 + 3) * (model.frame_alloc + model.zero_page);
         self.machine.cpu.clock.charge(Tag::Mmu, physmap);
-        let mut kernel = Kernel::boot(platform, &mut self.machine);
+        let kernel = Kernel::boot(platform, &mut self.machine);
 
-        let id = self.next_id;
-        self.next_id += 1;
-        if with_nic {
-            self.attach_nic(id, &mut kernel);
-        }
-        let flight = self.new_flight();
-        self.containers.insert(
-            id,
-            Container {
-                id,
-                kernel,
-                seg,
-                pcid,
-                flight,
-            },
-        );
+        let id = self.admit(kernel, seg, pcid, with_nic, sp)?;
         if let Err(e) = self.warmup(id, spec.warmup_pages) {
-            let mut c = self
+            let c = self
                 .containers
                 .remove(&id)
                 .expect("container just inserted");
-            self.release(&mut c);
-            self.next_id = id;
-            self.machine.cpu.span_exit(sp);
+            self.undo_start(c, sp);
             return Err(e);
         }
 
@@ -627,21 +615,55 @@ impl CloudHost {
         Ok(id)
     }
 
-    /// Gives a new container its NIC: ring and buffer frames allocated
-    /// from the container's own delegated segment, a CKI shared-memory
-    /// doorbell (zero-exit — the vhost worker reads the avail index
-    /// through its KSM-owned mapping), and a port on the vhost switch.
-    /// The NIC keeps its own counters ([`netsim::NicStats`], read through
-    /// [`Container::kernel`]). No-op while networking is off.
-    fn attach_nic(&mut self, id: ContainerId, kernel: &mut Kernel) {
-        let Some(net) = self.net.as_mut() else {
-            return;
+    /// Hands a booted kernel the next id, a flight ring and — when
+    /// `with_nic` and networking is on — its NIC: ring and buffer frames
+    /// allocated from the container's own delegated segment, a CKI
+    /// shared-memory doorbell (zero-exit — the vhost worker reads the
+    /// avail index through its KSM-owned mapping), and a port on the vhost
+    /// switch. The NIC keeps its own counters ([`netsim::NicStats`], read
+    /// through [`Container::kernel`]). A segment with no room left for the
+    /// rings undoes the start and fails with [`HostError::SegmentTooSmall`].
+    fn admit(
+        &mut self,
+        kernel: Kernel,
+        seg: Segment,
+        pcid: u16,
+        with_nic: bool,
+        sp: obs::SpanId,
+    ) -> Result<ContainerId, HostError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let flight = self.new_flight();
+        let mut c = Container {
+            id,
+            kernel,
+            seg,
+            pcid,
+            flight,
         };
-        let mac = Self::container_mac(id);
-        let nic = kernel
-            .attach_netif(&mut self.machine, NIC_QUEUE, mac, Coalesce::default())
-            .expect("NIC ring frames from the delegated segment");
-        net.switch.attach(nic);
+        if let (true, Some(net)) = (with_nic, self.net.as_mut()) {
+            let mac = Self::container_mac(id);
+            let nic = c
+                .kernel
+                .attach_netif(&mut self.machine, NIC_QUEUE, mac, Coalesce::default());
+            match nic {
+                Ok(nic) => net.switch.attach(nic),
+                Err(_) => {
+                    self.undo_start(c, sp);
+                    return Err(HostError::SegmentTooSmall);
+                }
+            }
+        }
+        self.containers.insert(id, c);
+        Ok(id)
+    }
+
+    /// Undoes a start: releases the container's resources, hands its id
+    /// out again and closes the start's span.
+    fn undo_start(&mut self, mut c: Container, sp: obs::SpanId) {
+        self.release(&mut c);
+        self.next_id = c.id;
+        self.machine.cpu.span_exit(sp);
     }
 
     /// One vhost service pass ([`HostSwitch::service`]) over every
@@ -706,36 +728,23 @@ impl CloudHost {
         let report = cki.adopt_from(&mut self.machine, tmpl_cki);
         let old_start = tmpl.seg.start;
         let new_start = seg.start;
-        let mut kernel = tmpl
+        let kernel = tmpl
             .kernel
             .clone_with_platform(platform, move |pa| new_start + (pa - old_start));
 
         // The clone's cost model: fixed activation + the copies and
         // rebases actually performed. The template's own physmap/boot cost
         // was paid once, when the template booted.
-        let pte_write = self.machine.cpu.clock.model().pte_write;
+        let model = self.machine.cpu.clock.model();
         let cycles = CLONE_ACTIVATE_CYCLES
-            + report.pages_copied * copy_cycles(PAGE_SIZE)
-            + report.pte_rewrites * pte_write;
+            + report.pages_copied * model.copy_cycles(PAGE_SIZE)
+            + report.pte_rewrites * model.pte_write;
         self.machine.cpu.clock.charge(Tag::Mmu, cycles);
 
-        let id = self.next_id;
-        self.next_id += 1;
         // The template has no NIC (its rings would be snapshotted at stale
         // physical addresses); each clone attaches a fresh one here, after
         // the frame-allocator cursor was adopted from the template.
-        self.attach_nic(id, &mut kernel);
-        let flight = self.new_flight();
-        self.containers.insert(
-            id,
-            Container {
-                id,
-                kernel,
-                seg,
-                pcid,
-                flight,
-            },
-        );
+        let id = self.admit(kernel, seg, pcid, true, sp)?;
 
         let cycles = self.machine.cpu.clock.since(mark);
         self.machine.cpu.span_exit(sp);
@@ -793,10 +802,7 @@ impl CloudHost {
         // Keep the black box of recently stopped containers: a breach can
         // implicate a container that is already gone.
         if c.flight.enabled() {
-            self.retired_flights.push_back((id, c.flight));
-            while self.retired_flights.len() > RETIRED_FLIGHTS {
-                self.retired_flights.pop_front();
-            }
+            self.retired_flights.record((id, c.flight));
         }
         self.tick_watchdog();
         Ok(())
@@ -833,7 +839,8 @@ impl CloudHost {
         let moves = self.segments.compact(&mut segs);
 
         let mut report = CompactionReport::default();
-        let pte_write = self.machine.cpu.clock.model().pte_write;
+        let model = self.machine.cpu.clock.model();
+        let (page_copy, pte_write) = (model.copy_cycles(PAGE_SIZE), model.pte_write);
         for (old, new) in moves {
             let owner = by_start.get(&old.start).expect("planned segment");
             // Migrate the page image first (the ascending copy handles the
@@ -863,8 +870,7 @@ impl CloudHost {
             );
             c.seg = new;
 
-            let cycles =
-                MIGRATE_FIXED_CYCLES + resident * copy_cycles(PAGE_SIZE) + rewrites * pte_write;
+            let cycles = MIGRATE_FIXED_CYCLES + resident * page_copy + rewrites * pte_write;
             self.machine.cpu.clock.charge(Tag::Mmu, cycles);
             report.moved += 1;
             report.pages_migrated += resident;
@@ -942,7 +948,7 @@ impl CloudHost {
             return Some(c.flight.dump_jsonl(&who));
         }
         self.retired_flights
-            .iter()
+            .events()
             .rev()
             .find(|(rid, _)| *rid == id)
             .map(|(_, f)| f.dump_jsonl(&who))

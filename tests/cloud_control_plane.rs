@@ -422,6 +422,42 @@ fn refused_starts_leave_the_host_unchanged() {
     h.stop_container(running).unwrap();
 }
 
+/// With networking on, a segment too small for the NIC rings is refused
+/// with `SegmentTooSmall` on the cold and the clone path, and the start is
+/// undone: the pool, the PCID space, the host's frames and the next id are
+/// as they were. A 64-page segment still starts.
+#[test]
+fn networked_start_on_a_small_segment_is_refused() {
+    let mut h = CloudHost::new(256 * MIB, 64 * MIB);
+    h.enable_networking();
+    let small = |pages: u64| StartSpec::new(pages * 4096).with_warmup_pages(0);
+    let sizes = [1, 2, 4, 8, 16, 32];
+    // Templates boot without a NIC; boot them first so that the clone
+    // refusals below change nothing either.
+    for n in sizes {
+        h.ensure_template(&small(n)).unwrap();
+    }
+    let state = |h: &CloudHost| {
+        let host_frames = h.machine.frames.available();
+        (h.free_bytes(), h.pcids_in_use(), h.running(), host_frames)
+    };
+    let probe = h.start(small(64)).unwrap();
+    h.stop_container(probe).unwrap();
+    let before = state(&h);
+    for n in sizes {
+        for spec in [small(n), small(n).cloned()] {
+            assert_eq!(h.start(spec), Err(HostError::SegmentTooSmall), "{spec:?}");
+            assert_eq!(state(&h), before, "{spec:?}");
+        }
+    }
+    let id = h.start(small(64)).unwrap();
+    assert_eq!(id, probe + 1, "refused starts hand their ids back");
+    assert!(h.container(id).unwrap().kernel.netif().is_some());
+    let cloned = h.start(small(64).cloned()).unwrap();
+    h.stop_container(cloned).unwrap();
+    h.stop_container(id).unwrap();
+}
+
 /// A guest that forks until the host has no frame left for a new root's
 /// per-vCPU copies gets `NoMem` back, not a host panic, and its host
 /// frames all come back when the container stops.

@@ -4,6 +4,7 @@
 use cki::cki_core::{self, gates, CkiPlatform, KsmError};
 use cki::guest_os::{Errno, Sys};
 use cki::sim_hw::instr::InvpcidMode;
+use cki::sim_hw::trace::{count_of, render_tail};
 use cki::sim_hw::{Access, Fault, Instr, IretFrame, Machine, Mode, TraceEvent, TraceKind};
 use cki::sim_mem::addr::pt_index;
 use cki::sim_mem::pte;
@@ -33,7 +34,7 @@ fn as_guest_kernel(stack: &mut Stack) {
 fn destructive_instructions_trap_to_host() {
     let mut stack = attack_stack();
     as_guest_kernel(&mut stack);
-    stack.machine.cpu.tracer.enable();
+    stack.machine.cpu.enable_tracer();
     let m = &mut stack.machine;
     let attacks = [
         Instr::Wrmsr {
@@ -66,8 +67,9 @@ fn destructive_instructions_trap_to_host() {
         );
     }
     // Every blocked attempt is audited, in execution order.
+    assert_eq!(m.cpu.tracer.overwritten(), 0);
     assert_eq!(
-        m.cpu.tracer.count_of(TraceKind::InstrBlocked),
+        count_of(&m.cpu.tracer, TraceKind::InstrBlocked),
         attacks.len() as u64
     );
     let recorded: Vec<&str> = m
@@ -116,7 +118,7 @@ fn guest_cannot_write_ptp_but_can_read_it() {
         p.ksm.physmap_va(root)
     };
     as_guest_kernel(&mut stack);
-    stack.machine.cpu.tracer.enable();
+    stack.machine.cpu.enable_tracer();
     let m = &mut stack.machine;
     // Reads are allowed: CKI uses PKS write-disable, not the W bit, so the
     // guest can walk its own tables (§4.3).
@@ -358,7 +360,7 @@ fn interrupt_forgery_and_monopolizing_blocked() {
         (p.ksm.idt_pa, p.ksm.tss_pa)
     };
     as_guest_kernel(&mut stack);
-    stack.machine.cpu.tracer.enable();
+    stack.machine.cpu.enable_tracer();
     let m = &mut stack.machine;
     m.cpu.idtr = idt_pa;
     m.cpu.tss_base = tss_pa;
@@ -427,11 +429,12 @@ fn container_survives_attack_storm() {
 fn tracer_audits_the_attack() {
     let mut stack = attack_stack();
     as_guest_kernel(&mut stack);
-    stack.machine.cpu.tracer.enable();
+    stack.machine.cpu.enable_tracer();
     let m = &mut stack.machine;
     let _ = m.cpu.exec(&mut m.mem, Instr::Wrmsr { msr: 1, value: 2 });
     let _ = m.cpu.exec(&mut m.mem, Instr::Cli);
-    let blocked = m.cpu.tracer.count_of(TraceKind::InstrBlocked);
+    assert_eq!(m.cpu.tracer.overwritten(), 0);
+    let blocked = count_of(&m.cpu.tracer, TraceKind::InstrBlocked);
     assert_eq!(blocked, 2, "both attempts audited");
     assert_eq!(
         traced_kinds(m),
@@ -451,7 +454,7 @@ fn tracer_audits_the_attack() {
         vec!["wrmsr", "cli"],
         "attempts recorded in order"
     );
-    let tail = m.cpu.tracer.render_tail(10, 2.4);
+    let tail = render_tail(&m.cpu.tracer, 10, 2.4);
     assert!(tail.contains("wrmsr") && tail.contains("cli"), "{tail}");
 }
 
