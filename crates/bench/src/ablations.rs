@@ -8,7 +8,7 @@
 //! 4. the §9 future-work fast paths (in-kernel syscalls, driver sandbox).
 
 use cki::Backend;
-use sim_hw::{HwExtensions, Machine, Mode, Tag};
+use sim_hw::{cost, HwExtensions, Machine, Mode, Tag};
 use sim_mem::SegmentAllocator;
 
 use crate::experiments::pgfault_ns;
@@ -76,7 +76,7 @@ fn fragmentation() -> Matrix {
 }
 
 fn future_work() -> Matrix {
-    use cki_core::{fastpath, sandbox, KernelApp};
+    use cki_core::{fastpath, sandbox};
     let mut m = Matrix::new(
         "Future work (§9): PKS fast paths",
         "ns per operation",
@@ -87,11 +87,10 @@ fn future_work() -> Matrix {
     let mut machine = Machine::new(256 << 20, HwExtensions::cki());
     machine.cpu.mode = Mode::Kernel;
     machine.cpu.pkrs = fastpath::pkrs_kapp();
-    let app = KernelApp::new("bench");
     let iters = 1000;
     let mark = machine.cpu.clock.mark();
     for _ in 0..iters {
-        app.fast_syscall(&mut machine, |m| {
+        fastpath::fast_syscall(&mut machine, |m| {
             m.cpu.clock.charge(Tag::Handler, guest_os::costs::DISPATCH);
         });
     }
@@ -99,22 +98,21 @@ fn future_work() -> Matrix {
         "in-kernel syscall (PKS)",
         vec![machine.cpu.clock.since_ns(mark) / iters as f64],
     );
-    let model = machine.cpu.clock.model();
     m.push_row(
         "ring-3 syscall (trap)",
-        vec![model.cycles_to_ns(
-            model.syscall_entry + 2 * model.swapgs + guest_os::costs::DISPATCH + model.sysret,
+        vec![cost::cycles_to_ns(
+            cost::SYSCALL_ENTRY + 2 * cost::SWAPGS + guest_os::costs::DISPATCH + cost::SYSRET,
         )],
     );
     m.push_row(
         "ring-3 syscall (trap+PTI/IBRS)",
-        vec![model.cycles_to_ns(
-            model.syscall_entry
-                + 2 * model.swapgs
+        vec![cost::cycles_to_ns(
+            cost::SYSCALL_ENTRY
+                + 2 * cost::SWAPGS
                 + guest_os::costs::DISPATCH
-                + model.sysret
-                + model.pti
-                + model.ibrs,
+                + cost::SYSRET
+                + cost::PTI
+                + cost::IBRS,
         )],
     );
 
@@ -124,7 +122,7 @@ fn future_work() -> Matrix {
         let Machine { mem, frames, .. } = &mut machine;
         sim_mem::PageTables::new_root(mem, &mut || frames.alloc()).unwrap()
     };
-    let sb = sandbox::DriverSandbox::new(&mut machine, root, "nic", 0x6000_0000, 0x6100_0000);
+    let sb = sandbox::DriverSandbox::new(&mut machine, root, 0x6000_0000, 0x6100_0000);
     machine.cpu.set_cr3(root, 1, false);
     machine.cpu.mode = Mode::Kernel;
     machine.cpu.pkrs = sandbox::pkrs_kernel();

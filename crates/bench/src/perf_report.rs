@@ -18,6 +18,7 @@
 //! Drift failures are returned as [`Outcome::failures`], so `repro` still
 //! writes every output and then exits non-zero.
 
+use cki::sim_hw::cost::FREQ_GHZ;
 use cki::{Backend, Stack, StackConfig};
 use guest_os::Sys;
 use obs::export::json_balanced;
@@ -71,14 +72,13 @@ fn window(
     window_ns: f64,
     ops: u64,
 ) -> Breakdown {
-    let freq_ghz = env.machine.cpu.clock.model().freq_ghz;
     let stages = env
         .machine
         .cpu
         .profiler
         .agg_since(&before)
         .into_iter()
-        .map(|(name, stat)| (name, stat.self_cycles as f64 / freq_ghz / ops as f64))
+        .map(|(name, stat)| (name, stat.self_cycles as f64 / FREQ_GHZ / ops as f64))
         .collect();
     Breakdown {
         end_to_end_ns: window_ns / ops as f64,

@@ -13,7 +13,7 @@
 //! ~30 ns of `wrpkrs` instead of ~90 ns of trap machinery, and no TLB/BTB
 //! flushing side effects.
 
-use sim_hw::{pkrs_deny_access, Instr, Machine, Tag};
+use sim_hw::{cost, pkrs_deny_access, Instr, Machine, Tag};
 
 /// Protection key of in-kernel application pages.
 pub const KEY_KAPP: u8 = 6;
@@ -27,40 +27,27 @@ pub fn pkrs_kapp() -> u32 {
     pkrs_deny_access(KEY_KPRIV)
 }
 
-/// A syscall-intensive application hosted inside kernel mode.
-pub struct KernelApp {
-    /// App name.
-    pub name: &'static str,
-}
+/// A fast syscall from the in-kernel application running on `m`: PKS
+/// switch into the kernel view, run the handler, switch back to
+/// [`pkrs_kapp`]. No mode transition, no `swapgs`, no `sysret`.
+///
+/// # Panics
+///
+/// Panics if the CPU lacks the `wrpkrs` extension (the feature *is* the
+/// co-design).
+pub fn fast_syscall<R>(m: &mut Machine, handler: impl FnOnce(&mut Machine) -> R) -> R {
+    m.cpu
+        .exec(&mut m.mem, Instr::Wrpkrs { value: 0 })
+        .expect("fast-syscall entry switch");
+    m.cpu.clock.charge(Tag::SyscallPath, cost::PKS_CHECK);
 
-impl KernelApp {
-    /// Creates an in-kernel application context.
-    pub fn new(name: &'static str) -> Self {
-        Self { name }
-    }
+    let r = handler(m);
 
-    /// A fast syscall: PKS switch into the kernel view, run the handler,
-    /// switch back. No mode transition, no `swapgs`, no `sysret`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CPU lacks the `wrpkrs` extension (the feature *is*
-    /// the co-design).
-    pub fn fast_syscall<R>(&self, m: &mut Machine, handler: impl FnOnce(&mut Machine) -> R) -> R {
-        let pks_check = m.cpu.clock.model().pks_check;
-        m.cpu
-            .exec(&mut m.mem, Instr::Wrpkrs { value: 0 })
-            .expect("fast-syscall entry switch");
-        m.cpu.clock.charge(Tag::SyscallPath, pks_check);
-
-        let r = handler(m);
-
-        m.cpu
-            .exec(&mut m.mem, Instr::Wrpkrs { value: pkrs_kapp() })
-            .expect("fast-syscall exit switch");
-        m.cpu.clock.charge(Tag::SyscallPath, pks_check);
-        r
-    }
+    m.cpu
+        .exec(&mut m.mem, Instr::Wrpkrs { value: pkrs_kapp() })
+        .expect("fast-syscall exit switch");
+    m.cpu.clock.charge(Tag::SyscallPath, cost::PKS_CHECK);
+    r
 }
 
 #[cfg(test)]
@@ -74,11 +61,10 @@ mod tests {
         let mut m = Machine::new(64 << 20, HwExtensions::cki());
         m.cpu.mode = Mode::Kernel;
         m.cpu.pkrs = pkrs_kapp();
-        let app = KernelApp::new("kv-in-kernel");
 
         // Fast path: getpid-equivalent through the PKS switch.
         let mark = m.cpu.clock.mark();
-        app.fast_syscall(&mut m, |m| {
+        fast_syscall(&mut m, |m| {
             m.cpu.clock.charge(Tag::Handler, costs::DISPATCH);
         });
         let fast_ns = m.cpu.clock.since_ns(mark);
@@ -89,10 +75,10 @@ mod tests {
         // (PTI CR3 toggles + IBRS). The PKS boundary needs neither, for the
         // same reason the KSM gate does not (§3.3): only container-private
         // data is visible across it.
-        let model = m.cpu.clock.model();
-        let trap_ns = model
-            .cycles_to_ns(model.syscall_entry + 2 * model.swapgs + costs::DISPATCH + model.sysret);
-        let trap_mitigated_ns = trap_ns + model.cycles_to_ns(model.pti + model.ibrs);
+        let trap_ns = cost::cycles_to_ns(
+            cost::SYSCALL_ENTRY + 2 * cost::SWAPGS + costs::DISPATCH + cost::SYSRET,
+        );
+        let trap_mitigated_ns = trap_ns + cost::cycles_to_ns(cost::PTI + cost::IBRS);
 
         // Raw crossing cost is comparable to an unmitigated trap...
         assert!(
@@ -131,8 +117,7 @@ mod tests {
         let mut m = Machine::new(64 << 20, HwExtensions::cki());
         m.cpu.mode = Mode::Kernel;
         m.cpu.pkrs = pkrs_kapp();
-        let app = KernelApp::new("t");
-        let out = app.fast_syscall(&mut m, |m| {
+        let out = fast_syscall(&mut m, |m| {
             assert_eq!(m.cpu.pkrs, 0, "kernel view inside the handler");
             1234u64
         });

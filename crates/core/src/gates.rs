@@ -15,7 +15,8 @@
 //! - **Stack attacks**: gates run on the per-vCPU secure stack at a
 //!   constant virtual address (Figure 8c), never trusting `kernel_gs`.
 
-use sim_hw::{Access, Fault, Instr, IretFrame, Machine, Tag};
+use netsim::exits::CKI_HOST_SWITCH;
+use sim_hw::{cost, Access, Fault, Instr, IretFrame, Machine, Tag};
 
 use crate::ksm::{pkrs_guest, Ksm, KsmError, PERVCPU_BASE, SEC_STACK_TOP};
 
@@ -51,8 +52,7 @@ fn switch_pks(m: &mut Machine, rax: u32, expected: u32) -> Result<(), GateAbort>
         .exec(&mut m.mem, Instr::Wrpkrs { value: rax })
         .map_err(GateAbort::Fault)?;
     // cmp \pkrs, %rax ; jne abort
-    let c = m.cpu.clock.model().pks_check;
-    m.cpu.clock.charge(Tag::KsmCall, c);
+    m.cpu.clock.charge(Tag::KsmCall, cost::PKS_CHECK);
     if rax != expected {
         // The container is killed; restore a safe PKRS for the simulation.
         m.cpu.pkrs = pkrs_guest();
@@ -111,14 +111,12 @@ pub fn ksm_call_from<R>(
             m.cpu.span_exit(enter);
             return Err(GateAbort::Fault(f));
         }
-        let c = m.cpu.clock.model().ksm_stack_switch;
-        m.cpu.clock.charge(Tag::KsmCall, c);
+        m.cpu.clock.charge(Tag::KsmCall, cost::KSM_STACK_SWITCH);
         m.cpu.span_exit(enter);
 
         // The KSM handler runs with full memory view.
         let verify = m.cpu.span_enter("cki.ksm.verify");
-        let v = m.cpu.clock.model().ksm_validate;
-        m.cpu.clock.charge(Tag::KsmCall, v);
+        m.cpu.clock.charge(Tag::KsmCall, cost::KSM_VALIDATE);
         let result = handler(m, ksm);
         m.cpu.span_exit(verify);
 
@@ -170,10 +168,10 @@ pub fn interrupt_gate(
             hw_delivered: true,
         };
 
-        // exit_to_host: full context switch (registers + CR3), charged.
-        exit_to_host(m);
+        // Exit to the host: full context switch (registers + CR3), charged.
+        host_switch(m);
         host_handler(m);
-        enter_from_host(m);
+        host_switch(m);
 
         // iret — restores mode, IF, rsp, and (CKI extension) PKRS.
         let iret = m.cpu.span_enter("cki.iret");
@@ -196,9 +194,9 @@ pub fn hypercall_gate<R>(
     let span = m.cpu.span_enter("cki.gate.hypercall");
     let r = (|| {
         switch_pks(m, rax, 0)?;
-        exit_to_host(m);
+        host_switch(m);
         let r = host_handler(m);
-        enter_from_host(m);
+        host_switch(m);
         switch_pks(m, pkrs_guest(), pkrs_guest())?;
         Ok(r)
     })();
@@ -206,20 +204,13 @@ pub fn hypercall_gate<R>(
     r
 }
 
-/// Context-switch cost of leaving the guest for the host kernel: register
-/// file save/restore and a CR3 switch. No PTI and no IBRS: the paper
-/// removes side-channel mitigations from gates that only expose private
-/// data (§3.3), and the host crossing relies on address-space separation.
-fn exit_to_host(m: &mut Machine) {
-    let model = m.cpu.clock.model();
-    let c = model.cr3_switch + 120;
-    m.cpu.clock.charge(Tag::VmExit, c);
-}
-
-fn enter_from_host(m: &mut Machine) {
-    let model = m.cpu.clock.model();
-    let c = model.cr3_switch + 120;
-    m.cpu.clock.charge(Tag::VmExit, c);
+/// Context-switch cost of leaving the guest for the host kernel or coming
+/// back: register file save/restore and a CR3 switch. No PTI and no IBRS:
+/// the paper removes side-channel mitigations from gates that only expose
+/// private data (§3.3), and the host crossing relies on address-space
+/// separation.
+fn host_switch(m: &mut Machine) {
+    m.cpu.clock.charge(Tag::VmExit, CKI_HOST_SWITCH);
 }
 
 #[cfg(test)]

@@ -296,6 +296,12 @@ impl Ksm {
         PHYSMAP_BASE + (pa - self.seg.start)
     }
 
+    /// Counts a refused call in `cki.ksm.rejected` and returns `err`.
+    fn refuse<T>(&self, m: &mut Machine, err: KsmError) -> Result<T, KsmError> {
+        m.cpu.metrics.inc(self.ids.rejected);
+        Err(err)
+    }
+
     fn desc(&self, pa: Phys) -> PageDesc {
         self.descs.get(&pa).copied().unwrap_or(PageDesc {
             kind: PageKind::Data,
@@ -313,16 +319,14 @@ impl Ksm {
     pub fn declare_ptp(&mut self, m: &mut Machine, pa: Phys, level: u8) -> Result<(), KsmError> {
         m.cpu.metrics.inc(self.ids.calls);
         if !(1..=4).contains(&level) {
-            return Err(KsmError::BadPageState("bad PTP level"));
+            return self.refuse(m, KsmError::BadPageState("bad PTP level"));
         }
         if !self.seg.contains(pa) {
-            m.cpu.metrics.inc(self.ids.rejected);
-            return Err(KsmError::OutsideSegment);
+            return self.refuse(m, KsmError::OutsideSegment);
         }
         let d = self.desc(pa);
         if d.kind != PageKind::Data || d.mapped != 0 {
-            m.cpu.metrics.inc(self.ids.rejected);
-            return Err(KsmError::BadPageState("page in use"));
+            return self.refuse(m, KsmError::BadPageState("page in use"));
         }
         m.mem.zero_frame(pa);
         if level == 4 {
@@ -494,8 +498,7 @@ impl Ksm {
     pub fn load_cr3(&mut self, m: &mut Machine, root: Phys, vcpu: u32) -> Result<(), KsmError> {
         m.cpu.metrics.inc(self.ids.calls);
         let Some(copies) = self.root_copies.get(&root) else {
-            m.cpu.metrics.inc(self.ids.rejected);
-            return Err(KsmError::BadRoot);
+            return self.refuse(m, KsmError::BadRoot);
         };
         let copy = copies[vcpu as usize % copies.len()];
         // Same-PCID process switch inside the container: flush. The PCID
@@ -515,7 +518,7 @@ impl Ksm {
     ) -> Result<u64, KsmError> {
         m.cpu.metrics.inc(self.ids.calls);
         let Some(copies) = self.root_copies.get(&root) else {
-            return Err(KsmError::BadRoot);
+            return self.refuse(m, KsmError::BadRoot);
         };
         let copies = copies.clone();
         let slot = root + 8 * index as u64;
@@ -540,17 +543,20 @@ impl Ksm {
             m.cpu.cr0 & !CR0_TS
         };
         // The KSM executes the privileged write on the guest's behalf.
-        m.cpu
+        match m
+            .cpu
             .exec(&mut m.mem, sim_hw::Instr::WriteCr0 { value: new_cr0 })
-            .map_err(|_| KsmError::BadPageState("cr0 write rejected"))?;
-        Ok(())
+        {
+            Ok(_) => Ok(()),
+            Err(_) => self.refuse(m, KsmError::BadPageState("cr0 write rejected")),
+        }
     }
 
     /// KSM call: undeclare a PTP (teardown). The page reverts to data.
     pub fn undeclare_ptp(&mut self, m: &mut Machine, pa: Phys) -> Result<(), KsmError> {
         m.cpu.metrics.inc(self.ids.calls);
         let PageKind::Ptp { level } = self.desc(pa).kind else {
-            return Err(KsmError::NotAPtp);
+            return self.refuse(m, KsmError::NotAPtp);
         };
         // Restore the physmap key.
         let va = self.physmap_va(pa);
@@ -901,22 +907,58 @@ mod tests {
         assert_ksm_counts(&m, [4, 1, 2, 1, 0]);
     }
 
+    /// A target outside the segment is refused, and so is every other
+    /// malformed call; each case runs on a fresh KSM and counts exactly one
+    /// rejection.
     #[test]
     fn reject_outside_segment() {
-        let (mut m, mut ksm, _ga) = setup();
-        assert_eq!(
-            ksm.declare_ptp(&mut m, 0x1000, 4),
-            Err(KsmError::OutsideSegment)
-        );
-        assert_ksm_counts(&m, [1, 0, 0, 1, 0]);
-        let (mut m2, mut ksm2, mut ga2) = setup();
-        let pt1 = ga2.alloc().unwrap();
-        ksm2.declare_ptp(&mut m2, pt1, 1).unwrap();
-        let err = ksm2
-            .update_pte(&mut m2, pt1, 0, pte::make(0x2000, pte::P | pte::U))
-            .unwrap_err();
-        assert_eq!(err, KsmError::BadPte("target outside delegated segment"));
-        assert_ksm_counts(&m2, [2, 1, 0, 1, 0]);
+        type Call = fn(&mut Machine, &mut Ksm, &mut FrameAllocator) -> Result<(), KsmError>;
+        let cases: [(Call, KsmError, [u64; 5]); 6] = [
+            (
+                |m, ksm, _| ksm.declare_ptp(m, 0x1000, 4),
+                KsmError::OutsideSegment,
+                [1, 0, 0, 1, 0],
+            ),
+            (
+                |m, ksm, ga| {
+                    let pt1 = ga.alloc().unwrap();
+                    ksm.declare_ptp(m, pt1, 1).unwrap();
+                    ksm.update_pte(m, pt1, 0, pte::make(0x2000, pte::P | pte::U))
+                        .map(drop)
+                },
+                KsmError::BadPte("target outside delegated segment"),
+                [2, 1, 0, 1, 0],
+            ),
+            (
+                |m, ksm, ga| ksm.declare_ptp(m, ga.alloc().unwrap(), 5),
+                KsmError::BadPageState("bad PTP level"),
+                [1, 0, 0, 1, 0],
+            ),
+            (
+                |m, ksm, ga| ksm.read_root_pte(m, ga.alloc().unwrap(), 0).map(drop),
+                KsmError::BadRoot,
+                [1, 0, 0, 1, 0],
+            ),
+            (
+                |m, ksm, ga| ksm.undeclare_ptp(m, ga.alloc().unwrap()),
+                KsmError::NotAPtp,
+                [1, 0, 0, 1, 0],
+            ),
+            (
+                |m, ksm, _| {
+                    // Outside a gate the CPU blocks the KSM's CR0 write.
+                    m.cpu.pkrs = pkrs_guest();
+                    ksm.set_cr0_ts(m, true)
+                },
+                KsmError::BadPageState("cr0 write rejected"),
+                [1, 0, 0, 1, 0],
+            ),
+        ];
+        for (call, err, counts) in cases {
+            let (mut m, mut ksm, mut ga) = setup();
+            assert_eq!(call(&mut m, &mut ksm, &mut ga), Err(err));
+            assert_ksm_counts(&m, counts);
+        }
     }
 
     #[test]

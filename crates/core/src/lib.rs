@@ -24,7 +24,6 @@ pub mod ksm;
 pub mod platform;
 pub mod sandbox;
 
-pub use fastpath::KernelApp;
 pub use gates::{hypercall_gate, interrupt_gate, ksm_call, GateAbort, GateEntry};
 pub use ksm::{pkrs_guest, Ksm, KsmError, PageDesc, PageKind, KEY_KSM, KEY_PTP, MAX_VCPUS};
 pub use platform::{CkiConfig, CkiPlatform, CloneReport};

@@ -16,8 +16,8 @@
 //!   software context switch (390 ns), identical bare-metal and nested.
 
 use guest_os::platform::{MapFault, Platform};
-use netsim::{ExitCosts, NicBackendKind};
-use sim_hw::{CostModel, Fault, Instr, IretFrame, Machine, Tag};
+use netsim::NicBackendKind;
+use sim_hw::{cost, Fault, Instr, IretFrame, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, PageTables, Phys, Segment, Virt, PAGE_SIZE};
 
@@ -86,8 +86,6 @@ pub struct CkiPlatform {
     /// This container's KSM.
     pub ksm: Ksm,
     guest_frames: FrameAllocator,
-    /// Exit-class costs (hypercall roundtrip etc.), exposed for harnesses.
-    pub exits: ExitCosts,
     /// Whether any guest root of *this* container has been loaded yet;
     /// before that, KSM calls run on the container's template space.
     active: bool,
@@ -127,7 +125,6 @@ impl CkiPlatform {
         );
         assert_eq!(seg.len(), config.seg_bytes, "segment/config size mismatch");
         let ksm = Ksm::new(m, seg, config.vcpus, config.pcid);
-        let exits = ExitCosts::cki(m.cpu.clock.model());
         let ids = CkiCounterIds {
             hypercalls: m.cpu.metrics.counter_labeled("cki.hypercalls", Some("cki")),
             gate_aborts: m
@@ -139,7 +136,6 @@ impl CkiPlatform {
             config,
             ksm,
             guest_frames: FrameAllocator::new(seg.start, seg.end),
-            exits,
             active: false,
             ids,
         }
@@ -219,13 +215,13 @@ impl CkiPlatform {
 
     /// The page-table and PKS switches a syscall crossing pays on top of
     /// `swapgs`/`sysret`, unless OPT2/OPT3 remove them.
-    fn crossing_switch_cycles(&self, model: &CostModel) -> u64 {
+    fn crossing_switch_cycles(&self) -> u64 {
         let mut cycles = 0;
         if !self.config.opt2_no_pt_switch {
-            cycles += model.cr3_switch;
+            cycles += cost::CR3_SWITCH;
         }
         if !self.config.opt3_direct_sysret {
-            cycles += model.wrpkrs + model.pks_check;
+            cycles += cost::WRPKRS + cost::PKS_CHECK;
         }
         cycles
     }
@@ -251,9 +247,7 @@ impl CkiPlatform {
         }
         if self.config.gate_sidechannel_mitigation {
             // Ablation: what the gate would cost if PTI/IBRS stayed on it.
-            let model = m.cpu.clock.model();
-            let c = model.pti + model.ibrs;
-            m.cpu.clock.charge(Tag::KsmCall, c);
+            m.cpu.clock.charge(Tag::KsmCall, cost::PTI + cost::IBRS);
         }
         match gates::ksm_call(m, &mut self.ksm, op) {
             Ok(Ok(r)) => Ok(r),
@@ -318,8 +312,7 @@ impl CkiPlatform {
             m.cpu.span_exit(sp);
             return;
         }
-        let c = m.cpu.clock.model().pks_check;
-        m.cpu.clock.charge(Tag::KsmCall, c);
+        m.cpu.clock.charge(Tag::KsmCall, cost::PKS_CHECK);
         if m.cpu.exec(&mut m.mem, Instr::Iret { frame }).is_err() {
             m.cpu.metrics.inc(self.ids.gate_aborts);
         }
@@ -361,8 +354,7 @@ impl Platform for CkiPlatform {
     fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
         // The guest's own memory manager allocates from the delegated
         // segment — real hPAs, no gPA indirection (§4.3).
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         self.guest_frames.alloc()
     }
 
@@ -371,8 +363,7 @@ impl Platform for CkiPlatform {
     }
 
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         let root = self.guest_frames.alloc().ok_or(MapFault::OutOfMemory)?;
         let declared = self.ksm_invoke(m, |m, k| k.declare_ptp(m, root, 4));
         if declared == Err(MapFault::OutOfMemory) {
@@ -423,10 +414,10 @@ impl Platform for CkiPlatform {
             Ok(())
         })?;
         // Per-update validation work beyond the shared crossing.
-        let v = m.cpu.clock.model().ksm_validate;
-        m.cpu
-            .clock
-            .charge(Tag::KsmCall, v * pages.len().saturating_sub(1) as u64);
+        m.cpu.clock.charge(
+            Tag::KsmCall,
+            cost::KSM_VALIDATE * pages.len().saturating_sub(1) as u64,
+        );
         Ok(())
     }
 
@@ -470,8 +461,7 @@ impl Platform for CkiPlatform {
         // kernel-context operation (scheduler or boot).
         let prev_mode = m.cpu.mode;
         m.cpu.mode = sim_hw::Mode::Kernel;
-        let c = m.cpu.clock.model().cr3_switch;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH);
         let r = self.ksm_invoke(m, move |m, k| k.load_cr3(m, root, 0));
         m.cpu.mode = prev_mode;
         r?;
@@ -485,15 +475,17 @@ impl Platform for CkiPlatform {
         if m.cpu.mode == sim_hw::Mode::User {
             let _ = m.cpu.syscall_entry();
         }
-        let model = m.cpu.clock.model();
-        let cycles = model.swapgs + self.crossing_switch_cycles(model);
-        m.cpu.clock.charge(Tag::SyscallPath, cycles);
+        m.cpu.clock.charge(
+            Tag::SyscallPath,
+            cost::SWAPGS + self.crossing_switch_cycles(),
+        );
     }
 
     fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let cycles = model.swapgs + model.sysret + self.crossing_switch_cycles(model);
-        m.cpu.clock.charge(Tag::SyscallPath, cycles);
+        m.cpu.clock.charge(
+            Tag::SyscallPath,
+            cost::SWAPGS + cost::SYSRET + self.crossing_switch_cycles(),
+        );
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
     }

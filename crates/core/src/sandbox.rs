@@ -17,7 +17,7 @@
 //! Crossing into the driver is a PKS gate (two `wrpkrs`, ~60 ns), not an
 //! address-space switch or an IPC — the performance point of the idea.
 
-use sim_hw::{pkrs_deny_access, pkrs_deny_write, Fault, Instr, Machine, Tag};
+use sim_hw::{cost, pkrs_deny_access, pkrs_deny_write, Fault, Instr, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
 /// Protection key of kernel-private data the driver must not read.
@@ -49,8 +49,6 @@ pub enum DriverOutcome {
 
 /// A ring-0 sandbox for one untrusted driver.
 pub struct DriverSandbox {
-    /// Driver name (diagnostics).
-    pub name: &'static str,
     /// VA of the driver's state page(s), tagged [`KEY_DRIVER`].
     pub state_va: Virt,
     /// VA of a kernel-private page the driver must never read.
@@ -64,13 +62,7 @@ impl DriverSandbox {
     /// # Panics
     ///
     /// Panics if the machine is out of memory.
-    pub fn new(
-        m: &mut Machine,
-        root: Phys,
-        name: &'static str,
-        state_va: Virt,
-        kernel_priv_va: Virt,
-    ) -> Self {
+    pub fn new(m: &mut Machine, root: Phys, state_va: Virt, kernel_priv_va: Virt) -> Self {
         let Machine { mem, frames, .. } = m;
         let state_pa = frames.alloc().expect("driver state page");
         let priv_pa = frames.alloc().expect("kernel-private page");
@@ -93,7 +85,6 @@ impl DriverSandbox {
         )
         .expect("map kernel-private page");
         Self {
-            name,
             state_va,
             kernel_priv_va,
         }
@@ -109,7 +100,6 @@ impl DriverSandbox {
     ) -> DriverOutcome {
         // Entry switch: wrpkrs to the driver view + check (Figure 8a's
         // switch_pks, reused verbatim for driver gates).
-        let pks_check = m.cpu.clock.model().pks_check;
         m.cpu
             .exec(
                 &mut m.mem,
@@ -118,7 +108,7 @@ impl DriverSandbox {
                 },
             )
             .expect("gate entry");
-        m.cpu.clock.charge(Tag::Other, pks_check);
+        m.cpu.clock.charge(Tag::Other, cost::PKS_CHECK);
 
         let result = driver_body(m);
 
@@ -131,7 +121,7 @@ impl DriverSandbox {
                 },
             )
             .expect("gate exit");
-        m.cpu.clock.charge(Tag::Other, pks_check);
+        m.cpu.clock.charge(Tag::Other, cost::PKS_CHECK);
 
         match result {
             Ok(v) => DriverOutcome::Ok(v),
@@ -152,7 +142,7 @@ mod tests {
         let mut m = Machine::new(256 << 20, HwExtensions::cki());
         let Machine { mem, frames, .. } = &mut m;
         let root = PageTables::new_root(mem, &mut || frames.alloc()).unwrap();
-        let sb = DriverSandbox::new(&mut m, root, "e1000-sim", STATE_VA, PRIV_VA);
+        let sb = DriverSandbox::new(&mut m, root, STATE_VA, PRIV_VA);
         m.cpu.set_cr3(root, 1, false);
         m.cpu.mode = Mode::Kernel;
         m.cpu.pkrs = pkrs_kernel();

@@ -483,8 +483,7 @@ impl Executor {
 
     /// Short trace tail for divergence reports (cost-free causality view).
     pub fn trace_tail(&self, n: usize) -> String {
-        let freq = self.stack.machine.cpu.clock.model().freq_ghz;
-        sim_hw::trace::render_tail(&self.stack.machine.cpu.tracer, n, freq)
+        sim_hw::trace::render_tail(&self.stack.machine.cpu.tracer, n)
     }
 
     /// The VA of one page within a region slot, if mapped (injection

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use netsim::VirtioBlk;
 use obs::CounterId;
+use sim_hw::cost;
 
 use crate::env::Env;
 use crate::syscall::Errno;
@@ -62,7 +63,7 @@ impl BlockFs {
         let kind = env.kernel.platform.device_kind();
         let metrics = &mut env.kernel.metrics;
         Self {
-            dev: VirtioBlk::for_backend(kind, env.machine.cpu.clock.model()),
+            dev: VirtioBlk::for_backend(kind),
             files: BTreeMap::new(),
             next_block: 1, // block 0: superblock
             total_blocks: blocks,
@@ -162,7 +163,7 @@ impl BlockFs {
         offset: u64,
         len: u32,
     ) -> Result<(), Errno> {
-        let copy = env.machine.cpu.clock.model().copy_cycles(len as u64);
+        let copy = cost::copy_cycles(len as u64);
         env.compute(300 + copy); // copy + inode update
         let end_block = ((offset + len as u64).div_ceil(BLOCK_SIZE as u64)) as usize;
         // Extend the file.
@@ -191,7 +192,7 @@ impl BlockFs {
         offset: u64,
         len: u32,
     ) -> Result<u32, Errno> {
-        let copy = env.machine.cpu.clock.model().copy_cycles(len as u64);
+        let copy = cost::copy_cycles(len as u64);
         env.compute(300 + copy);
         let file = self.files.get(path).ok_or(Errno::NoEnt)?;
         let file_len = file.len() as u64 * BLOCK_SIZE as u64;

@@ -2,7 +2,8 @@
 //!
 //! These are costs of kernel *code*, identical across platforms (the same
 //! guest kernel runs everywhere); platform-dependent costs live in the
-//! [`crate::platform::Platform`] implementations and `sim_hw::CostModel`.
+//! [`crate::platform::Platform`] implementations and in `sim_hw::cost`, the
+//! one table of calibrated hardware costs.
 //! Values are cycles at 2.4 GHz, sized so native (RunC) composite paths
 //! match lmbench-class numbers on the paper's testbed.
 
@@ -61,7 +62,7 @@ pub const MPROTECT_PER_PAGE: u64 = 45;
 
 /// Page-fault handler software path (beyond the platform delivery cost and
 /// the allocation/zero/map charges): VMA lookup is charged separately via
-/// `CostModel::vma_lookup`.
+/// `sim_hw::cost::VMA_LOOKUP`.
 pub const PF_SOFT: u64 = 220;
 
 /// fsync on tmpfs (no device, just dirtying bookkeeping).

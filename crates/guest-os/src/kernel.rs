@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use obs::{CounterId, MetricsRegistry};
 
-use sim_hw::{Clock, Machine, Tag};
+use sim_hw::{cost, Clock, Machine, Tag};
 use sim_mem::addr::{page_align_down, page_align_up};
 use sim_mem::{MapFlags, PfnMap, Phys, PhysMem, Virt, PAGE_SIZE};
 
@@ -301,7 +301,7 @@ impl Kernel {
     /// platform's interrupt path (native IDT, VM exit, PVM redirection, or
     /// CKI's interrupt gate) and the scheduler runs.
     pub fn enable_preemption(&mut self, m: &Machine, quantum_ns: f64) {
-        let q = m.cpu.clock.model().ns_to_cycles(quantum_ns).max(1);
+        let q = cost::ns_to_cycles(quantum_ns).max(1);
         self.timer = Some((q, m.cpu.clock.cycles() + q));
     }
 
@@ -389,8 +389,9 @@ impl Kernel {
         let trap = m.cpu.span_enter("os.trap");
         self.platform.fault_entry(m);
         m.cpu.span_exit(trap);
-        let vma_cost = m.cpu.clock.model().vma_lookup;
-        m.cpu.clock.charge(Tag::Handler, vma_cost + costs::PF_SOFT);
+        m.cpu
+            .clock
+            .charge(Tag::Handler, cost::VMA_LOOKUP + costs::PF_SOFT);
 
         let page = page_align_down(va);
         let pid = self.current;
@@ -432,13 +433,12 @@ impl Kernel {
         vma: &Vma,
     ) -> Result<(), Errno> {
         let frame = self.platform.alloc_frame(m).ok_or(Errno::NoMem)?;
-        let zero_cost = m.cpu.clock.model().zero_page;
-        m.cpu.clock.charge(Tag::Handler, zero_cost);
+        m.cpu.clock.charge(Tag::Handler, cost::ZERO_PAGE);
         if let VmaKind::File { inode, offset } = vma.kind {
             // Fill from the page cache.
             let file_off = offset + (page - vma.start);
             let n = self.vfs.read(inode, file_off, PAGE_SIZE as usize);
-            let copy = m.cpu.clock.model().copy_cycles(n as u64);
+            let copy = cost::copy_cycles(n as u64);
             m.cpu.clock.charge(Tag::Handler, costs::PAGE_CACHE + copy);
         }
         let flags = MapFlags::user_rw().with_write(vma.write);
@@ -489,9 +489,10 @@ impl Kernel {
         }
         // Shared: copy to a fresh frame.
         let new_pa = self.platform.alloc_frame(m).ok_or(Errno::NoMem)?;
-        let model = m.cpu.clock.model();
-        let cycles = model.frame_alloc + model.copy_cycles(PAGE_SIZE);
-        m.cpu.clock.charge(Tag::Handler, cycles);
+        m.cpu.clock.charge(
+            Tag::Handler,
+            cost::FRAME_ALLOC + cost::copy_cycles(PAGE_SIZE),
+        );
         self.platform
             .unmap_page(m, root, page)
             .map_err(|_| Errno::Fault)?;
@@ -531,8 +532,9 @@ impl Kernel {
             return Ok(());
         }
         self.touch_range(m, buf, len as u64, write_to_user)?;
-        let copy = m.cpu.clock.model().copy_cycles(len as u64);
-        m.cpu.clock.charge(Tag::Compute, copy);
+        m.cpu
+            .clock
+            .charge(Tag::Compute, cost::copy_cycles(len as u64));
         Ok(())
     }
 

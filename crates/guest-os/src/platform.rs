@@ -26,7 +26,7 @@
 //! native page-table edits; each platform overrides only the operations
 //! whose cost or mechanism differs from it.
 
-use sim_hw::{Fault, Machine, Tag};
+use sim_hw::{cost, Fault, Machine, Tag};
 use sim_mem::{MapFlags, PageTables, Phys, Virt};
 
 /// Errors from platform mapping operations.
@@ -78,8 +78,7 @@ pub trait Platform {
     /// Allocates one guest-physical data frame. The default takes a frame
     /// from the machine allocator.
     fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         m.frames.alloc()
     }
 
@@ -166,16 +165,15 @@ pub trait Platform {
         if m.cpu.mode == sim_hw::Mode::User {
             let _ = m.cpu.syscall_entry();
         }
-        let c = m.cpu.clock.model().swapgs;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu.clock.charge(Tag::SyscallPath, cost::SWAPGS);
     }
 
     /// Charges the syscall exit path (guest kernel → user). The default is
     /// `swapgs` plus `sysret`.
     fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let c = model.swapgs + model.sysret;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu
+            .clock
+            .charge(Tag::SyscallPath, cost::SWAPGS + cost::SYSRET);
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
     }
@@ -183,16 +181,14 @@ pub trait Platform {
     /// Charges delivery of a user page fault to the guest kernel handler.
     /// The default is a direct exception entry through the IDT.
     fn fault_entry(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().exception_entry;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::EXCEPTION_ENTRY);
         m.cpu.mode = sim_hw::Mode::Kernel;
     }
 
     /// Charges the return from the fault handler to user mode. The default
     /// is a direct `iret`.
     fn fault_exit(&mut self, m: &mut Machine) {
-        let c = m.cpu.clock.model().iret;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::IRET);
         m.cpu.mode = sim_hw::Mode::User;
     }
 
@@ -239,9 +235,10 @@ pub trait Platform {
     /// models a local-APIC timer handled natively; virtualized platforms
     /// override with their interrupt-delivery path.
     fn timer_tick(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let c = model.exception_entry + 300 + model.iret + model.wrmsr;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(
+            Tag::Sched,
+            cost::EXCEPTION_ENTRY + 300 + cost::IRET + cost::WRMSR,
+        );
     }
 }
 
@@ -272,8 +269,7 @@ impl Platform for NativePlatform {
     }
 
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         host_new_root(m)
     }
 
@@ -285,8 +281,7 @@ impl Platform for NativePlatform {
         pa: Phys,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         host_map(m, root, va, pa, flags)
     }
 
@@ -296,8 +291,7 @@ impl Platform for NativePlatform {
         root: Phys,
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         Ok(host_unmap(m, root, va, self.pcid))
     }
 
@@ -308,14 +302,12 @@ impl Platform for NativePlatform {
         va: Virt,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().cr3_switch;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH);
         // One PCID per container: switching processes inside it must flush
         // (PCIDs isolate containers from each other, not processes — §4.1).
         m.cpu.set_cr3(root, self.pcid, false);

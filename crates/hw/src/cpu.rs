@@ -6,7 +6,7 @@ use obs::{CounterId, MetricsRegistry, Ring, SpanId, SpanProfiler};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, Phys, PhysMem, Virt, PAGE_SIZE};
 
-use crate::cost::{Clock, CostModel, Tag};
+use crate::cost::{self, Clock, Tag};
 use crate::ext::HwExtensions;
 use crate::fault::Fault;
 use crate::idt::{self, IdtEntry, IretFrame};
@@ -153,8 +153,8 @@ struct HwCounterIds {
 }
 
 impl Cpu {
-    /// Creates a CPU in kernel mode with the given extensions and cost model.
-    pub fn new(ext: HwExtensions, model: CostModel) -> Self {
+    /// Creates a CPU in kernel mode with the given extensions.
+    pub fn new(ext: HwExtensions) -> Self {
         let mut metrics = MetricsRegistry::new();
         let ids = HwCounterIds {
             tlb_hit: metrics.counter("hw.tlb.hits"),
@@ -181,7 +181,7 @@ impl Cpu {
             tss_base: 0,
             msrs: BTreeMap::new(),
             tlb: Tlb::default(),
-            clock: Clock::new(model),
+            clock: Clock::default(),
             ext,
             halted: false,
             tracer: Ring::disabled(),
@@ -305,24 +305,24 @@ impl Cpu {
             Instr::Alu { cycles } => (Tag::Compute, cycles.max(1), ExecResult::Done),
             Instr::Load { va } => {
                 self.mem_access(mem, va, Access::Read, None)?;
-                (Tag::Compute, self.clock.model().instr, ExecResult::Done)
+                (Tag::Compute, cost::INSTR, ExecResult::Done)
             }
             Instr::Store { va } => {
                 self.mem_access(mem, va, Access::Write, None)?;
-                (Tag::Compute, self.clock.model().instr, ExecResult::Done)
+                (Tag::Compute, cost::INSTR, ExecResult::Done)
             }
             Instr::Lidt { base } => {
                 self.idtr = base;
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::Lgdt { base } => {
                 self.gdtr = base;
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::Ltr { selector } => {
                 // Simplified: the selector is the TSS physical base >> 4.
                 self.tss_base = (selector as u64) << 4;
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::Wrmsr { msr, value } => {
                 if msr == MSR_IA32_PKRS {
@@ -330,7 +330,7 @@ impl Cpu {
                 } else {
                     self.msrs.insert(msr, value);
                 }
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::Rdmsr { msr } => {
                 let v = if msr == MSR_IA32_PKRS {
@@ -338,7 +338,7 @@ impl Cpu {
                 } else {
                     self.msrs.get(&msr).copied().unwrap_or(0)
                 };
-                (Tag::Other, self.clock.model().rdmsr, ExecResult::Value(v))
+                (Tag::Other, cost::RDMSR, ExecResult::Value(v))
             }
             Instr::ReadCr { cr } => {
                 let v = match cr {
@@ -347,15 +347,15 @@ impl Cpu {
                     4 => self.cr4,
                     _ => return Err(Fault::GeneralProtection("bad control register")),
                 };
-                (Tag::Other, self.clock.model().instr, ExecResult::Value(v))
+                (Tag::Other, cost::INSTR, ExecResult::Value(v))
             }
             Instr::WriteCr0 { value } => {
                 self.cr0 = value;
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::WriteCr4 { value } => {
                 self.cr4 = value;
-                (Tag::Other, self.clock.model().wrmsr, ExecResult::Done)
+                (Tag::Other, cost::WRMSR, ExecResult::Done)
             }
             Instr::WriteCr3 {
                 value,
@@ -366,21 +366,21 @@ impl Cpu {
                 if !preserve_tlb {
                     self.tlb.flush_pcid(self.pcid);
                 }
-                (Tag::Other, self.clock.model().cr3_switch, ExecResult::Done)
+                (Tag::Other, cost::CR3_SWITCH, ExecResult::Done)
             }
             Instr::Clac => {
                 self.ac = false;
-                (Tag::Other, self.clock.model().instr, ExecResult::Done)
+                (Tag::Other, cost::INSTR, ExecResult::Done)
             }
             Instr::Stac => {
                 self.ac = true;
-                (Tag::Other, self.clock.model().instr, ExecResult::Done)
+                (Tag::Other, cost::INSTR, ExecResult::Done)
             }
             Instr::Invlpg { va } => {
                 // Flushes only the current PCID (§4.1's performance-attack
                 // defence relies on this).
                 self.tlb.flush_va(va, self.pcid);
-                (Tag::Mmu, self.clock.model().invlpg, ExecResult::Done)
+                (Tag::Mmu, cost::INVLPG, ExecResult::Done)
             }
             Instr::Invpcid { mode } => {
                 match mode {
@@ -388,15 +388,11 @@ impl Cpu {
                     InvpcidMode::SingleContext { pcid } => self.tlb.flush_pcid(pcid),
                     InvpcidMode::AllContexts => self.tlb.flush_all(),
                 }
-                (Tag::Mmu, self.clock.model().invlpg, ExecResult::Done)
+                (Tag::Mmu, cost::INVLPG, ExecResult::Done)
             }
             Instr::Swapgs => {
                 std::mem::swap(&mut self.gs_base, &mut self.kernel_gs_base);
-                (
-                    Tag::SyscallPath,
-                    self.clock.model().swapgs,
-                    ExecResult::Done,
-                )
+                (Tag::SyscallPath, cost::SWAPGS, ExecResult::Done)
             }
             Instr::Sysret { restore_if } => {
                 self.mode = Mode::User;
@@ -407,11 +403,7 @@ impl Cpu {
                 } else {
                     restore_if
                 };
-                (
-                    Tag::SyscallPath,
-                    self.clock.model().sysret,
-                    ExecResult::Done,
-                )
+                (Tag::SyscallPath, cost::SYSRET, ExecResult::Done)
             }
             Instr::Iret { frame } => {
                 self.mode = if frame.user_mode {
@@ -424,29 +416,29 @@ impl Cpu {
                 if self.ext.iret_pkrs_restore {
                     self.pkrs = frame.pkrs;
                 }
-                (Tag::Handler, self.clock.model().iret, ExecResult::Done)
+                (Tag::Handler, cost::IRET, ExecResult::Done)
             }
             Instr::Hlt => {
                 self.halted = true;
-                (Tag::Sched, self.clock.model().hlt, ExecResult::Halted)
+                (Tag::Sched, cost::HLT, ExecResult::Halted)
             }
             Instr::Cli => {
                 self.rflags_if = false;
-                (Tag::Other, self.clock.model().instr, ExecResult::Done)
+                (Tag::Other, cost::INSTR, ExecResult::Done)
             }
             Instr::Sti => {
                 self.rflags_if = true;
-                (Tag::Other, self.clock.model().instr, ExecResult::Done)
+                (Tag::Other, cost::INSTR, ExecResult::Done)
             }
             Instr::Popf { if_flag } => {
                 self.rflags_if = if_flag;
-                (Tag::Other, self.clock.model().instr, ExecResult::Done)
+                (Tag::Other, cost::INSTR, ExecResult::Done)
             }
-            Instr::InPort { .. } => (Tag::Io, self.clock.model().rdmsr, ExecResult::Value(0)),
-            Instr::OutPort { .. } => (Tag::Io, self.clock.model().wrmsr, ExecResult::Done),
+            Instr::InPort { .. } => (Tag::Io, cost::RDMSR, ExecResult::Value(0)),
+            Instr::OutPort { .. } => (Tag::Io, cost::WRMSR, ExecResult::Done),
             Instr::Smsw => (
                 Tag::Other,
-                self.clock.model().instr,
+                cost::INSTR,
                 ExecResult::Value(self.cr0 & 0xffff),
             ),
             Instr::Wrpkrs { value } => {
@@ -459,22 +451,18 @@ impl Cpu {
                     },
                 ));
                 self.pkrs = value;
-                (Tag::KsmCall, self.clock.model().wrpkrs, ExecResult::Done)
+                (Tag::KsmCall, cost::WRPKRS, ExecResult::Done)
             }
             Instr::Rdpkrs => (
                 Tag::KsmCall,
-                self.clock.model().instr,
+                cost::INSTR,
                 ExecResult::Value(self.pkrs as u64),
             ),
             Instr::Wrpkru { value } => {
                 self.pkru = value;
-                (Tag::Other, self.clock.model().wrpkrs, ExecResult::Done)
+                (Tag::Other, cost::WRPKRS, ExecResult::Done)
             }
-            Instr::IntN { vector } => (
-                Tag::Other,
-                self.clock.model().instr,
-                ExecResult::SoftInt(vector),
-            ),
+            Instr::IntN { vector } => (Tag::Other, cost::INSTR, ExecResult::SoftInt(vector)),
         };
         self.clock.charge(tag, cost);
         Ok(result)
@@ -492,8 +480,7 @@ impl Cpu {
         }
         self.mode = Mode::Kernel;
         self.rflags_if = false;
-        let c = self.clock.model().syscall_entry;
-        self.clock.charge(Tag::SyscallPath, c);
+        self.clock.charge(Tag::SyscallPath, cost::SYSCALL_ENTRY);
         Ok(self.ia32_star)
     }
 
@@ -598,8 +585,7 @@ impl Cpu {
             }
             self.rflags_if = false;
             self.rsp = df_rsp;
-            let c = self.clock.model().exception_entry;
-            self.clock.charge(Tag::Handler, c);
+            self.clock.charge(Tag::Handler, cost::EXCEPTION_ENTRY);
             return Ok(Delivery {
                 handler: df.handler,
                 frame,
@@ -608,8 +594,7 @@ impl Cpu {
         }
         self.rflags_if = false;
         self.rsp = handler_rsp;
-        let c = self.clock.model().exception_entry;
-        self.clock.charge(Tag::Handler, c);
+        self.clock.charge(Tag::Handler, cost::EXCEPTION_ENTRY);
         let cycles = self.clock.cycles();
         self.tracer
             .record((cycles, TraceEvent::InterruptDelivered { vector, hw }));
@@ -639,8 +624,6 @@ impl Cpu {
         let entry = match self.tlb.lookup(va, self.pcid) {
             Ok(e) => {
                 self.metrics.inc(self.ids.tlb_hit);
-                let c = self.clock.model().tlb_hit;
-                self.clock.charge(Tag::Mmu, c);
                 e
             }
             Err(miss) => {
@@ -735,10 +718,6 @@ impl Cpu {
         mut stage2: Option<&mut (dyn Stage2 + '_)>,
     ) -> Result<TlbEntry, Fault> {
         self.metrics.inc(self.ids.page_walks);
-        let (pt_load, stage2_load) = {
-            let m = self.clock.model();
-            (m.pt_load, m.stage2_load)
-        };
         let mut table_gpa = self.cr3_root;
         let mut writable = true;
         let mut user = true;
@@ -746,12 +725,12 @@ impl Cpu {
             // The table pointer is a gPA under virtualization: translate it.
             let table_hpa = match stage2.as_deref_mut() {
                 Some(s2) => {
-                    self.clock.charge(Tag::Mmu, stage2_load);
+                    self.clock.charge(Tag::Mmu, cost::STAGE2_LOAD);
                     s2.translate(mem, table_gpa, false, &mut self.clock)?
                 }
                 None => table_gpa,
             };
-            self.clock.charge(Tag::Mmu, pt_load);
+            self.clock.charge(Tag::Mmu, cost::PT_LOAD);
             let slot = table_hpa + 8 * pt_index(va, level) as u64;
             let entry = mem.read_u64(slot);
             if !pte::present(entry) {
@@ -777,7 +756,7 @@ impl Cpu {
                 let leaf_gpa = pte::addr(entry);
                 let leaf_hpa = match stage2.as_deref_mut() {
                     Some(s2) => {
-                        self.clock.charge(Tag::Mmu, stage2_load);
+                        self.clock.charge(Tag::Mmu, cost::STAGE2_LOAD);
                         s2.translate(mem, leaf_gpa, false, &mut self.clock)?
                     }
                     None => leaf_gpa,
@@ -818,7 +797,7 @@ mod tests {
     use sim_mem::{MapFlags, PageTables};
 
     fn cpu(ext: HwExtensions) -> (Cpu, PhysMem) {
-        (Cpu::new(ext, CostModel::default()), PhysMem::new(1 << 26))
+        (Cpu::new(ext), PhysMem::new(1 << 26))
     }
 
     fn map_page(mem: &mut PhysMem, root: Phys, va: Virt, pa: Phys, flags: MapFlags) {

@@ -15,8 +15,9 @@
 //! None of these extensions exist in shipping silicon, so this crate plays
 //! the role the gem5 model played in the paper's own evaluation: a CPU
 //! model precise about *architectural events* (mode switches, page walks,
-//! TLB behaviour, faults) with a cycle cost model calibrated to the paper's
-//! measured primitives (see [`cost::CostModel`]).
+//! TLB behaviour, faults) with cycle costs calibrated to the paper's
+//! measured primitives. Those costs are constants in [`cost`], the one
+//! calibration table (DESIGN.md §4).
 //!
 //! The extensions are individually toggleable via [`HwExtensions`], which is
 //! how the benchmark harness runs baseline hardware (all off) next to CKI

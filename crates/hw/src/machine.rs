@@ -2,7 +2,6 @@
 
 use sim_mem::{FrameAllocator, PhysMem};
 
-use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use crate::ext::HwExtensions;
 
@@ -33,7 +32,7 @@ impl Machine {
         assert!(mem_bytes > reserved, "machine needs more than 16 MiB");
         Self {
             mem,
-            cpu: Cpu::new(ext, CostModel::default()),
+            cpu: Cpu::new(ext),
             frames: FrameAllocator::new(reserved, mem_bytes),
         }
     }

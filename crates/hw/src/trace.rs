@@ -105,7 +105,7 @@ pub fn count_of(ring: &Ring<(u64, TraceEvent)>, kind: TraceKind) -> u64 {
 
 /// Renders the last `n` events of `ring` as text (for reports and
 /// examples), after a line naming the events the ring overwrote.
-pub fn render_tail(ring: &Ring<(u64, TraceEvent)>, n: usize, freq_ghz: f64) -> String {
+pub fn render_tail(ring: &Ring<(u64, TraceEvent)>, n: usize) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let skip = ring.len().saturating_sub(n);
@@ -117,7 +117,7 @@ pub fn render_tail(ring: &Ring<(u64, TraceEvent)>, n: usize, freq_ghz: f64) -> S
         );
     }
     for (cycles, ev) in ring.events().skip(skip) {
-        let us = *cycles as f64 / freq_ghz / 1000.0;
+        let us = crate::cost::cycles_to_ns(*cycles) / 1000.0;
         let _ = writeln!(s, "[{us:10.3} µs] {:?}", ev);
     }
     s
@@ -158,7 +158,7 @@ mod tests {
         assert_eq!(count_of(&t, TraceKind::PageFault), 0);
         // Oldest were dropped, and the tail says so.
         assert_eq!(t.events().next().unwrap().0, 6);
-        assert!(render_tail(&t, 4, 2.4).contains("6 earlier event(s) dropped"));
+        assert!(render_tail(&t, 4).contains("6 earlier event(s) dropped"));
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
                 pkrs: 4,
             },
         ));
-        let out = render_tail(&t, 10, 2.4);
+        let out = render_tail(&t, 10);
         assert!(out.contains("wrmsr"));
         assert!(out.contains("1.000 µs"));
     }

@@ -7,7 +7,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sim_hw::trace::TRACE_CAPACITY;
-use sim_hw::{CostModel, Cpu, HwExtensions};
+use sim_hw::{Cpu, HwExtensions};
 
 struct CountingAlloc;
 
@@ -34,7 +34,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn tracer_ring_allocates_only_on_enable() {
-    let mut cpu = Cpu::new(HwExtensions::cki(), CostModel::default());
+    let mut cpu = Cpu::new(HwExtensions::cki());
     cpu.enable_tracer();
     let before = ALLOCS.load(Ordering::SeqCst);
     for i in 0..10_000u64 {

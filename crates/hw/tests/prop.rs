@@ -2,7 +2,6 @@
 //! streams — the workspace builds offline, so no proptest).
 
 use obs::rng::SmallRng;
-use sim_hw::cost::CostModel;
 use sim_hw::{pkrs_deny_access, pkrs_deny_write, Access, Cpu, HwExtensions, Mode};
 use sim_mem::{MapFlags, PageTables, PhysMem, PAGE_SIZE};
 
@@ -21,7 +20,7 @@ fn setup(pages: &[(u64, u8, bool)]) -> (Cpu, PhysMem, u64) {
         let flags = MapFlags::kernel_rw().with_write(write).with_pkey(key);
         PageTables::map(&mut mem, root, va, pa, flags, &mut alloc).unwrap();
     }
-    let mut cpu = Cpu::new(HwExtensions::cki(), CostModel::default());
+    let mut cpu = Cpu::new(HwExtensions::cki());
     cpu.set_cr3(root, 1, false);
     cpu.mode = Mode::Kernel;
     (cpu, mem, root)

@@ -11,7 +11,7 @@
 //! There is no ring: the filesystem above keeps metadata only, so a
 //! request carries no payload that guest memory would have to hold.
 
-use sim_hw::{Clock, CostModel, Tag};
+use sim_hw::{cost, Clock, Tag};
 
 use crate::nic::{Doorbell, IrqPath, NicBackendKind};
 
@@ -27,18 +27,17 @@ pub struct VirtioBlk {
 
 impl VirtioBlk {
     /// The device as the backend `kind` notifies it.
-    pub fn for_backend(kind: NicBackendKind, m: &CostModel) -> Self {
+    pub fn for_backend(kind: NicBackendKind) -> Self {
         Self {
-            doorbell: Doorbell::for_backend(kind, m),
-            irq: IrqPath::for_backend(kind, m),
+            doorbell: Doorbell::for_backend(kind),
+            irq: IrqPath::for_backend(kind),
         }
     }
 
     /// Submits one request of `bytes` bytes and waits for its completion.
     pub fn submit(&self, clock: &mut Clock, bytes: u32) {
         self.doorbell.ring(clock);
-        let m = clock.model();
-        let service = m.virtio_process + m.copy_cycles(bytes as u64);
+        let service = cost::VIRTIO_PROCESS + cost::copy_cycles(bytes as u64);
         clock.charge(Tag::Io, service);
         clock.charge(Tag::Io, DEVICE_CYCLES);
         clock.charge(Tag::Io, self.irq.inject);
@@ -52,9 +51,8 @@ mod tests {
 
     #[test]
     fn block_request_charges_device_latency() {
-        let m = CostModel::default();
-        let mut clock = Clock::new(m.clone());
-        let blk = VirtioBlk::for_backend(NicBackendKind::HvmBm, &m);
+        let mut clock = Clock::default();
+        let blk = VirtioBlk::for_backend(NicBackendKind::HvmBm);
         blk.submit(&mut clock, 4096);
         assert!(clock.ns() > 20_000.0, "NVMe-class latency");
     }

@@ -13,8 +13,20 @@
 //! the device model derives every backend's doorbell and interrupt pricing
 //! from it, for the NIC and the block device alike — see
 //! [`crate::Doorbell::for_backend`] and [`crate::IrqPath::for_backend`].
+//! Every entry is a constant derived from `sim_hw::cost`, the one table of
+//! calibrated primitive costs; nothing here is settable.
 
-use sim_hw::CostModel;
+use sim_hw::cost::{
+    CR3_SWITCH, IRQ_INJECT, NESTED_TRANSITION, PKS_CHECK, PVM_SWITCH, VM_ENTRY, VM_EXIT, WRPKRS,
+};
+
+/// One L0-mediated transition of a nested guest (L2 →(L0)→ L1 or back):
+/// a VM exit and a VM entry, each with L0's mediation work.
+pub const NESTED_HOP: u64 = VM_EXIT + NESTED_TRANSITION + VM_ENTRY + NESTED_TRANSITION;
+
+/// One direction of CKI's guest↔host context switch: the register file
+/// and a CR3 switch, with no PTI or IBRS (§4.2).
+pub const CKI_HOST_SWITCH: u64 = CR3_SWITCH + 120;
 
 /// Cycle costs of one host-service roundtrip for a given backend.
 #[derive(Debug, Clone, Copy)]
@@ -30,59 +42,50 @@ pub struct ExitCosts {
 
 impl ExitCosts {
     /// Native kernel (RunC): a function call plus APIC MMIO.
-    pub fn native(m: &CostModel) -> Self {
-        Self {
-            roundtrip: 260,
-            irq_inject: m.irq_inject,
-            eoi: 40,
-        }
-    }
+    pub const NATIVE: Self = Self {
+        roundtrip: 260,
+        irq_inject: IRQ_INJECT,
+        eoi: 40,
+    };
 
     /// Bare-metal HVM: one VMCS world switch each way.
-    pub fn hvm_bm(m: &CostModel) -> Self {
-        let roundtrip = m.vm_exit + 400 + m.vm_entry;
-        Self {
-            roundtrip,
-            irq_inject: m.irq_inject + 500,
-            eoi: m.vm_exit + m.vm_entry,
-        }
-    }
+    pub const HVM_BM: Self = Self {
+        roundtrip: VM_EXIT + 400 + VM_ENTRY,
+        irq_inject: IRQ_INJECT + 500,
+        eoi: VM_EXIT + VM_ENTRY,
+    };
 
     /// Nested HVM: every L2 exit bounces through L0 to L1 and back
-    /// (§2.4.1's exit-redirection overhead).
-    pub fn hvm_nested(m: &CostModel) -> Self {
-        let transition = m.vm_exit + m.nested_transition + m.vm_entry + m.nested_transition;
-        // L2 →(L0)→ L1, L1 handles, L1 →(L0)→ L2.
-        let roundtrip = 2 * transition + 400;
+    /// (§2.4.1's exit-redirection overhead): L2 →(L0)→ L1, L1 handles,
+    /// L1 →(L0)→ L2.
+    pub const HVM_NESTED: Self = Self {
+        roundtrip: 2 * NESTED_HOP + 400,
+        irq_inject: IRQ_INJECT + NESTED_TRANSITION,
+        eoi: 2 * NESTED_HOP,
+    };
+
+    /// CKI: a PKS-gate crossing plus a host context switch, with PTI/IBRS
+    /// removed from the gate (§4.2). Identical bare-metal and nested.
+    /// Gate: 2 wrpkrs+check; switcher: full context switch incl. CR3.
+    pub const CKI: Self = {
+        let gate = 2 * (WRPKRS + PKS_CHECK);
+        let switcher = 2 * CKI_HOST_SWITCH;
         Self {
-            roundtrip,
-            irq_inject: m.irq_inject + m.nested_transition,
-            eoi: roundtrip - 400,
+            roundtrip: gate + switcher + 140,
+            irq_inject: IRQ_INJECT,
+            eoi: gate + switcher,
         }
-    }
+    };
 
     /// PVM: a software world switch (CR3 + mode switch + IBRS), no VMX.
     /// The same cost in bare-metal and nested clouds — PVM's selling point —
     /// with a small extra in nested from the L1-virtualized CR3 write.
-    pub fn pvm(m: &CostModel, nested: bool) -> Self {
-        let switch = m.pvm_switch + if nested { 24 } else { 0 };
+    pub const fn pvm(nested: bool) -> Self {
+        let switch = PVM_SWITCH + if nested { 24 } else { 0 };
         Self {
             roundtrip: 2 * switch,
-            irq_inject: m.irq_inject + 300,
+            irq_inject: IRQ_INJECT + 300,
             eoi: 2 * switch,
-        }
-    }
-
-    /// CKI: a PKS-gate crossing plus a host context switch, with PTI/IBRS
-    /// removed from the gate (§4.2). Identical bare-metal and nested.
-    pub fn cki(m: &CostModel) -> Self {
-        // Gate: 2 wrpkrs+check; switcher: full context switch incl. CR3.
-        let gate = 2 * (m.wrpkrs + m.pks_check);
-        let switcher = 2 * (m.cr3_switch + 120);
-        Self {
-            roundtrip: gate + switcher + 140,
-            irq_inject: m.irq_inject,
-            eoi: gate + switcher,
         }
     }
 }
@@ -97,23 +100,21 @@ mod tests {
 
     #[test]
     fn hypercall_costs_match_table2() {
-        let m = CostModel::default();
-        assert!((1000.0..1200.0).contains(&ns(ExitCosts::hvm_bm(&m).roundtrip)));
-        assert!((6200.0..7200.0).contains(&ns(ExitCosts::hvm_nested(&m).roundtrip)));
-        assert!((430.0..520.0).contains(&ns(ExitCosts::pvm(&m, false).roundtrip)));
-        let pvm_nst = ns(ExitCosts::pvm(&m, true).roundtrip);
-        assert!(pvm_nst > ns(ExitCosts::pvm(&m, false).roundtrip));
+        assert!((1000.0..1200.0).contains(&ns(ExitCosts::HVM_BM.roundtrip)));
+        assert!((6200.0..7200.0).contains(&ns(ExitCosts::HVM_NESTED.roundtrip)));
+        assert!((430.0..520.0).contains(&ns(ExitCosts::pvm(false).roundtrip)));
+        let pvm_nst = ns(ExitCosts::pvm(true).roundtrip);
+        assert!(pvm_nst > ns(ExitCosts::pvm(false).roundtrip));
         assert!((440.0..540.0).contains(&pvm_nst));
-        assert!((350.0..430.0).contains(&ns(ExitCosts::cki(&m).roundtrip)));
+        assert!((350.0..430.0).contains(&ns(ExitCosts::CKI.roundtrip)));
     }
 
     #[test]
     fn ordering_cki_fastest_nested_hvm_slowest() {
-        let m = CostModel::default();
-        let cki = ExitCosts::cki(&m).roundtrip;
-        let pvm = ExitCosts::pvm(&m, false).roundtrip;
-        let bm = ExitCosts::hvm_bm(&m).roundtrip;
-        let nst = ExitCosts::hvm_nested(&m).roundtrip;
+        let cki = ExitCosts::CKI.roundtrip;
+        let pvm = ExitCosts::pvm(false).roundtrip;
+        let bm = ExitCosts::HVM_BM.roundtrip;
+        let nst = ExitCosts::HVM_NESTED.roundtrip;
         assert!(cki < pvm && pvm < bm && bm < nst);
     }
 }

@@ -27,7 +27,7 @@
 
 use std::ops::AddAssign;
 
-use sim_hw::{Clock, CostModel, Tag};
+use sim_hw::{cost, Clock, Tag};
 use sim_mem::PhysMem;
 
 use crate::exits::ExitCosts;
@@ -55,14 +55,14 @@ pub enum NicBackendKind {
 
 impl NicBackendKind {
     /// The exit-cost table this backend's pricing derives from.
-    pub fn exits(&self, m: &CostModel) -> ExitCosts {
+    pub const fn exits(&self) -> ExitCosts {
         match self {
-            NicBackendKind::Native => ExitCosts::native(m),
-            NicBackendKind::HvmBm => ExitCosts::hvm_bm(m),
-            NicBackendKind::HvmNested => ExitCosts::hvm_nested(m),
-            NicBackendKind::Pvm => ExitCosts::pvm(m, false),
-            NicBackendKind::PvmNested => ExitCosts::pvm(m, true),
-            NicBackendKind::Cki => ExitCosts::cki(m),
+            NicBackendKind::Native => ExitCosts::NATIVE,
+            NicBackendKind::HvmBm => ExitCosts::HVM_BM,
+            NicBackendKind::HvmNested => ExitCosts::HVM_NESTED,
+            NicBackendKind::Pvm => ExitCosts::pvm(false),
+            NicBackendKind::PvmNested => ExitCosts::pvm(true),
+            NicBackendKind::Cki => ExitCosts::CKI,
         }
     }
 }
@@ -96,8 +96,8 @@ pub struct Doorbell {
 
 impl Doorbell {
     /// Derives the doorbell from the backend's exit mechanism.
-    pub fn for_backend(kind: NicBackendKind, m: &CostModel) -> Self {
-        let exits = kind.exits(m);
+    pub fn for_backend(kind: NicBackendKind) -> Self {
+        let exits = kind.exits();
         match kind {
             NicBackendKind::Native => Doorbell {
                 path: DoorbellPath::Direct,
@@ -122,7 +122,7 @@ impl Doorbell {
                 path: DoorbellPath::SharedMem,
                 // Post the avail index; the vhost worker reads it through
                 // its KSM mapping. Two cache-coherent DMA-class accesses.
-                cycles: 2 * m.dma_desc,
+                cycles: 2 * cost::DMA_DESC,
                 exits_per_kick: 0,
                 hypercalls_per_kick: 0,
             },
@@ -151,8 +151,8 @@ pub struct IrqPath {
 
 impl IrqPath {
     /// Derives the interrupt path from the backend's exit mechanism.
-    pub fn for_backend(kind: NicBackendKind, m: &CostModel) -> Self {
-        let exits = kind.exits(m);
+    pub fn for_backend(kind: NicBackendKind) -> Self {
+        let exits = kind.exits();
         Self {
             inject: exits.irq_inject,
             eoi: exits.eoi,
@@ -333,9 +333,8 @@ impl VirtioNic {
         kind: NicBackendKind,
         coalesce: Coalesce,
     ) -> Self {
-        let m = clock.model();
-        let doorbell = Doorbell::for_backend(kind, m);
-        let irq = IrqPath::for_backend(kind, m);
+        let doorbell = Doorbell::for_backend(kind);
+        let irq = IrqPath::for_backend(kind);
         let mut nic = Self {
             mac,
             stats: NicStats::default(),
@@ -396,8 +395,7 @@ impl VirtioNic {
     }
 
     fn charge_copy(clock: &mut Clock, bytes: usize) {
-        let cycles = clock.model().copy_cycles(bytes as u64);
-        clock.charge(Tag::Io, cycles);
+        clock.charge(Tag::Io, cost::copy_cycles(bytes as u64));
     }
 
     fn post_rx(&mut self, mem: &mut PhysMem, clock: &mut Clock) -> bool {
@@ -675,7 +673,7 @@ mod tests {
             let t0 = clock.cycles();
             nic.send(&mut mem, &mut clock, &[frame(1)]).unwrap();
             send.push(clock.cycles() - t0);
-            let blk = crate::VirtioBlk::for_backend(kind, clock.model());
+            let blk = crate::VirtioBlk::for_backend(kind);
             let t0 = clock.cycles();
             blk.submit(&mut clock, 4096);
             block.push(clock.cycles() - t0);

@@ -12,7 +12,7 @@
 //! `idx` fields are free-running `u16`s (slot = `idx & (size-1)`), so they
 //! wrap at `u16::MAX` — the wraparound property tests start them a few
 //! entries below the wrap. Every descriptor or index access pays one
-//! [`CostModel::dma_desc`](sim_hw::CostModel) charge on [`Tag::Io`]: ring
+//! [`DMA_DESC`](sim_hw::cost::DMA_DESC) charge on [`Tag::Io`]: ring
 //! traffic costs the same for every backend, which is what isolates the
 //! doorbell/interrupt asymmetry as the *only* per-backend difference.
 //!
@@ -20,7 +20,7 @@
 //! descriptor id returns to the driver's free list only in
 //! [`SplitRing::pop_used`], i.e. after the device has published it.
 
-use sim_hw::{Clock, Tag};
+use sim_hw::{cost, Clock, Tag};
 use sim_mem::PhysMem;
 
 /// Largest supported queue (one page holds descriptors + both rings).
@@ -142,8 +142,7 @@ impl SplitRing {
     }
 
     fn dma(clock: &mut Clock) {
-        let c = clock.model().dma_desc;
-        clock.charge(Tag::Io, c);
+        clock.charge(Tag::Io, cost::DMA_DESC);
     }
 
     fn slot(&self, idx: u16) -> u64 {

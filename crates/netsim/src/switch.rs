@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use sim_hw::{Clock, Tag};
+use sim_hw::{cost, Clock, Tag};
 use sim_mem::{PfnMap, PhysMem};
 
 use crate::frame::{Frame, Mac};
@@ -193,7 +193,7 @@ impl HostSwitch {
         let Some(port) = self.live_port(nic) else {
             return 0;
         };
-        let per_frame = clock.model().net_packet / 4;
+        let per_frame = cost::NET_PACKET / 4;
         let mut moved = 0;
         while let Some(frame) = nic.host_peek_tx(mem, clock) {
             match self.ingress(port, frame) {

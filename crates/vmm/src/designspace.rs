@@ -18,7 +18,7 @@
 //!   compatibility column).
 
 use guest_os::platform::{host_map, host_new_root, host_protect, host_unmap, MapFault, Platform};
-use sim_hw::{Fault, Machine, Tag};
+use sim_hw::{cost, Fault, Machine, Tag};
 use sim_mem::{MapFlags, Phys, Virt};
 
 /// Cost of one Systrap interception + IPC to the Sentry and back, cycles.
@@ -74,8 +74,7 @@ impl Platform for GvisorPlatform {
         flags: MapFlags,
     ) -> Result<(), MapFault> {
         // Sentry mmap → host syscall (~500 ns) + host PTE work.
-        let c = m.cpu.clock.model().pte_write + 1200;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE + 1200);
         host_map(m, root, va, pa, flags)
     }
 
@@ -85,8 +84,7 @@ impl Platform for GvisorPlatform {
         root: Phys,
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
-        let c = m.cpu.clock.model().pte_write + 1200;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE + 1200);
         Ok(host_unmap(m, root, va, self.pcid))
     }
 
@@ -97,14 +95,12 @@ impl Platform for GvisorPlatform {
         va: Virt,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write + 1200;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE + 1200);
         host_protect(m, root, va, flags, self.pcid)
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().cr3_switch + 500;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH + 500);
         m.cpu.set_cr3(root, self.pcid, false);
         Ok(())
     }
@@ -120,9 +116,9 @@ impl Platform for GvisorPlatform {
     }
 
     fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let c = model.sysret + SYSTRAP_IPC / 2;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu
+            .clock
+            .charge(Tag::SyscallPath, cost::SYSRET + SYSTRAP_IPC / 2);
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
     }
@@ -131,8 +127,9 @@ impl Platform for GvisorPlatform {
         // The host kernel handles application page faults directly
         // (gVisor's design point: no shadow paging, §2.4.3) with a small
         // detour to tell the Sentry about the VMA.
-        let c = m.cpu.clock.model().exception_entry + 350;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu
+            .clock
+            .charge(Tag::Handler, cost::EXCEPTION_ENTRY + 350);
         m.cpu.mode = sim_hw::Mode::Kernel;
     }
 
@@ -190,8 +187,7 @@ impl Platform for LibOsPlatform {
         pa: Phys,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         // No user/kernel isolation inside the container: everything the
         // libOS maps is user-accessible, writable-as-mapped.
         let flags = MapFlags {
@@ -207,8 +203,7 @@ impl Platform for LibOsPlatform {
         root: Phys,
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         Ok(host_unmap(m, root, va, self.pcid))
     }
 
@@ -219,8 +214,7 @@ impl Platform for LibOsPlatform {
         va: Virt,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         let flags = MapFlags {
             user: true,
             ..flags
@@ -229,8 +223,7 @@ impl Platform for LibOsPlatform {
     }
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().cr3_switch;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH);
         m.cpu.set_cr3(root, self.pcid, false);
         Ok(())
     }

@@ -8,9 +8,10 @@
 //! where the L0 hypervisor must emulate a shadow EPT (Figure 10a, §2.4.1).
 
 use guest_os::platform::{MapFault, Platform};
+use netsim::exits::NESTED_HOP;
 use netsim::{ExitCosts, NicBackendKind};
 use obs::CounterId;
-use sim_hw::{Fault, Machine, Tag};
+use sim_hw::{cost, Fault, Machine, Tag};
 use sim_mem::addr::pt_index;
 use sim_mem::{pte, FrameAllocator, MapFlags, Phys, Virt, PAGE_SIZE};
 
@@ -47,11 +48,10 @@ impl HvmPlatform {
             .frames
             .alloc_contiguous(vm_size / PAGE_SIZE)
             .expect("backing for VM");
-        let model = m.cpu.clock.model();
         let exits = if nested {
-            ExitCosts::hvm_nested(model)
+            ExitCosts::HVM_NESTED
         } else {
-            ExitCosts::hvm_bm(model)
+            ExitCosts::HVM_BM
         };
         let label = if nested { "hvm-nst" } else { "hvm" };
         let ids = HvmCounterIds {
@@ -87,22 +87,22 @@ impl HvmPlatform {
         m.cpu.metrics.inc(self.ids.ept_faults);
         m.cpu.metrics.inc(self.ids.vm_exits);
         let sp = m.cpu.span_enter("vmm.vmexit");
-        let model = m.cpu.clock.model();
         let (exit, work_tag, work_span, work) = if self.nested {
             // L2 EPT violation: L0 intercepts, bounces to L1, which updates
             // its virtual EPT; L0 then rebuilds the shadow EPT — several
             // L0-mediated transitions plus emulation (32.5 µs total path).
-            let transition =
-                model.vm_exit + model.nested_transition + model.vm_entry + model.nested_transition;
-            let work = model.sept_emulation_work;
-            (4 * transition, Tag::SptEmul, "vmm.sept_work", work)
-        } else {
-            let exit = model.vm_exit + model.vm_entry;
             (
-                exit,
+                4 * NESTED_HOP,
+                Tag::SptEmul,
+                "vmm.sept_work",
+                cost::SEPT_EMULATION_WORK,
+            )
+        } else {
+            (
+                cost::VM_EXIT + cost::VM_ENTRY,
                 Tag::EptFault,
                 "vmm.ept_work",
-                model.ept_violation_work,
+                cost::EPT_VIOLATION_WORK,
             )
         };
         m.cpu.clock.charge(Tag::VmExit, exit);
@@ -186,8 +186,7 @@ impl Platform for HvmPlatform {
     }
 
     fn alloc_frame(&mut self, m: &mut Machine) -> Option<Phys> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         self.guest_frames.alloc()
     }
 
@@ -200,8 +199,7 @@ impl Platform for HvmPlatform {
     }
 
     fn new_root(&mut self, m: &mut Machine) -> Result<Phys, MapFault> {
-        let c = m.cpu.clock.model().frame_alloc;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::FRAME_ALLOC);
         let gpa = self.guest_frames.alloc().ok_or(MapFault::OutOfMemory)?;
         let hpa = self.ept.sw_translate(gpa);
         m.mem.zero_frame(hpa);
@@ -222,8 +220,7 @@ impl Platform for HvmPlatform {
     ) -> Result<(), MapFault> {
         // Privileged guest: a direct PTE store, no exit (the EPT makes
         // guest page tables freely writable — §2.4.1).
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         let slot = self.guest_ensure_path(m, root, va)?;
         let existing = m.mem.read_u64(slot);
         if pte::present(existing) {
@@ -240,8 +237,7 @@ impl Platform for HvmPlatform {
         root: Phys,
         va: Virt,
     ) -> Result<Option<u64>, MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         let Some(slot) = self.guest_leaf_slot(m, root, va) else {
             return Ok(None);
         };
@@ -261,8 +257,7 @@ impl Platform for HvmPlatform {
         va: Virt,
         flags: MapFlags,
     ) -> Result<(), MapFault> {
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         let slot = self
             .guest_leaf_slot(m, root, va)
             .ok_or(MapFault::Rejected("protect of unmapped page"))?;
@@ -286,8 +281,7 @@ impl Platform for HvmPlatform {
 
     fn load_root(&mut self, m: &mut Machine, root: Phys) -> Result<(), MapFault> {
         // `mov cr3` does not exit under EPT; same-PCID switches flush.
-        let c = m.cpu.clock.model().cr3_switch;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH);
         m.cpu.set_cr3(root, self.pcid, false);
         Ok(())
     }
@@ -328,9 +322,9 @@ impl Platform for HvmPlatform {
         // re-arming (TSC-deadline wrmsr) exits — and in a nested cloud the
         // exit is L0-mediated.
         m.cpu.metrics.inc(self.ids.vm_exits);
-        let model = m.cpu.clock.model();
-        let handler = model.exception_entry + 300 + model.iret;
-        m.cpu.clock.charge(Tag::Sched, handler);
+        m.cpu
+            .clock
+            .charge(Tag::Sched, cost::EXCEPTION_ENTRY + 300 + cost::IRET);
         m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
     }
 

@@ -20,7 +20,7 @@ use guest_os::platform::{
 };
 use netsim::{ExitCosts, NicBackendKind};
 use obs::CounterId;
-use sim_hw::{Machine, Tag};
+use sim_hw::{cost, Machine, Tag};
 use sim_mem::{MapFlags, Phys, Virt};
 
 /// Dense registry ids for the PVM hot-path counters.
@@ -52,7 +52,7 @@ impl PvmPlatform {
     /// Creates the PVM platform (`nested` only changes hypercall costs
     /// slightly — the design's point).
     pub fn new(m: &mut Machine, nested: bool) -> Self {
-        let exits = ExitCosts::pvm(m.cpu.clock.model(), nested);
+        let exits = ExitCosts::pvm(nested);
         let label = if nested { "pvm-nst" } else { "pvm" };
         let ids = PvmCounterIds {
             switches: m
@@ -83,9 +83,7 @@ impl PvmPlatform {
     fn world_switch_pair(&mut self, m: &mut Machine) {
         m.cpu.metrics.add(self.ids.switches, 2);
         let sp = m.cpu.span_enter("vmm.switch");
-        let c = m.cpu.clock.model().pvm_switch;
-        let extra = if self.nested { 24 } else { 0 };
-        m.cpu.clock.charge(Tag::VmExit, 2 * (c + extra));
+        m.cpu.clock.charge(Tag::VmExit, self.exits.roundtrip);
         m.cpu.span_exit(sp);
     }
 
@@ -94,8 +92,7 @@ impl PvmPlatform {
     fn spt_emulate(&mut self, m: &mut Machine) {
         m.cpu.metrics.inc(self.ids.spt_emulations);
         let sp = m.cpu.span_enter("vmm.spt_emul");
-        let c = m.cpu.clock.model().spt_emulation_work;
-        m.cpu.clock.charge(Tag::SptEmul, c);
+        m.cpu.clock.charge(Tag::SptEmul, cost::SPT_EMULATION_WORK);
         m.cpu.span_exit(sp);
     }
 
@@ -105,14 +102,14 @@ impl PvmPlatform {
     /// page (fork storms, batched teardown) are plain stores.
     fn batched_gpt_update(&mut self, m: &mut Machine, root: Phys, va: Virt) {
         let key = (root, va >> 21);
-        let c = m.cpu.clock.model().pte_write;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::PTE_WRITE);
         if self.unsynced.insert(key) {
             self.world_switch_pair(m);
             m.cpu.metrics.inc(self.ids.spt_emulations);
             let sp = m.cpu.span_enter("vmm.spt_emul");
-            let c = m.cpu.clock.model().spt_emulation_work / 2;
-            m.cpu.clock.charge(Tag::SptEmul, c);
+            m.cpu
+                .clock
+                .charge(Tag::SptEmul, cost::SPT_EMULATION_WORK / 2);
             m.cpu.span_exit(sp);
         }
     }
@@ -177,14 +174,16 @@ impl Platform for PvmPlatform {
     ) -> Result<Option<u64>, MapFault> {
         if self.in_fault {
             self.world_switch_pair(m);
-            let c = m.cpu.clock.model().spt_emulation_work / 3;
-            m.cpu.clock.charge(Tag::SptEmul, c);
+            m.cpu
+                .clock
+                .charge(Tag::SptEmul, cost::SPT_EMULATION_WORK / 3);
         } else {
             // The gPT write batches, but the shadow entry must still be
             // invalidated (rmap) — per-page host work.
             self.batched_gpt_update(m, root, va);
-            let c = m.cpu.clock.model().spt_emulation_work / 6;
-            m.cpu.clock.charge(Tag::SptEmul, c);
+            m.cpu
+                .clock
+                .charge(Tag::SptEmul, cost::SPT_EMULATION_WORK / 6);
         }
         Ok(host_unmap(m, root, va, self.pcid))
     }
@@ -198,14 +197,16 @@ impl Platform for PvmPlatform {
     ) -> Result<(), MapFault> {
         if self.in_fault {
             self.world_switch_pair(m);
-            let c = m.cpu.clock.model().spt_emulation_work / 3;
-            m.cpu.clock.charge(Tag::SptEmul, c);
+            m.cpu
+                .clock
+                .charge(Tag::SptEmul, cost::SPT_EMULATION_WORK / 3);
         } else {
             // Shadow permissions must be downgraded with the guest's
             // (write-protect for COW) — per-page host work.
             self.batched_gpt_update(m, root, va);
-            let c = m.cpu.clock.model().spt_emulation_work / 8;
-            m.cpu.clock.charge(Tag::SptEmul, c);
+            m.cpu
+                .clock
+                .charge(Tag::SptEmul, cost::SPT_EMULATION_WORK / 8);
         }
         host_protect(m, root, va, flags, self.pcid)
     }
@@ -215,8 +216,7 @@ impl Platform for PvmPlatform {
         // host, which finds the shadow root and loads it (the reason
         // lmbench context switches are slow on PVM — §7.1).
         self.world_switch_pair(m);
-        let c = m.cpu.clock.model().cr3_switch + 300;
-        m.cpu.clock.charge(Tag::Sched, c);
+        m.cpu.clock.charge(Tag::Sched, cost::CR3_SWITCH + 300);
         m.cpu.set_cr3(root, self.pcid, false);
         Ok(())
     }
@@ -229,15 +229,17 @@ impl Platform for PvmPlatform {
         if m.cpu.mode == sim_hw::Mode::User {
             let _ = m.cpu.syscall_entry();
         }
-        let model = m.cpu.clock.model();
-        let c = model.swapgs + model.cr3_switch + model.pvm_redirect_hop;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu.clock.charge(
+            Tag::SyscallPath,
+            cost::SWAPGS + cost::CR3_SWITCH + cost::PVM_REDIRECT_HOP,
+        );
     }
 
     fn syscall_exit(&mut self, m: &mut Machine) {
-        let model = m.cpu.clock.model();
-        let c = model.pvm_redirect_hop + model.cr3_switch + model.swapgs + model.sysret;
-        m.cpu.clock.charge(Tag::SyscallPath, c);
+        m.cpu.clock.charge(
+            Tag::SyscallPath,
+            cost::PVM_REDIRECT_HOP + cost::CR3_SWITCH + cost::SWAPGS + cost::SYSRET,
+        );
         m.cpu.mode = sim_hw::Mode::User;
         m.cpu.rflags_if = true;
     }
@@ -245,8 +247,7 @@ impl Platform for PvmPlatform {
     fn fault_entry(&mut self, m: &mut Machine) {
         // The host intercepts the fault, walks to classify it, and injects
         // it into the user-mode guest kernel: two switches.
-        let c = m.cpu.clock.model().exception_entry;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::EXCEPTION_ENTRY);
         self.world_switch_pair(m);
         self.in_fault = true;
         m.cpu.mode = sim_hw::Mode::Kernel;
@@ -254,8 +255,7 @@ impl Platform for PvmPlatform {
 
     fn fault_exit(&mut self, m: &mut Machine) {
         // Returning to the faulting application goes back through the host.
-        let c = m.cpu.clock.model().iret;
-        m.cpu.clock.charge(Tag::Handler, c);
+        m.cpu.clock.charge(Tag::Handler, cost::IRET);
         self.world_switch_pair(m);
         self.in_fault = false;
         m.cpu.mode = sim_hw::Mode::User;
@@ -265,8 +265,7 @@ impl Platform for PvmPlatform {
         // The host receives the hardware timer and injects a virtual
         // interrupt into the user-mode guest kernel; returning needs the
         // host again: two world-switch pairs around the handler.
-        let model = m.cpu.clock.model();
-        let handler = model.exception_entry + 300 + model.iret;
+        let handler = cost::EXCEPTION_ENTRY + 300 + cost::IRET;
         self.world_switch_pair(m);
         m.cpu.clock.charge(Tag::Sched, handler);
         self.world_switch_pair(m);

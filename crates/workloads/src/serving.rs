@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use cki::{Backend, NIC_QUEUE, SWITCH_DEPTH};
 use guest_os::{Errno, Fd, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, NicStats, SwitchStats};
-use sim_hw::{HwExtensions, Machine, Mode, Tag};
+use sim_hw::{cost, HwExtensions, Machine, Mode, Tag};
 use sim_mem::PAGE_SIZE;
 
 /// Port the server container listens on.
@@ -378,7 +378,7 @@ pub fn run(cfg: &ServingConfig) -> ServingReport {
     }
 
     let total_cycles = cl.machine.cpu.clock.cycles() - mark;
-    let seconds = cl.machine.cpu.clock.model().cycles_to_ns(total_cycles) / 1e9;
+    let seconds = cost::cycles_to_ns(total_cycles) / 1e9;
     let nics = cl.nic_totals();
     let m = &cl.machine.cpu.metrics;
     ServingReport {

@@ -179,11 +179,10 @@ fn main() {
     println!("container still schedulable after all attacks — DoS prevented.");
 
     println!("\n== Hardware audit trail (last events) ==");
-    let freq = stack.machine.cpu.clock.model().freq_ghz;
     let tracer = &stack.machine.cpu.tracer;
     assert_eq!(tracer.overwritten(), 0, "counts cover every event");
     let blocked = trace::count_of(tracer, TraceKind::InstrBlocked);
     let pk = trace::count_of(tracer, TraceKind::PkViolation);
-    print!("{}", trace::render_tail(tracer, 8, freq));
+    print!("{}", trace::render_tail(tracer, 8));
     println!("totals: {blocked} blocked instructions, {pk} PK violations recorded");
 }

@@ -30,7 +30,7 @@ use cki_core::{CkiPlatform, MAX_VCPUS};
 use guest_os::{Env, Kernel, Sys};
 use netsim::{Coalesce, HostSwitch, Mac, SwitchStats};
 use obs::{FlightEvent, FlightRecorder, Ring};
-use sim_hw::{HwExtensions, Machine, Mode, PcidAllocator, Tag};
+use sim_hw::{cost, HwExtensions, Machine, Mode, PcidAllocator, Tag};
 use sim_mem::{Segment, SegmentAllocator, PAGE_SIZE};
 
 use crate::slo::{Incident, SloProbe, SloWatchdog};
@@ -586,10 +586,9 @@ impl CloudHost {
         let platform = Backend::Cki.build_platform(&mut self.machine, &cfg);
         // Charge the physmap construction the host just performed: one PTE
         // per segment page plus the backing table frames.
-        let model = self.machine.cpu.clock.model();
         let pages = seg.len() / PAGE_SIZE;
         let physmap =
-            pages * model.pte_write + (pages / 512 + 3) * (model.frame_alloc + model.zero_page);
+            pages * cost::PTE_WRITE + (pages / 512 + 3) * (cost::FRAME_ALLOC + cost::ZERO_PAGE);
         self.machine.cpu.clock.charge(Tag::Mmu, physmap);
         let kernel = Kernel::boot(platform, &mut self.machine);
 
@@ -735,10 +734,9 @@ impl CloudHost {
         // The clone's cost model: fixed activation + the copies and
         // rebases actually performed. The template's own physmap/boot cost
         // was paid once, when the template booted.
-        let model = self.machine.cpu.clock.model();
         let cycles = CLONE_ACTIVATE_CYCLES
-            + report.pages_copied * model.copy_cycles(PAGE_SIZE)
-            + report.pte_rewrites * model.pte_write;
+            + report.pages_copied * cost::copy_cycles(PAGE_SIZE)
+            + report.pte_rewrites * cost::PTE_WRITE;
         self.machine.cpu.clock.charge(Tag::Mmu, cycles);
 
         // The template has no NIC (its rings would be snapshotted at stale
@@ -839,8 +837,6 @@ impl CloudHost {
         let moves = self.segments.compact(&mut segs);
 
         let mut report = CompactionReport::default();
-        let model = self.machine.cpu.clock.model();
-        let (page_copy, pte_write) = (model.copy_cycles(PAGE_SIZE), model.pte_write);
         for (old, new) in moves {
             let owner = by_start.get(&old.start).expect("planned segment");
             // Migrate the page image first (the ascending copy handles the
@@ -870,7 +866,9 @@ impl CloudHost {
             );
             c.seg = new;
 
-            let cycles = MIGRATE_FIXED_CYCLES + resident * page_copy + rewrites * pte_write;
+            let cycles = MIGRATE_FIXED_CYCLES
+                + resident * cost::copy_cycles(PAGE_SIZE)
+                + rewrites * cost::PTE_WRITE;
             self.machine.cpu.clock.charge(Tag::Mmu, cycles);
             report.moved += 1;
             report.pages_migrated += resident;

@@ -54,7 +54,7 @@ pub use vmm;
 
 use cki_core::{CkiConfig, CkiPlatform};
 use guest_os::{Env, Kernel, NativePlatform, Platform};
-use sim_hw::{HwExtensions, Machine};
+use sim_hw::{cost, HwExtensions, Machine};
 use sim_mem::Segment;
 use vmm::{HvmPlatform, PvmPlatform};
 
@@ -372,8 +372,7 @@ impl Stack {
     /// Chrome-trace JSON of the recorded spans — load the string (saved to
     /// a file) in `chrome://tracing` or Perfetto.
     pub fn chrome_trace(&self) -> String {
-        let freq = self.machine.cpu.clock.model().freq_ghz;
-        obs::export::chrome_trace(&self.machine.cpu.profiler, freq)
+        obs::export::chrome_trace(&self.machine.cpu.profiler, cost::FREQ_GHZ)
     }
 
     /// Unified metrics snapshot: hardware + VMM + CKI counters from the

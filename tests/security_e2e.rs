@@ -454,7 +454,7 @@ fn tracer_audits_the_attack() {
         vec!["wrmsr", "cli"],
         "attempts recorded in order"
     );
-    let tail = render_tail(&m.cpu.tracer, 10, 2.4);
+    let tail = render_tail(&m.cpu.tracer, 10);
     assert!(tail.contains("wrmsr") && tail.contains("cli"), "{tail}");
 }
 
